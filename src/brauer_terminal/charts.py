@@ -15,7 +15,7 @@ the per-step matrices along its ancestry.
 Exceptional divisors receive ids derived from their monomial valuation on
 the root coordinates. The id is a pure function of the geometry, so the same
 divisor reached through different blow-up routes gets the same id without
-any shared counter, and id generation is trivially race-free.
+any shared counter.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 ExponentMatrix = Tuple[Tuple[int, ...], ...]
 
-_LABEL_RE = re.compile(r"[A-Za-z_]\w*")
+LABEL_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 def identity_substitution(dim: int) -> ExponentMatrix:
@@ -61,31 +61,6 @@ def apply_substitution(matrix: Sequence[Sequence[int]],
 
 def transpose(matrix: Sequence[Sequence[int]]) -> ExponentMatrix:
     return tuple(zip(*[tuple(row) for row in matrix])) if matrix else ()
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A monomial x^u in chart coordinates, stored as its exponent vector."""
-
-    exponents: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-        if not self.exponents:
-            raise ValueError("monomial needs at least one coordinate")
-
-    @property
-    def dim(self) -> int:
-        return len(self.exponents)
-
-    def pullback(self, substitution: Sequence[Sequence[int]]) -> "Monomial":
-        """Rewrite the monomial in child coordinates."""
-        return Monomial(apply_substitution(substitution, self.exponents))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if other.dim != self.dim:
-            raise ValueError("monomials live in different charts")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +106,11 @@ class Chart:
     def depth(self) -> int:
         return 0 if self.parent is None else self.parent.depth + 1
 
+    @property
+    def root(self) -> "Chart":
+        """The chart this one descends from by blow-ups (itself at depth 0)."""
+        return self if self.parent is None else self.parent.root
+
     def slot_of(self, divisor_id: str) -> int:
         """Coordinate slot a divisor is bound to.
 
@@ -171,10 +151,6 @@ class Stratum:
         return len(self.indices)
 
     @property
-    def chart_id(self) -> str:
-        return self.chart.chart_id
-
-    @property
     def divisor_ids(self) -> Tuple[str, ...]:
         return tuple(self.chart.divisor_ids[i] for i in self.indices)
 
@@ -200,7 +176,7 @@ def new_affine_model(dim: int, divisor_labels: Sequence[str]) -> Chart:
     if len(labels) != dim:
         raise ValueError(f"expected {dim} labels, got {len(labels)}")
     for label in labels:
-        if not _LABEL_RE.fullmatch(label):
+        if not LABEL_RE.fullmatch(label):
             raise ValueError(f"divisor label {label!r} is not an identifier")
     ident = identity_substitution(dim)
     return Chart(dim=dim, divisor_ids=labels, substitution=ident,

@@ -166,17 +166,18 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     boundary = boundary_divisor(model)
     rows = []
     lines = []
+    # every divisor of a loaded root chart is original
+    extra_degrees = {comp.origin_id: comp.degree for comp in model.extras}
     for slot, divisor_id in enumerate(model.chart.divisor_ids):
-        record = model.record(divisor_id)
+        extra = extra_degrees.get(divisor_id, 1)
         e = model.cover_on(slot).value
         coeff = boundary.coefficient(divisor_id)
-        rows.append((divisor_id, record.kind, str(record.extra_degree),
-                     str(e), str(coeff)))
+        rows.append((divisor_id, "original", str(extra), str(e), str(coeff)))
         lines.append({
             "type": "boundary",
             "divisor": divisor_id,
-            "kind": record.kind,
-            "extra_degree": record.extra_degree,
+            "kind": "original",
+            "extra_degree": extra,
             "e": e,
             "coefficient": _frac(coeff),
         })

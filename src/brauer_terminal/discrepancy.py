@@ -14,12 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Tuple
 
 from .charts import Stratum, multiplicity
-from .model import CoverDegree, IndeterminateDegreeError, Model
-
-CenterLike = Union[Stratum, Sequence[int]]
+from .model import CenterLike, CoverDegree, IndeterminateDegreeError, Model
 
 
 @dataclass(frozen=True)
@@ -33,10 +31,6 @@ class BoundaryDivisor:
             if key == divisor_id:
                 return value
         return Fraction(0)
-
-    @property
-    def divisor_ids(self) -> Tuple[str, ...]:
-        return tuple(key for key, _ in self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -130,24 +124,20 @@ def boundary_divisor(model: Model) -> BoundaryDivisor:
     return BoundaryDivisor(coefficients=tuple(coefficients))
 
 
-def _as_stratum(model: Model, center: CenterLike) -> Stratum:
-    if isinstance(center, Stratum):
-        if center.chart is not model.chart:
-            raise ValueError("center belongs to a different chart")
-        return center
-    return model.stratum(tuple(center))
-
-
-def classical_discrepancy(model: Model, center: CenterLike) -> Fraction:
-    """Discrepancy a = c - 1 - sum of boundary multiplicities over the center."""
-    stratum = _as_stratum(model, center)
+def _load(model: Model, stratum: Stratum) -> Fraction:
+    """Sum of boundary multiplicities over the center."""
     boundary = boundary_divisor(model)
-    load = sum(
+    return sum(
         (boundary.coefficient(divisor_id) * multiplicity(stratum, divisor_id)
          for divisor_id in model.chart.divisor_ids),
         Fraction(0),
     )
-    return Fraction(stratum.codim - 1) - load
+
+
+def classical_discrepancy(model: Model, center: CenterLike) -> Fraction:
+    """Discrepancy a = c - 1 - sum of boundary multiplicities over the center."""
+    stratum = model.stratum(center)
+    return Fraction(stratum.codim - 1) - _load(model, stratum)
 
 
 def b_from_a(a: Fraction, e: int) -> Fraction:
@@ -164,16 +154,10 @@ def brauer_discrepancy(model: Model, center: CenterLike) -> DiscrepancyReport:
     per candidate e; report construction then checks the rows against
     a + 1 - 1/e with a the classical discrepancy of the same center.
     """
-    stratum = _as_stratum(model, center)
-    boundary = boundary_divisor(model)
-    load = sum(
-        (boundary.coefficient(divisor_id) * multiplicity(stratum, divisor_id)
-         for divisor_id in model.chart.divisor_ids),
-        Fraction(0),
-    )
+    stratum = model.stratum(center)
+    load = _load(model, stratum)
     result = model.blow_up(stratum)
-    first = result.children[0]
-    degree = first.cover_on(first.chart.pivot)
+    degree = result.exceptional_degree()
     entries = tuple(
         ReportEntry(
             e=e,

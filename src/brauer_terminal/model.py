@@ -1,11 +1,9 @@
-"""Brauer pairs on SNC charts: the symbol class plus divisor bookkeeping.
+"""Brauer pairs on SNC charts: the symbol class plus its extra covers.
 
 A ``Model`` couples a chart with the symbol matrix of the class restricted
-to that chart, a registry of every divisor met so far, and the transported
-data of any extra cyclic covers attached to original divisors. Blowing up a
-model blows up the chart, pushes the matrix through the substitution, and
-transports the extra covers; the registry is shared across all models of
-one lineage so a divisor keeps one record no matter which chart sees it.
+to that chart and the transported data of any extra cyclic covers attached
+to original divisors. Blowing up a model blows up the chart, pushes the
+matrix through the substitution, and transports the extra covers.
 
 Cover degrees along divisors are where indeterminacy enters. An extra cover
 restricts exactly to the divisor it was declared on and, by direct exposure,
@@ -16,15 +14,14 @@ degrees can be listed, not the degree itself.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .charts import Chart, Stratum, apply_substitution, blow_up as blow_up_chart, \
     new_affine_model
-from .symbols import DivisorRecord, KummerClass, SymbolMatrix, residue, transform
+from .symbols import KummerClass, SymbolMatrix, residue, transform
 
 
 class IndeterminateDegreeError(ValueError):
@@ -153,47 +150,6 @@ class ExtraComponent:
         return self.degree // gcd(self.degree, self.vector[slot])
 
 
-class DivisorRegistry:
-    """Shared, thread-safe store of divisor records, keyed by divisor id.
-
-    Exceptional ids are valuation-derived, so two routes reaching the same
-    divisor register the same id; the first registration wins and later ones
-    are no-ops returning the existing record.
-    """
-
-    def __init__(self) -> None:
-        self._records: Dict[str, DivisorRecord] = {}
-        self._lock = threading.Lock()
-
-    def record(self, divisor_id: str) -> DivisorRecord:
-        with self._lock:
-            try:
-                return self._records[divisor_id]
-            except KeyError:
-                raise KeyError(f"unknown divisor {divisor_id!r}") from None
-
-    def register_original(self, label: str, extra_degree: int = 1) -> DivisorRecord:
-        with self._lock:
-            if label in self._records:
-                raise ValueError(f"divisor {label!r} registered twice")
-            rec = DivisorRecord(label, "original", 0, extra_degree, label)
-            self._records[label] = rec
-            return rec
-
-    def ensure_exceptional(self, divisor_id: str, level: int) -> DivisorRecord:
-        with self._lock:
-            existing = self._records.get(divisor_id)
-            if existing is not None:
-                return existing
-            rec = DivisorRecord(divisor_id, "exceptional", level)
-            self._records[divisor_id] = rec
-            return rec
-
-    def known_ids(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._records))
-
-
 @dataclass(frozen=True)
 class BlowUp:
     """Result of blowing up a model: all charts of the modification."""
@@ -202,6 +158,11 @@ class BlowUp:
     center: Stratum
     children: Tuple["Model", ...]
     exceptional_id: str
+
+    def exceptional_degree(self) -> CoverDegree:
+        """Cover degree on the new divisor; every child reads the same one."""
+        first = self.children[0]
+        return first.cover_on(first.chart.pivot)
 
 
 CenterLike = Union[Stratum, Sequence[int]]
@@ -213,7 +174,6 @@ class Model:
 
     chart: Chart
     matrix: SymbolMatrix
-    registry: DivisorRegistry = field(repr=False)
     extras: Tuple[ExtraComponent, ...] = ()
 
     def __post_init__(self) -> None:
@@ -241,7 +201,6 @@ class Model:
         """
         chart = new_affine_model(len(tuple(labels)), labels)
         matrix = SymbolMatrix.from_symbols(torsion, chart.dim, symbols)
-        registry = DivisorRegistry()
         extra_degrees = dict(extra_degrees or {})
         for label in extra_degrees:
             if label not in chart.divisor_ids:
@@ -251,13 +210,11 @@ class Model:
             degree = int(extra_degrees.get(label, 1))
             if degree < 1:
                 raise ValueError(f"extra cover degree on {label!r} must be >= 1")
-            registry.register_original(label, degree)
             if degree > 1:
                 components.append(
                     ExtraComponent.at_origin(label, degree, slot, chart.dim, torsion)
                 )
-        return cls(chart=chart, matrix=matrix, registry=registry,
-                   extras=tuple(components))
+        return cls(chart=chart, matrix=matrix, extras=tuple(components))
 
     @property
     def torsion(self) -> int:
@@ -267,11 +224,13 @@ class Model:
     def dim(self) -> int:
         return self.chart.dim
 
-    def record(self, divisor_id: str) -> DivisorRecord:
-        return self.registry.record(divisor_id)
-
-    def stratum(self, indices: Sequence[int]) -> Stratum:
-        return Stratum(self.chart, tuple(indices))
+    def stratum(self, center: CenterLike) -> Stratum:
+        """The center as a stratum of this chart, from slots or a stratum."""
+        if isinstance(center, Stratum):
+            if center.chart is not self.chart:
+                raise ValueError("center belongs to a different chart")
+            return center
+        return Stratum(self.chart, tuple(center))
 
     def residue_on(self, slot: int) -> KummerClass:
         """Residue class of the symbol part along the slot's divisor."""
@@ -327,19 +286,11 @@ class Model:
         e = degree.value
         return Fraction(e - 1, e)
 
-    def _as_stratum(self, center: CenterLike) -> Stratum:
-        if isinstance(center, Stratum):
-            if center.chart is not self.chart:
-                raise ValueError("center belongs to a different chart")
-            return center
-        return Stratum(self.chart, tuple(center))
-
     def blow_up(self, center: CenterLike) -> BlowUp:
         """Blow up the underlying chart and transport the class to each child."""
-        stratum = self._as_stratum(center)
+        stratum = self.stratum(center)
         charts = blow_up_chart(self.chart, stratum)
         exceptional_id = charts[0].divisor_ids[charts[0].pivot]
-        self.registry.ensure_exceptional(exceptional_id, self.chart.depth + 1)
         children = []
         for child in charts:
             moved = transform(self.matrix, child.substitution)
@@ -349,8 +300,7 @@ class Model:
                 for comp in self.extras
             )
             children.append(
-                Model(chart=child, matrix=moved, registry=self.registry,
-                      extras=comps)
+                Model(chart=child, matrix=moved, extras=comps)
             )
         return BlowUp(parent=self, center=stratum, children=tuple(children),
                       exceptional_id=exceptional_id)

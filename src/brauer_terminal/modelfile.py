@@ -10,6 +10,12 @@ Parsing is strict about structure (positions are reported as line and
 column) but forgiving about redundancy: symbols that are multiples of the
 torsion, self-pairings, and accumulations that cancel are dropped with a
 warning instead of an error.
+
+Torsion, extra cover degrees and dimension are capped (``MAX_TORSION``,
+``MAX_EXTRA_DEGREE``, ``MAX_DIMENSION``): candidate cover degrees are
+found by scanning every integer up to lcm(torsion, extra degrees), and a
+chart of dimension n has 2^n - n - 1 blow-up centers, so unbounded values
+would stall the commands instead of failing them.
 """
 
 from __future__ import annotations
@@ -19,14 +25,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from .charts import LABEL_RE
 from .model import Model
 from .symbols import check_complex
 
 _TOKEN_RE = re.compile(r"\S+")
 _KEY_RE = re.compile(r"^\s*(\w+)\s*=\s*(.*?)\s*$")
-_LABEL_RE = re.compile(r"[A-Za-z_]\w*")
 
 _SECTIONS = ("model", "symbols", "extra")
+
+MAX_TORSION = 12
+MAX_EXTRA_DEGREE = 12
+MAX_DIMENSION = 5
 
 
 class ModelFormatError(ValueError):
@@ -172,6 +182,11 @@ def parse_model(text: str) -> Tuple[ModelSpec, Tuple[str, ...]]:
             if degree < 1:
                 raise ModelFormatError("extra cover degree must be positive",
                                        line_no, tokens[1].start() + 1)
+            if degree > MAX_EXTRA_DEGREE:
+                raise ModelFormatError(
+                    f"extra cover degree must be at most {MAX_EXTRA_DEGREE}",
+                    line_no, tokens[1].start() + 1,
+                )
             label = labels[slot]
             if any(existing == label for existing, _, _ in raw_extras):
                 raise ModelFormatError(
@@ -215,6 +230,9 @@ def _parse_torsion(fields: Dict[str, str], field_lines: Dict[str, int]) -> int:
     if torsion < 2:
         raise ModelFormatError("torsion must be at least 2",
                                field_lines["torsion"])
+    if torsion > MAX_TORSION:
+        raise ModelFormatError(f"torsion must be at most {MAX_TORSION}",
+                               field_lines["torsion"])
     return torsion
 
 
@@ -225,7 +243,7 @@ def _parse_labels(fields: Dict[str, str],
     line_no = field_lines["labels"]
     labels = tuple(part.strip() for part in fields["labels"].split(","))
     for label in labels:
-        if not _LABEL_RE.fullmatch(label):
+        if not LABEL_RE.fullmatch(label):
             raise ModelFormatError(f"bad divisor label {label!r}", line_no)
     if len(set(labels)) != len(labels):
         raise ModelFormatError("duplicate divisor labels", line_no)
@@ -241,6 +259,9 @@ def _parse_dimension(fields: Dict[str, str], field_lines: Dict[str, int],
     except ValueError:
         raise ModelFormatError("dimension must be an integer",
                                field_lines["dimension"]) from None
+    if dimension > MAX_DIMENSION:
+        raise ModelFormatError(f"dimension must be at most {MAX_DIMENSION}",
+                               field_lines["dimension"])
     if dimension != len(labels):
         raise ModelFormatError(
             f"dimension {dimension} does not match {len(labels)} labels",

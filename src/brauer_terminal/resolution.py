@@ -14,23 +14,19 @@ is 1 - 1/e for a base divisor and minus its own discrepancy for an
 exceptional one. Degrees, and only degrees, can be indeterminate; the
 telescoped discrepancies stay exact, so indeterminacy surfaces purely as
 candidate lists on the affected divisors.
-
-Set BRAUER_TERMINAL_THREADS to parallelize probe expansion; results are
-identical with and without threads.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .charts import Stratum, strata
 from .discrepancy import DiscrepancyReport, WitnessStep, boundary_divisor
-from .model import CoverDegree, IndeterminateDegreeError, Model
+from .model import BlowUp, CoverDegree, IndeterminateDegreeError, Model
 
 
 class UnsupportedTorsionError(ValueError):
@@ -45,31 +41,6 @@ class NonterminationError(RuntimeError):
         self.tree = tree
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("BRAUER_TERMINAL_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    return max(1, cap)
-
-
-def _map(fn: Callable, items: Sequence) -> List:
-    """Order-preserving map, threaded when BRAUER_TERMINAL_THREADS > 1."""
-    cap = _thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    chart_id: str
-    depth: int
-    divisor_ids: Tuple[str, ...]
-
-
 @dataclass(frozen=True)
 class TreeEdge:
     parent: str
@@ -81,10 +52,9 @@ class TreeEdge:
 
 @dataclass(frozen=True)
 class ResolutionTree:
-    """Chart tree of a modification, nodes and edges keyed by chart id."""
+    """Chart tree of a modification, edges keyed by chart id."""
 
     root: str
-    nodes: Tuple[TreeNode, ...]
     edges: Tuple[TreeEdge, ...]
     leaves: Tuple[str, ...]
     rounds: int
@@ -130,8 +100,7 @@ def find_bad_strata(model: Model) -> Tuple[Stratum, ...]:
         if e_i.value != 2 or e_j.value != 2:
             continue
         probe = model.blow_up(stratum)
-        child = probe.children[0]
-        e_exc = child.cover_on(child.chart.pivot)
+        e_exc = probe.exceptional_degree()
         if not e_exc.determinate:
             raise IndeterminateDegreeError(
                 (probe.exceptional_id,),
@@ -141,22 +110,6 @@ def find_bad_strata(model: Model) -> Tuple[Stratum, ...]:
         if e_exc.value == 1:
             bad.append(stratum)
     return tuple(bad)
-
-
-def _node(model: Model) -> TreeNode:
-    return TreeNode(model.chart.chart_id, model.chart.depth,
-                    model.chart.divisor_ids)
-
-
-def _tree(root_id: str, nodes: Dict[str, TreeNode], edges: List[TreeEdge],
-          leaves: List[str], rounds: int) -> ResolutionTree:
-    return ResolutionTree(
-        root=root_id,
-        nodes=tuple(nodes[key] for key in sorted(nodes)),
-        edges=tuple(edges),
-        leaves=tuple(leaves),
-        rounds=rounds,
-    )
 
 
 def level_one_fixup(model: Model, max_rounds: int = 64) -> FixupResult:
@@ -172,7 +125,6 @@ def level_one_fixup(model: Model, max_rounds: int = 64) -> FixupResult:
         NonterminationError: if the round budget is exhausted.
     """
     pending = deque([model])
-    nodes = {model.chart.chart_id: _node(model)}
     edges: List[TreeEdge] = []
     clean: List[Model] = []
     leaves: List[str] = []
@@ -185,7 +137,8 @@ def level_one_fixup(model: Model, max_rounds: int = 64) -> FixupResult:
             leaves.append(current.chart.chart_id)
             continue
         if rounds >= max_rounds:
-            partial = _tree(model.chart.chart_id, nodes, edges, leaves, rounds)
+            partial = ResolutionTree(model.chart.chart_id, tuple(edges),
+                                     tuple(leaves), rounds)
             raise NonterminationError(
                 f"fixup did not finish within {max_rounds} rounds", partial
             )
@@ -193,7 +146,6 @@ def level_one_fixup(model: Model, max_rounds: int = 64) -> FixupResult:
         result = current.blow_up(stratum)
         rounds += 1
         for child in result.children:
-            nodes[child.chart.chart_id] = _node(child)
             edges.append(
                 TreeEdge(
                     parent=current.chart.chart_id,
@@ -203,7 +155,8 @@ def level_one_fixup(model: Model, max_rounds: int = 64) -> FixupResult:
                 )
             )
             pending.append(child)
-    tree = _tree(model.chart.chart_id, nodes, edges, leaves, rounds)
+    tree = ResolutionTree(model.chart.chart_id, tuple(edges), tuple(leaves),
+                          rounds)
     return FixupResult(tree=tree, models=tuple(clean), rounds=rounds)
 
 
@@ -243,53 +196,68 @@ class _Probe:
 
 
 def _base_abar(model: Model) -> Dict[str, Fraction]:
-    boundary = boundary_divisor(model)
-    return dict(boundary.coefficients)
+    return dict(boundary_divisor(model).coefficients)
 
 
-def _expand(probe: _Probe, max_codim: Optional[int] = None):
-    """All blow-ups of one probe: per center, the new report data and children."""
+class _Step(NamedTuple):
+    report: DiscrepancyReport
+    blow: BlowUp
+    abar: Dict[str, Fraction]
+    one_step: Optional[Fraction]
+
+
+def _step(model: Model, stratum: Stratum, abar: Dict[str, Fraction],
+          witness: Tuple[WitnessStep, ...]) -> _Step:
+    """Blow up one stratum and telescope the new divisor against the base.
+
+    ``abar`` gives each divisor of the chart the coefficient its pullback
+    contributes. The new divisor E gets a = c - 1 minus the coefficients of
+    the center, its degree is read in the pivot chart, and the returned
+    table is ``abar`` extended by E with -a; every child shares it.
+    ``one_step`` is the discrepancy of the center against the chart's own
+    boundary, None when an undetermined degree blocks it.
+    """
+    center_ids = stratum.divisor_ids
+    a = stratum.codim - 1 - sum(abar[d] for d in center_ids)
+    try:
+        one_step = Fraction(stratum.codim - 1) - sum(
+            (model.boundary_coefficient(i) for i in stratum.indices),
+            Fraction(0),
+        )
+    except IndeterminateDegreeError:
+        one_step = None
+    blow = model.blow_up(stratum)
+    witness = witness + (WitnessStep(chart_id=model.chart.chart_id,
+                                     indices=stratum.indices,
+                                     center=center_ids),)
+    report = DiscrepancyReport.from_degree(
+        divisor_id=blow.exceptional_id,
+        level=len(witness),
+        witness=witness,
+        a=a,
+        degree=blow.exceptional_degree(),
+    )
+    return _Step(report, blow, {**abar, blow.exceptional_id: -a}, one_step)
+
+
+def _expand(probe: _Probe):
+    """Every blow-up of one probe: its report, side check and child probes."""
     chart = probe.model.chart
-    top = chart.dim if max_codim is None else min(max_codim, chart.dim)
-    out = []
-    for codim in range(2, top + 1):
+    for codim in range(2, chart.dim + 1):
         for stratum in strata(chart, codim):
-            center_ids = stratum.divisor_ids
-            a = codim - 1 - sum(probe.abar[d] for d in center_ids)
-            try:
-                one_step = Fraction(codim - 1) - sum(
-                    (probe.model.boundary_coefficient(i) for i in stratum.indices),
-                    Fraction(0),
-                )
-            except IndeterminateDegreeError:
-                one_step = None
-            result = probe.model.blow_up(stratum)
-            first = result.children[0]
-            degree = first.cover_on(first.chart.pivot)
-            step = WitnessStep(chart_id=chart.chart_id, indices=stratum.indices,
-                               center=center_ids)
-            witness = probe.witness + (step,)
-            report = DiscrepancyReport.from_degree(
-                divisor_id=result.exceptional_id,
-                level=len(witness),
-                witness=witness,
-                a=a,
-                degree=degree,
-            )
+            step = _step(probe.model, stratum, probe.abar, probe.witness)
+            report = step.report
             check = SideCheck(
-                divisor_id=result.exceptional_id,
+                divisor_id=report.divisor_id,
                 chart_id=chart.chart_id,
-                center=center_ids,
-                value=one_step,
+                center=stratum.divisor_ids,
+                value=step.one_step,
             )
-            abar = dict(probe.abar)
-            abar[result.exceptional_id] = -a
-            children = tuple(
-                _Probe(model=child, abar=abar, witness=witness)
-                for child in result.children
-            )
-            out.append((report, check, children))
-    return out
+            children = [
+                _Probe(model=child, abar=step.abar, witness=report.witness)
+                for child in step.blow.children
+            ]
+            yield report, check, children
 
 
 def _merge_reports(seen: DiscrepancyReport,
@@ -354,7 +322,7 @@ def enumerate_divisors(base: Union[Model, Sequence[Model]], depth: int,
     breadth-first order; agreement of the duplicate computations is enforced.
 
     Args:
-        base: one model or several charts of one lineage (shared registry).
+        base: one model or several charts descending from one root chart.
         depth: maximum number of blow-ups per route, at least 0.
         max_probes: budget of blow-ups; when exhausted the result is marked
             incomplete instead of raising.
@@ -365,48 +333,38 @@ def enumerate_divisors(base: Union[Model, Sequence[Model]], depth: int,
     bases = [base] if isinstance(base, Model) else list(base)
     if not bases:
         raise ValueError("enumeration needs at least one base model")
-    registry = bases[0].registry
-    if any(m.registry is not registry for m in bases):
-        raise ValueError("base models must share one divisor registry")
+    root = bases[0].chart.root
+    if any(m.chart.root is not root for m in bases):
+        raise ValueError("base models must descend from one root chart")
     if depth < 0:
         raise ValueError("depth cannot be negative")
     frontier = [
         _Probe(model=m, abar=_base_abar(m), witness=()) for m in bases
     ]
     reports: Dict[str, DiscrepancyReport] = {}
-    order: List[str] = []
     side_checks: List[SideCheck] = []
     probes = 0
     complete = True
     for _ in range(depth):
         if not frontier:
             break
-        budget = max_probes - probes
-        if budget <= 0:
+        if probes >= max_probes:
             complete = False
             break
-        expansions = _map(_expand, frontier)
         next_frontier: List[_Probe] = []
-        for expansion in expansions:
-            for report, check, children in expansion:
-                if probes >= max_probes:
-                    complete = False
-                    break
-                probes += 1
-                side_checks.append(check)
-                seen = reports.get(report.divisor_id)
-                if seen is None:
-                    reports[report.divisor_id] = report
-                    order.append(report.divisor_id)
-                else:
-                    reports[report.divisor_id] = _merge_reports(seen, report)
-                next_frontier.extend(children)
-            if not complete:
+        for report, check, children in chain.from_iterable(
+                map(_expand, frontier)):
+            if probes >= max_probes:
+                complete = False
                 break
+            probes += 1
+            side_checks.append(check)
+            seen = reports.get(report.divisor_id)
+            reports[report.divisor_id] = (
+                report if seen is None else _merge_reports(seen, report))
+            next_frontier.extend(children)
         frontier = next_frontier
-        if not complete:
-            break
-    ordered = sorted((reports[d] for d in order), key=_witness_key)
+    ordered = sorted(reports.values(), key=_witness_key)
     offenders = tuple(sorted(
         r.divisor_id for r in ordered if not r.degree.determinate
     ))
@@ -442,7 +400,10 @@ class CompositionCheck:
 
     ``passed`` reflects the conclusion alone: every candidate degree of the
     final divisor satisfies b >= lam against the base. Premises and side
-    conditions are reported as named findings and do not gate ``passed``.
+    conditions are reported as named findings and do not gate ``passed``;
+    the last side condition is the one-step discrepancy of the final center.
+    ``reports`` holds the report of each divisor the route extracts, in
+    route order.
     """
 
     divisor_id: str
@@ -451,6 +412,7 @@ class CompositionCheck:
     side_conditions: Tuple[Condition, ...]
     candidates: Tuple[CandidateConclusion, ...]
     passed: bool
+    reports: Tuple[DiscrepancyReport, ...]
 
 
 def check_composition(model: Model,
@@ -477,53 +439,23 @@ def check_composition(model: Model,
     lam = Fraction(lam)
     abar = _base_abar(model)
     current = model
-    created: Dict[str, DiscrepancyReport] = {}
-    created_order: List[str] = []
     witness: Tuple[WitnessStep, ...] = ()
-    final_center_ids: Tuple[str, ...] = ()
-    one_step: Optional[Fraction] = None
+    reports: List[DiscrepancyReport] = []
     for step_no, (indices, pick) in enumerate(steps):
-        stratum = current.stratum(indices)
-        center_ids = stratum.divisor_ids
-        codim = stratum.codim
-        a = Fraction(codim - 1) - sum(
-            (abar[d] for d in center_ids), Fraction(0)
-        )
-        if step_no == len(steps) - 1:
-            final_center_ids = center_ids
-            try:
-                one_step = Fraction(codim - 1) - sum(
-                    (current.boundary_coefficient(i) for i in stratum.indices),
-                    Fraction(0),
-                )
-            except IndeterminateDegreeError:
-                one_step = None
-        result = current.blow_up(stratum)
-        first = result.children[0]
-        degree = first.cover_on(first.chart.pivot)
-        witness = witness + (WitnessStep(chart_id=current.chart.chart_id,
-                                         indices=stratum.indices,
-                                         center=center_ids),)
-        report = DiscrepancyReport.from_degree(
-            divisor_id=result.exceptional_id,
-            level=len(witness),
-            witness=witness,
-            a=a,
-            degree=degree,
-        )
-        created[result.exceptional_id] = report
-        if result.exceptional_id not in created_order:
-            created_order.append(result.exceptional_id)
-        abar = dict(abar)
-        abar[result.exceptional_id] = -a
-        if not 0 <= pick < len(result.children):
+        step = _step(current, current.stratum(indices), abar, witness)
+        reports.append(step.report)
+        abar, witness = step.abar, step.report.witness
+        children = step.blow.children
+        if not 0 <= pick < len(children):
             raise ValueError(f"child index {pick} out of range at step {step_no}")
-        current = result.children[pick]
-    final_id = created_order[-1]
-    final_report = created[final_id]
+        current = children[pick]
+    # Valuations grow strictly along a route, so the ids are distinct.
+    created = {report.divisor_id: report for report in reports}
+    final_report = reports[-1]
+    final_id = final_report.divisor_id
     premises = []
-    for divisor_id in final_center_ids:
-        if divisor_id == final_id or divisor_id not in created:
+    for divisor_id in witness[-1].center:
+        if divisor_id not in created:
             continue
         worst = min(entry.b for entry in created[divisor_id].entries)
         premises.append(
@@ -531,17 +463,17 @@ def check_composition(model: Model,
                       ok=worst >= lam)
         )
     side = []
-    for divisor_id in created_order[:-1]:
-        worst = min(entry.b for entry in created[divisor_id].entries)
+    for report in reports[:-1]:
+        worst = min(entry.b for entry in report.entries)
         side.append(
-            Condition(name=f"b({divisor_id},X) >= 0", value=worst,
+            Condition(name=f"b({report.divisor_id},X) >= 0", value=worst,
                       ok=worst >= 0)
         )
     side.append(
         Condition(
             name=f"a({final_id},Y,Delta_Y) >= 0",
-            value=one_step,
-            ok=None if one_step is None else one_step >= 0,
+            value=step.one_step,
+            ok=None if step.one_step is None else step.one_step >= 0,
         )
     )
     candidates = tuple(
@@ -556,6 +488,7 @@ def check_composition(model: Model,
         side_conditions=tuple(side),
         candidates=candidates,
         passed=all(c.ok for c in candidates),
+        reports=tuple(reports),
     )
 
 
@@ -744,48 +677,20 @@ def remark_model() -> Model:
     )
 
 
+# Blow up V(x1, x3); in the chart where x3 turns into E and x1 survives,
+# blow up V(x1, E) and read F in the pivot chart.
+_REMARK_ROUTE = (((0, 2), 1), ((0, 2), 0))
+
+
 def run_remark() -> RemarkReport:
     """Reproduce the undetermined-degree family end to end."""
     model = remark_model()
-    boundary = boundary_divisor(model).coefficients
-    abar = _base_abar(model)
-
-    first_center = model.stratum((0, 2))
-    first = model.blow_up(first_center)
-    a_e = Fraction(1) - sum(abar[d] for d in first_center.divisor_ids)
-    picked = next(
-        child for child in first.children if "x1" in child.chart.divisor_ids
-    )
-    e_slot = picked.chart.slot_of(first.exceptional_id)
-    degree_e = picked.cover_on(e_slot)
-    first_witness = (WitnessStep(chart_id=model.chart.chart_id,
-                                 indices=first_center.indices,
-                                 center=first_center.divisor_ids),)
-    first_report = DiscrepancyReport.from_degree(
-        divisor_id=first.exceptional_id,
-        level=1,
-        witness=first_witness,
-        a=a_e,
-        degree=degree_e,
-    )
+    composition = check_composition(model, _REMARK_ROUTE, lam=Fraction(0))
+    first_report, f_report = composition.reports
     b_e = first_report.entries[0].b
-    abar = dict(abar)
-    abar[first.exceptional_id] = -a_e
-
-    second_center = picked.stratum((picked.chart.slot_of("x1"), e_slot))
-    a_f_on_x = Fraction(1) - sum(abar[d] for d in second_center.divisor_ids)
-    a_f_on_y: Optional[Fraction]
-    try:
-        a_f_on_y = Fraction(1) - sum(
-            (picked.boundary_coefficient(i) for i in second_center.indices),
-            Fraction(0),
-        )
-    except IndeterminateDegreeError:
-        a_f_on_y = None
-    second = picked.blow_up(second_center)
-    f_child = second.children[0]
-    degree_f = f_child.cover_on(f_child.chart.pivot)
-    monomial_e_f = degree_f.monomial_order
+    a_f_on_x = f_report.a
+    a_f_on_y = composition.side_conditions[-1].value
+    degree_f = f_report.degree
 
     candidates = []
     for e in degree_f.candidates:
@@ -805,23 +710,17 @@ def run_remark() -> RemarkReport:
                             obstruction=obstruction)
         )
 
-    pick_index = first.children.index(picked)
-    composition = check_composition(
-        remark_model(),
-        [(first_center.indices, pick_index), (second_center.indices, 0)],
-        lam=Fraction(0),
-    )
     verdict = "indeterminate" if not degree_f.determinate else (
         "terminal-certified" if all(c.weighted > 0 for c in candidates)
         else "bad-stratum-found"
     )
     return RemarkReport(
-        boundary=boundary,
+        boundary=boundary_divisor(model).coefficients,
         first_report=first_report,
         b_e=b_e,
         a_f_on_y=a_f_on_y,
         e_f=degree_f,
-        monomial_e_f=monomial_e_f,
+        monomial_e_f=degree_f.monomial_order,
         a_f_on_x=a_f_on_x,
         candidates=tuple(candidates),
         composition=composition,

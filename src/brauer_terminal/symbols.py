@@ -10,7 +10,7 @@ through a blow-up substitution all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence, Tuple
 
 from .charts import apply_substitution, transpose
@@ -64,16 +64,6 @@ class SymbolMatrix:
     def row(self, i: int) -> Tuple[int, ...]:
         return self.entries[i]
 
-    def is_alternating(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            if self.entries[i][i] % self.r != 0:
-                return False
-            for j in range(i + 1, n):
-                if (self.entries[i][j] + self.entries[j][i]) % self.r != 0:
-                    return False
-        return True
-
     def signed_lift(self) -> Tuple[Tuple[int, ...], ...]:
         """Antisymmetric integer lift: upper triangle in [0, r), lower negated."""
         n = self.dim
@@ -113,29 +103,6 @@ class KummerClass:
 
 
 @dataclass(frozen=True)
-class DivisorRecord:
-    """Bookkeeping for one divisor: identity, origin, and extra covers.
-
-    ``extra_degree`` records a cyclic cover of the divisor that does not come
-    from the symbol matrix (degree 1 means none).
-    """
-
-    divisor_id: str
-    kind: str
-    level: int
-    extra_degree: int = 1
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("original", "exceptional"):
-            raise ValueError(f"unknown divisor kind {self.kind!r}")
-        if self.level < 0:
-            raise ValueError("divisor level cannot be negative")
-        if self.extra_degree < 1:
-            raise ValueError("extra cover degree must be positive")
-
-
-@dataclass(frozen=True)
 class ComplexCheck:
     """Outcome of the alternation audit of a symbol matrix."""
 
@@ -154,15 +121,6 @@ def residue(matrix: SymbolMatrix, slot: int) -> KummerClass:
         raise ValueError("residue slot out of range")
     row = matrix.row(slot)
     return KummerClass(matrix.r, tuple(v for j, v in enumerate(row) if j != slot))
-
-
-def cover_degree(kummer: KummerClass, record: DivisorRecord) -> int:
-    """Degree of the full cyclic cover over a divisor.
-
-    Combines the cover cut out by the residue class with any extra cover the
-    divisor record carries.
-    """
-    return lcm(kummer.order, record.extra_degree)
 
 
 def ramifies_on(matrix: SymbolMatrix, i: int, j: int) -> bool:

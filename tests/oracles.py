@@ -2,14 +2,16 @@
 
 Nothing here imports the engine's internals beyond plain data. The symbol
 oracle expands tame symbols from explicit exponent-vector pairs, the toric
-oracle computes discrepancies straight from valuation vectors, and the
-determinant is exact over Fractions. Tests compare the package against
-these; the two sides share no code paths.
+oracle computes discrepancies straight from valuation vectors, the residue
+order oracle reads cover orders off valuation vectors, and the determinant
+is exact over Fractions. Tests compare the package against these; the two
+sides share no code paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import List, Sequence, Tuple
 
 Vec = Tuple[int, ...]
@@ -64,6 +66,19 @@ def toric_discrepancy(valuation: Sequence[int],
         Fraction(0),
     )
     return total - 1
+
+
+def monomial_order(valuation: Sequence[int], lift: Sequence[Sequence[int]],
+                   r: int) -> int:
+    """Order of the symbol part of the residue along the divisor E_v.
+
+    Along E_v the residue of the root class is the class of x^(M v) in
+    k*/(k*)^r, where M is the root's signed lift (any integer matrix
+    congruent to it mod r gives the same order), so the order is
+    r / gcd(r, M v).
+    """
+    image = [sum(m * v for m, v in zip(row, valuation)) for row in lift]
+    return r // gcd(r, *image)
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> Fraction:

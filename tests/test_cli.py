@@ -1,6 +1,7 @@
 """End-to-end command line checks, driven through main()."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,13 @@ class TestBoundary:
         assert lines[0]["coefficient"] == [2, 3]
         assert lines[2]["extra_degree"] == 3
         assert lines[2]["e"] == 3
+
+    def test_kinds_and_extra_degrees(self, tmp_path, capsys):
+        out = tmp_path / "b.jsonl"
+        assert main(["boundary", "--model", REMARK, "--out", str(out)]) == 0
+        lines = read_lines(out)
+        assert [l["kind"] for l in lines] == ["original"] * 3
+        assert [l["extra_degree"] for l in lines] == [1, 1, 3]
 
 
 class TestDiscrepancy:
@@ -114,14 +122,6 @@ class TestCertify:
         assert main(["certify", "--model", BAD, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_threaded_run_matches_serial(self, tmp_path, capsys, monkeypatch):
-        serial = tmp_path / "serial.jsonl"
-        threaded = tmp_path / "threaded.jsonl"
-        assert main(["certify", "--model", BAD, "--out", str(serial)]) == 0
-        monkeypatch.setenv("BRAUER_TERMINAL_THREADS", "4")
-        assert main(["certify", "--model", BAD, "--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
 
 class TestRemark:
     def test_exit_and_narrative(self, capsys):
@@ -183,3 +183,20 @@ class TestErrors:
     @pytest.mark.parametrize("depth", ["0", "-1", "two"])
     def test_bad_depth_rejected(self, depth, capsys):
         assert main(["certify", "--model", BAD, "--depth", depth]) == 1
+
+    @pytest.mark.parametrize("command,model", [
+        (["boundary"],
+         "[model]\ntorsion = 10000000000000061\ndimension = 3\n"
+         "labels = x1,x2,x3\n[extra]\nx3 2\n"),
+        (["certify", "--depth", "2"],
+         "[model]\ntorsion = 3\ndimension = 3\nlabels = x1,x2,x3\n"
+         "[symbols]\nx1 x2 1\n[extra]\nx3 1000000000000\n"),
+    ])
+    def test_oversized_model_rejected_fast(self, command, model, tmp_path,
+                                           capsys):
+        path = tmp_path / "hostile.model"
+        path.write_text(model)
+        start = time.perf_counter()
+        assert main([*command, "--model", str(path)]) == 1
+        assert time.perf_counter() - start < 1
+        assert "at most" in capsys.readouterr().err

@@ -1,7 +1,6 @@
-"""Models: registry, extra-cover transport, and cover degrees.
+"""Models: extra-cover transport and cover degrees.
 
 Core claims:
-    - the registry keeps one record per divisor id, first registration wins
     - cover degrees combine the monomial residue order with extra covers
     - an extra cover is exact on its origin and on divisors extracted
       directly out of it, and only a candidate list after an indirect hop
@@ -12,47 +11,14 @@ from fractions import Fraction
 
 import pytest
 
-from brauer_terminal.model import (CoverDegree, DivisorRegistry,
-                                   ExtraComponent, IndeterminateDegreeError,
-                                   Model, candidate_orders)
+from brauer_terminal.model import (CoverDegree, ExtraComponent,
+                                   IndeterminateDegreeError, Model,
+                                   candidate_orders)
 
 
 def remark_base():
     return Model.affine(3, ("x1", "x2", "x3"), [(0, 1, 1)],
                         extra_degrees={"x3": 3})
-
-
-class TestRegistry:
-    def test_original_records(self):
-        model = remark_base()
-        record = model.record("x3")
-        assert record.kind == "original"
-        assert record.extra_degree == 3
-        assert record.level == 0
-
-    def test_duplicate_original_rejected(self):
-        registry = DivisorRegistry()
-        registry.register_original("x1")
-        with pytest.raises(ValueError):
-            registry.register_original("x1")
-
-    def test_exceptional_first_wins(self):
-        registry = DivisorRegistry()
-        first = registry.ensure_exceptional("E(1,1)", 1)
-        second = registry.ensure_exceptional("E(1,1)", 5)
-        assert first is second
-        assert registry.record("E(1,1)").level == 1
-
-    def test_unknown_divisor(self):
-        with pytest.raises(KeyError):
-            DivisorRegistry().record("x7")
-
-    def test_blow_up_registers_exceptional(self):
-        model = Model.affine(2, ("x1", "x2", "x3"))
-        result = model.blow_up((0, 1))
-        record = model.record(result.exceptional_id)
-        assert record.kind == "exceptional"
-        assert record.level == 1
 
 
 class TestAffineValidation:
@@ -182,11 +148,6 @@ class TestExtraTransport:
 
 
 class TestModelBlowUp:
-    def test_children_share_registry(self):
-        model = Model.affine(2, ("x1", "x2", "x3"))
-        result = model.blow_up((0, 1))
-        assert all(c.registry is model.registry for c in result.children)
-
     def test_matrix_moves_with_chart(self):
         model = Model.affine(2, ("x1", "x2", "x3"), [(0, 2, 1), (1, 2, 1)])
         child = model.blow_up((0, 1)).children[0]
@@ -202,5 +163,4 @@ class TestModelBlowUp:
         model = Model.affine(2, ("x1", "x2"))
         from brauer_terminal.symbols import SymbolMatrix
         with pytest.raises(ValueError):
-            Model(chart=model.chart, matrix=SymbolMatrix.zero(2, 3),
-                  registry=model.registry)
+            Model(chart=model.chart, matrix=SymbolMatrix.zero(2, 3))

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from brauer_terminal.modelfile import (ModelFormatError, ModelSpec,
-                                       build_model, format_model, load_model,
-                                       parse_model, save_model)
+from brauer_terminal.modelfile import (MAX_DIMENSION, MAX_EXTRA_DEGREE,
+                                       MAX_TORSION, ModelFormatError,
+                                       ModelSpec, build_model, format_model,
+                                       load_model, parse_model, save_model)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -92,6 +93,39 @@ class TestParseErrors:
             parse_model(text)
         assert err.value.line == 6
         assert err.value.column == 4
+
+
+def _model_text(torsion=2, dimension=3, extra=None):
+    labels = ",".join(f"x{k + 1}" for k in range(dimension))
+    text = (f"[model]\ntorsion = {torsion}\ndimension = {dimension}\n"
+            f"labels = {labels}\n")
+    return text if extra is None else text + f"[extra]\nx1 {extra}\n"
+
+
+class TestCaps:
+    def test_torsion_cap(self):
+        assert parse_model(_model_text(torsion=MAX_TORSION))[0].torsion \
+            == MAX_TORSION
+        with pytest.raises(ModelFormatError) as err:
+            parse_model(_model_text(torsion=MAX_TORSION + 1))
+        assert err.value.line == 2
+        assert f"at most {MAX_TORSION}" in str(err.value)
+
+    def test_extra_degree_cap(self):
+        spec, _ = parse_model(_model_text(extra=MAX_EXTRA_DEGREE))
+        assert spec.extra_degrees == (("x1", MAX_EXTRA_DEGREE),)
+        with pytest.raises(ModelFormatError) as err:
+            parse_model(_model_text(extra=MAX_EXTRA_DEGREE + 1))
+        assert (err.value.line, err.value.column) == (6, 4)
+        assert f"at most {MAX_EXTRA_DEGREE}" in str(err.value)
+
+    def test_dimension_cap(self):
+        assert parse_model(_model_text(dimension=MAX_DIMENSION))[0].dimension \
+            == MAX_DIMENSION
+        with pytest.raises(ModelFormatError) as err:
+            parse_model(_model_text(dimension=MAX_DIMENSION + 1))
+        assert err.value.line == 3
+        assert f"at most {MAX_DIMENSION}" in str(err.value)
 
 
 class TestRoundTrip:

@@ -13,14 +13,14 @@ from brauer_terminal.discrepancy import (b_from_a, boundary_divisor,
                                          brauer_discrepancy,
                                          classical_discrepancy,
                                          weighted_infimum)
-from brauer_terminal.model import Model
+from brauer_terminal.model import IndeterminateDegreeError, Model
 from brauer_terminal.modelfile import ModelSpec, format_model, parse_model
 from brauer_terminal.resolution import (enumerate_divisors, find_bad_strata,
                                         level_one_fixup)
 from brauer_terminal.symbols import check_complex, residue, transform
 
-from .oracles import (determinant, naive_matrix, naive_residue,
-                      substitute_symbols, toric_discrepancy)
+from .oracles import (determinant, monomial_order, naive_matrix,
+                      naive_residue, substitute_symbols, toric_discrepancy)
 
 
 def unit(dim, slot):
@@ -159,6 +159,26 @@ class TestDiscrepancySweeps:
                     int(part) for part in report.divisor_id[2:-1].split(",")
                 )
                 assert report.a == toric_discrepancy(valuation, coeffs)
+
+    def test_monomial_order_matches_oracle(self):
+        rng = random.Random(206)
+        checked = 0
+        for _ in range(40):
+            model = random_model(rng, torsions=(2, 3, 4, 6), dims=(2, 3),
+                                 extras=True)
+            lift = naive_matrix(model.dim, model.torsion, vector_symbols(model))
+            try:
+                reports = enumerate_divisors(model, depth=2).reports
+            except IndeterminateDegreeError:
+                continue  # undetermined base boundary, nothing to telescope
+            for report in reports:
+                valuation = tuple(
+                    int(part) for part in report.divisor_id[2:-1].split(",")
+                )
+                assert report.degree.monomial_order == monomial_order(
+                    valuation, lift, model.torsion), report.divisor_id
+                checked += 1
+        assert checked >= 200
 
     def test_sibling_charts_agree_on_exceptional_degree(self):
         rng = random.Random(205)

@@ -157,6 +157,7 @@ class TestCheckComposition:
     def test_remark_at_zero_passes_with_named_failure(self):
         check = self._remark_route(Fraction(0))
         assert check.divisor_id == "E(2,0,1)"
+        assert [r.divisor_id for r in check.reports] == ["E(1,0,1)", "E(2,0,1)"]
         assert check.passed
         names = {c.name: c for c in check.side_conditions}
         one_step = names["a(E(2,0,1),Y,Delta_Y) >= 0"]

@@ -7,9 +7,8 @@ frozen from the naive symbol-expansion oracle in tests/oracles.py.
 import pytest
 
 from brauer_terminal.charts import Stratum, blow_up, new_affine_model
-from brauer_terminal.symbols import (DivisorRecord, KummerClass, SymbolMatrix,
-                                     check_complex, cover_degree, ramifies_on,
-                                     residue, transform)
+from brauer_terminal.symbols import (KummerClass, SymbolMatrix, check_complex,
+                                     ramifies_on, residue, transform)
 
 from .oracles import naive_matrix, naive_residue, substitute_symbols
 
@@ -21,7 +20,7 @@ class TestSymbolMatrix:
         m = SymbolMatrix.from_symbols(5, 3, [(0, 1, 2), (1, 0, 1)])
         assert m.entry(0, 1) == 1
         assert m.entry(1, 0) == 4
-        assert m.is_alternating()
+        assert check_complex(m).ok
 
     def test_matches_naive_expansion(self):
         symbols = [(E1, E3, 1), (E2, E3, 1)]
@@ -64,17 +63,6 @@ class TestResidue:
         m = SymbolMatrix.zero(2, 3)
         with pytest.raises(ValueError):
             residue(m, 3)
-
-
-class TestCoverDegree:
-    def test_lcm_with_extra(self):
-        record = DivisorRecord("x3", "original", 0, extra_degree=3)
-        assert cover_degree(KummerClass(6, (2, 0)), record) == 3
-        assert cover_degree(KummerClass(6, (1, 0)), record) == 6
-
-    def test_no_extra(self):
-        record = DivisorRecord("x1", "original", 0)
-        assert cover_degree(KummerClass(2, (1, 0)), record) == 2
 
 
 class TestRamifiesOn:
@@ -126,7 +114,7 @@ class TestTransform:
         moved = transform(m, chart.substitution)
         assert moved.entry(0, 1) == 1
         assert moved.entry(1, 0) == 1
-        assert moved.is_alternating()
+        assert check_complex(moved).ok
 
     def test_pinned_doubled_residue_cancels(self):
         # (x1, x3) + (x2, x3) mod 2 in the same chart: both symbols now run
