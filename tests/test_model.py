@@ -148,6 +148,13 @@ class TestExtraTransport:
 
 
 class TestModelBlowUp:
+    def test_children_share_root_chart(self):
+        model = Model.affine(2, ("x1", "x2", "x3"))
+        result = model.blow_up((0, 1))
+        assert all(c.chart.root is model.chart.root for c in result.children)
+        grand = result.children[0].blow_up((0, 2)).children
+        assert all(c.chart.root is model.chart.root for c in grand)
+
     def test_matrix_moves_with_chart(self):
         model = Model.affine(2, ("x1", "x2", "x3"), [(0, 2, 1), (1, 2, 1)])
         child = model.blow_up((0, 1)).children[0]

@@ -4,9 +4,12 @@ Expected values for the two pinned transforms and the residue read were
 frozen from the naive symbol-expansion oracle in tests/oracles.py.
 """
 
+from math import lcm
+
 import pytest
 
 from brauer_terminal.charts import Stratum, blow_up, new_affine_model
+from brauer_terminal.model import Model
 from brauer_terminal.symbols import (KummerClass, SymbolMatrix, check_complex,
                                      ramifies_on, residue, transform)
 
@@ -63,6 +66,30 @@ class TestResidue:
         m = SymbolMatrix.zero(2, 3)
         with pytest.raises(ValueError):
             residue(m, 3)
+
+
+class TestCoverDegree:
+    # The cover degree over an original divisor is the residue order combined
+    # with the divisor's own extra cover by lcm, wherever that lcm is forced
+    # (prime torsion, trivial residue, or coprime orders).
+    def test_lcm_with_extra(self):
+        cases = [
+            (3, [(2, 0, 1)], 3, 3),  # prime torsion, orders 3 and 3
+            (2, [(2, 0, 1)], 3, 6),  # coprime orders 2 and 3
+            (6, [], 3, 3),           # trivial residue
+        ]
+        for torsion, symbols, extra, expected in cases:
+            model = Model.affine(torsion, ("x1", "x2", "x3"), symbols,
+                                 extra_degrees={"x3": extra})
+            order = residue(model.matrix, 2).order
+            assert lcm(order, extra) == expected
+            assert model.cover_on(2).value == expected
+
+    def test_no_extra(self):
+        model = Model.affine(2, ("x1", "x2", "x3"), [(0, 1, 1)])
+        assert residue(model.matrix, 0).order == 2
+        assert model.cover_on(0).value == 2
+        assert model.cover_on(2).value == 1
 
 
 class TestRamifiesOn:
