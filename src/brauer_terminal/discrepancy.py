@@ -89,8 +89,8 @@ class DiscrepancyReport:
                     witness: Tuple[WitnessStep, ...], a: Fraction,
                     degree: CoverDegree) -> "DiscrepancyReport":
         entries = tuple(
-            ReportEntry(e=e, b=b_from_a(a, e), weighted=e * b_from_a(a, e))
-            for e in degree.candidates
+            ReportEntry(e=e, b=b, weighted=e * b)
+            for e, b in ((e, b_from_a(a, e)) for e in degree.candidates)
         )
         return cls(divisor_id=divisor_id, level=level, witness=witness,
                    a=Fraction(a), degree=degree, entries=entries)
@@ -156,8 +156,7 @@ def brauer_discrepancy(model: Model, center: CenterLike) -> DiscrepancyReport:
     """
     stratum = model.stratum(center)
     load = _load(model, stratum)
-    result = model.blow_up(stratum)
-    degree = result.exceptional_degree()
+    exceptional_id, degree = model.exceptional_cover(stratum)
     entries = tuple(
         ReportEntry(
             e=e,
@@ -169,7 +168,7 @@ def brauer_discrepancy(model: Model, center: CenterLike) -> DiscrepancyReport:
     step = WitnessStep(chart_id=model.chart.chart_id, indices=stratum.indices,
                        center=stratum.divisor_ids)
     return DiscrepancyReport(
-        divisor_id=result.exceptional_id,
+        divisor_id=exceptional_id,
         level=1,
         witness=(step,),
         a=classical_discrepancy(model, stratum),

@@ -3,7 +3,10 @@
 A ``Model`` couples a chart with the symbol matrix of the class restricted
 to that chart and the transported data of any extra cyclic covers attached
 to original divisors. Blowing up a model blows up the chart, pushes the
-matrix through the substitution, and transports the extra covers.
+matrix through the substitution, and transports the extra covers. The step
+is a row addition (see ``charts``), so both are O(n^2) row updates; the
+cover degree on the new divisor can be read from the parent alone, without
+building any child.
 
 Cover degrees along divisors are where indeterminacy enters. An extra cover
 restricts exactly to the divisor it was declared on and, by direct exposure,
@@ -16,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .charts import Chart, Stratum, apply_substitution, blow_up as blow_up_chart, \
-    new_affine_model
-from .symbols import KummerClass, SymbolMatrix, residue, transform
+from .charts import Chart, Stratum, blow_up as blow_up_chart, \
+    exceptional_divisor_id, exceptional_valuation, new_affine_model
+from .symbols import KummerClass, SymbolMatrix, residue
 
 
 class IndeterminateDegreeError(ValueError):
@@ -49,13 +52,13 @@ def candidate_orders(monomial_order: int, loose_order: int) -> Tuple[int, ...]:
     """Possible cover degrees when contributions of total order g float freely.
 
     A candidate e must divide lcm(m, g) and must still explain the monomial
-    part: m | lcm(e, g).
+    part: m | lcm(e, g). The divisors are found by trial division up to the
+    square root of lcm(m, g).
     """
     top = lcm(monomial_order, loose_order)
-    return tuple(
-        e for e in range(1, top + 1)
-        if top % e == 0 and lcm(e, loose_order) % monomial_order == 0
-    )
+    divisors = sorted({d for k in range(1, isqrt(top) + 1) if top % k == 0
+                       for d in (k, top // k)})
+    return tuple(e for e in divisors if lcm(e, loose_order) % monomial_order == 0)
 
 
 @dataclass(frozen=True)
@@ -122,28 +125,27 @@ class ExtraComponent:
         return cls(origin_id, degree, lcm(torsion, degree), vec,
                    frozenset({origin_id}))
 
-    def transported(self, step: Sequence[Sequence[int]],
-                    center_indices: Sequence[int],
+    def transported(self, center_indices: Sequence[int], pivot: int,
                     parent_divisor_ids: Sequence[str],
                     exceptional_id: str) -> "ExtraComponent":
-        """Push the component through one blow-up step.
+        """Push the component through the blow-up step with the given pivot.
 
-        The new exceptional divisor becomes exact exactly when its exposure
-        is nonzero and every slot feeding that exposure is the origin divisor
-        itself (direct exposure).
+        The step is a row addition, so only the pivot entry moves: it becomes
+        the exposure, the sum of the center entries. The new exceptional
+        divisor becomes exact exactly when its exposure is nonzero and every
+        slot feeding that exposure is the origin divisor itself (direct
+        exposure).
         """
-        new_vector = tuple(
-            v % self.modulus for v in apply_substitution(step, self.vector)
-        )
-        exposure = sum(self.vector[l] for l in center_indices) % self.degree
+        exposure = sum(self.vector[l] for l in center_indices)
+        vector = self.vector[:pivot] + (exposure,) + self.vector[pivot + 1:]
         feeders = [l for l in center_indices if self.vector[l] % self.degree != 0]
         exact = self.exact_on
-        if exposure != 0 and feeders and all(
+        if exposure % self.degree != 0 and feeders and all(
             parent_divisor_ids[l] == self.origin_id for l in feeders
         ):
             exact = exact | {exceptional_id}
         return ExtraComponent(self.origin_id, self.degree, self.modulus,
-                              new_vector, exact)
+                              vector, exact)
 
     def effective_order(self, slot: int) -> int:
         """Degree of this cover's restriction over the slot's divisor."""
@@ -161,8 +163,41 @@ class BlowUp:
 
     def exceptional_degree(self) -> CoverDegree:
         """Cover degree on the new divisor; every child reads the same one."""
-        first = self.children[0]
-        return first.cover_on(first.chart.pivot)
+        return self.parent.exceptional_cover(self.center)[1]
+
+
+def _combined_degree(torsion: int, monomial: int, divisor_id: str,
+                     extras: Sequence[ExtraComponent], slot: int) -> CoverDegree:
+    """Full cover degree over the divisor in ``slot`` of a chart.
+
+    The monomial residue contributes its exact order m. Each extra component
+    live on the slot contributes its effective order; a single exact
+    contribution combines to lcm when the combination is forced (prime
+    torsion, trivial monomial part, or coprime orders). Anything else leaves
+    a candidate list.
+    """
+    exact = []
+    contributions = []
+    for comp in extras:
+        eff = comp.effective_order(slot)
+        if eff == 1:
+            continue
+        is_exact = divisor_id in comp.exact_on
+        contributions.append((comp.origin_id, eff, is_exact))
+        if is_exact:
+            exact.append(eff)
+    if not contributions:
+        return CoverDegree(monomial, (monomial,))
+    if len(contributions) == 1 and exact:
+        eff = exact[0]
+        if _is_prime(torsion) or monomial == 1 or gcd(monomial, eff) == 1:
+            return CoverDegree(monomial, (lcm(monomial, eff),))
+    loose = lcm(*[eff for _, eff, _ in contributions])
+    return CoverDegree(
+        monomial,
+        candidate_orders(monomial, loose),
+        tuple(sorted({origin for origin, _, _ in contributions})),
+    )
 
 
 CenterLike = Union[Stratum, Sequence[int]]
@@ -179,6 +214,12 @@ class Model:
     def __post_init__(self) -> None:
         if self.matrix.dim != self.chart.dim:
             raise ValueError("symbol matrix does not match chart dimension")
+        entries, r = self.matrix.entries, self.matrix.r
+        if any(row[i] for i, row in enumerate(entries)) or any(
+            (entries[i][j] + entries[j][i]) % r
+            for i in range(len(entries)) for j in range(i)
+        ):
+            raise ValueError("symbol matrix must be alternating")
         for comp in self.extras:
             if len(comp.vector) != self.chart.dim:
                 raise ValueError("extra component does not match chart dimension")
@@ -237,38 +278,40 @@ class Model:
         return residue(self.matrix, slot)
 
     def cover_on(self, slot: int) -> CoverDegree:
-        """Full cover degree over the slot's divisor.
-
-        The monomial residue contributes its exact order m. Each extra
-        component live on the slot contributes its effective order; a single
-        exact contribution combines to lcm when the combination is forced
-        (prime torsion, trivial monomial part, or coprime orders). Anything
-        else leaves a candidate list.
-        """
-        monomial = self.residue_on(slot).order
-        divisor_id = self.chart.divisor_ids[slot]
-        exact = []
-        contributions = []
-        for comp in self.extras:
-            eff = comp.effective_order(slot)
-            if eff == 1:
-                continue
-            is_exact = divisor_id in comp.exact_on
-            contributions.append((comp.origin_id, eff, is_exact))
-            if is_exact:
-                exact.append(eff)
-        if not contributions:
-            return CoverDegree(monomial, (monomial,))
-        if len(contributions) == 1 and exact:
-            eff = exact[0]
-            if _is_prime(self.torsion) or monomial == 1 or gcd(monomial, eff) == 1:
-                return CoverDegree(monomial, (lcm(monomial, eff),))
-        loose = lcm(*[eff for _, eff, _ in contributions])
-        return CoverDegree(
-            monomial,
-            candidate_orders(monomial, loose),
-            tuple(sorted({origin for origin, _, _ in contributions})),
+        """Full cover degree over the slot's divisor (``_combined_degree``)."""
+        return _combined_degree(
+            self.torsion, self.residue_on(slot).order,
+            self.chart.divisor_ids[slot], self.extras, slot,
         )
+
+    def _center_row(self, indices: Sequence[int]) -> Tuple[int, ...]:
+        """Sum of the center's rows of the symbol matrix, mod r."""
+        r = self.torsion
+        rows = [self.matrix.entries[k] for k in indices]
+        return tuple(sum(column) % r for column in zip(*rows))
+
+    def exceptional_cover(self, center: CenterLike) -> Tuple[str, CoverDegree]:
+        """Id and cover degree of the divisor a blow-up of ``center`` extracts.
+
+        Read from this model alone: in the child with pivot p the residue row
+        of the new divisor is the center row sum, and each extra component is
+        transported into that child only, so no child chart or model is
+        built. Every child reads the same degree; the first pivot's is taken.
+        """
+        stratum = self.stratum(center)
+        exceptional_id = exceptional_divisor_id(
+            exceptional_valuation(self.chart, stratum))
+        pivot = stratum.indices[0]
+        row = self._center_row(stratum.indices)
+        monomial = KummerClass(
+            self.torsion, row[:pivot] + row[pivot + 1:]).order
+        extras = [
+            comp.transported(stratum.indices, pivot, self.chart.divisor_ids,
+                             exceptional_id)
+            for comp in self.extras
+        ]
+        return exceptional_id, _combined_degree(
+            self.torsion, monomial, exceptional_id, extras, pivot)
 
     def boundary_coefficient(self, slot: int) -> Fraction:
         """Coefficient 1 - 1/e of the slot's divisor in the boundary.
@@ -287,20 +330,35 @@ class Model:
         return Fraction(e - 1, e)
 
     def blow_up(self, center: CenterLike) -> BlowUp:
-        """Blow up the underlying chart and transport the class to each child."""
+        """Blow up the underlying chart and transport the class to each child.
+
+        The step with pivot p is a row addition, so the child's symbol
+        matrix A M A^T (``symbols.transform``) is a row update: row p becomes
+        the center row sum s = sum of M[k] over the center, column p becomes
+        -s, the diagonal entry is 0, and every other entry is unchanged.
+        Extra components move the same way (``ExtraComponent.transported``).
+        """
         stratum = self.stratum(center)
         charts = blow_up_chart(self.chart, stratum)
         exceptional_id = charts[0].divisor_ids[charts[0].pivot]
+        r = self.torsion
+        row = self._center_row(stratum.indices)
+        negated = tuple(-v % r for v in row)
         children = []
         for child in charts:
-            moved = transform(self.matrix, child.substitution)
+            p = child.pivot
+            pivot_row = row[:p] + (0,) + row[p + 1:]
+            moved = tuple(
+                pivot_row if i == p else old[:p] + (negated[i],) + old[p + 1:]
+                for i, old in enumerate(self.matrix.entries)
+            )
             comps = tuple(
-                comp.transported(child.substitution, stratum.indices,
-                                 self.chart.divisor_ids, exceptional_id)
+                comp.transported(stratum.indices, p, self.chart.divisor_ids,
+                                 exceptional_id)
                 for comp in self.extras
             )
             children.append(
-                Model(chart=child, matrix=moved, extras=comps)
+                Model(chart=child, matrix=SymbolMatrix(r, moved), extras=comps)
             )
         return BlowUp(parent=self, center=stratum, children=tuple(children),
                       exceptional_id=exceptional_id)

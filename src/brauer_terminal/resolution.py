@@ -26,7 +26,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .charts import Stratum, strata
 from .discrepancy import DiscrepancyReport, WitnessStep, boundary_divisor
-from .model import BlowUp, CoverDegree, IndeterminateDegreeError, Model
+from .model import CoverDegree, IndeterminateDegreeError, Model
 
 
 class UnsupportedTorsionError(ValueError):
@@ -99,12 +99,11 @@ def find_bad_strata(model: Model) -> Tuple[Stratum, ...]:
                 )
         if e_i.value != 2 or e_j.value != 2:
             continue
-        probe = model.blow_up(stratum)
-        e_exc = probe.exceptional_degree()
+        exceptional_id, e_exc = model.exceptional_cover(stratum)
         if not e_exc.determinate:
             raise IndeterminateDegreeError(
-                (probe.exceptional_id,),
-                f"degree on {probe.exceptional_id} is undetermined, candidates "
+                (exceptional_id,),
+                f"degree on {exceptional_id} is undetermined, candidates "
                 f"{list(e_exc.candidates)}",
             )
         if e_exc.value == 1:
@@ -201,19 +200,19 @@ def _base_abar(model: Model) -> Dict[str, Fraction]:
 
 class _Step(NamedTuple):
     report: DiscrepancyReport
-    blow: BlowUp
     abar: Dict[str, Fraction]
     one_step: Optional[Fraction]
 
 
 def _step(model: Model, stratum: Stratum, abar: Dict[str, Fraction],
           witness: Tuple[WitnessStep, ...]) -> _Step:
-    """Blow up one stratum and telescope the new divisor against the base.
+    """Telescope the divisor a blow-up of one stratum extracts against the base.
 
     ``abar`` gives each divisor of the chart the coefficient its pullback
     contributes. The new divisor E gets a = c - 1 minus the coefficients of
-    the center, its degree is read in the pivot chart, and the returned
-    table is ``abar`` extended by E with -a; every child shares it.
+    the center, its id and degree are read from ``model`` without building
+    the blow-up (``Model.exceptional_cover``), and the returned table is
+    ``abar`` extended by E with -a; every child of the blow-up shares it.
     ``one_step`` is the discrepancy of the center against the chart's own
     boundary, None when an undetermined degree blocks it.
     """
@@ -226,26 +225,31 @@ def _step(model: Model, stratum: Stratum, abar: Dict[str, Fraction],
         )
     except IndeterminateDegreeError:
         one_step = None
-    blow = model.blow_up(stratum)
+    exceptional_id, degree = model.exceptional_cover(stratum)
     witness = witness + (WitnessStep(chart_id=model.chart.chart_id,
                                      indices=stratum.indices,
                                      center=center_ids),)
     report = DiscrepancyReport.from_degree(
-        divisor_id=blow.exceptional_id,
+        divisor_id=exceptional_id,
         level=len(witness),
         witness=witness,
         a=a,
-        degree=blow.exceptional_degree(),
+        degree=degree,
     )
-    return _Step(report, blow, {**abar, blow.exceptional_id: -a}, one_step)
+    return _Step(report, {**abar, exceptional_id: -a}, one_step)
 
 
-def _expand(probe: _Probe):
-    """Every blow-up of one probe: its report, side check and child probes."""
-    chart = probe.model.chart
+def _expand(probe: _Probe, grow: bool):
+    """Every blow-up of one probe: its report, side check and child probes.
+
+    Children are built only when ``grow`` is set; on the last level of an
+    enumeration they would never be blown up.
+    """
+    model = probe.model
+    chart = model.chart
     for codim in range(2, chart.dim + 1):
         for stratum in strata(chart, codim):
-            step = _step(probe.model, stratum, probe.abar, probe.witness)
+            step = _step(model, stratum, probe.abar, probe.witness)
             report = step.report
             check = SideCheck(
                 divisor_id=report.divisor_id,
@@ -255,8 +259,8 @@ def _expand(probe: _Probe):
             )
             children = [
                 _Probe(model=child, abar=step.abar, witness=report.witness)
-                for child in step.blow.children
-            ]
+                for child in model.blow_up(stratum).children
+            ] if grow else []
             yield report, check, children
 
 
@@ -345,15 +349,16 @@ def enumerate_divisors(base: Union[Model, Sequence[Model]], depth: int,
     side_checks: List[SideCheck] = []
     probes = 0
     complete = True
-    for _ in range(depth):
+    for level in range(depth):
         if not frontier:
             break
         if probes >= max_probes:
             complete = False
             break
+        grow = level < depth - 1
         next_frontier: List[_Probe] = []
         for report, check, children in chain.from_iterable(
-                map(_expand, frontier)):
+                _expand(probe, grow) for probe in frontier):
             if probes >= max_probes:
                 complete = False
                 break
@@ -442,10 +447,11 @@ def check_composition(model: Model,
     witness: Tuple[WitnessStep, ...] = ()
     reports: List[DiscrepancyReport] = []
     for step_no, (indices, pick) in enumerate(steps):
-        step = _step(current, current.stratum(indices), abar, witness)
+        stratum = current.stratum(indices)
+        step = _step(current, stratum, abar, witness)
         reports.append(step.report)
         abar, witness = step.abar, step.report.witness
-        children = step.blow.children
+        children = current.blow_up(stratum).children
         if not 0 <= pick < len(children):
             raise ValueError(f"child index {pick} out of range at step {step_no}")
         current = children[pick]

@@ -165,6 +165,10 @@ def transform(matrix: SymbolMatrix,
     exponent vectors move by v -> A @ v, so the matrix of the transported
     class is A @ M~ @ A^T reduced mod r, where M~ is the antisymmetric
     integer lift of M. The result is alternating by construction.
+
+    This is the generic product for any substitution. Blow-ups do not call
+    it: their step is a row addition, and ``Model.blow_up`` applies it as
+    an O(n^2) row update; the tests check that update against this.
     """
     lift = matrix.signed_lift()
     half = tuple(apply_substitution(substitution, col) for col in transpose(lift))

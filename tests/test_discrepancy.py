@@ -90,6 +90,14 @@ class TestBrauerDiscrepancy:
         assert report.entries[0].b == 1
         assert report.entries[0].weighted == 2
 
+    def test_codim_one_center_rejected(self):
+        # a divisor is no blow-up center, and the degree read must say so
+        model = bad_case()
+        with pytest.raises(ValueError, match="codimension"):
+            brauer_discrepancy(model, (0,))
+        with pytest.raises(ValueError, match="codimension"):
+            model.exceptional_cover((1,))
+
     def test_identity_with_classical_route(self):
         model = bad_case()
         for center in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):

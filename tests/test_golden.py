@@ -1,0 +1,57 @@
+"""Golden machine output of the bundled models.
+
+Each case runs one command through main() with ``--out`` and compares the
+exit code and the sha256 of the written file with values pinned before the
+blow-up step became a row update. Criterion 8 only compares two runs of the
+same code; these pins catch any byte that moves between versions. A case
+pinned to ``None`` writes no file. Re-pin only for an intended change of the
+machine output, and say so in the change log.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from brauer_terminal.cli import main
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+
+GOLDEN = [
+    ("bad-case", ("boundary",), 0,
+     "ca1e430fd6a65359523473db4cc75c90ef4e2b28495120b19cfee9fbba7b8c87"),
+    ("bad-case", ("discrepancy",), 2,
+     "74dc0cb2bd751af9cfdc3f8373a9a81f91f8a8178733943165a3f3d9109f2aea"),
+    ("bad-case", ("resolve",), 0,
+     "c4db880df59ac85b7ff6d195f508b80abb2f684716f38f47caa06e4c47a6f9ab"),
+    ("bad-case", ("certify",), 0,
+     "027d67db5cbe3eaf90a25f1867f7fbf1f4c1fc9e12053aeb6698f88d96a3e7cf"),
+    ("bad-case", ("certify", "--depth", "2", "--no-fixup"), 2,
+     "5ede7ef3026abf1954bec0d326e553dbbce69da7e03c5357c0beff0b893d2806"),
+    ("remark", ("boundary",), 0,
+     "cfc8397854cb77c66ccc0e9703b6fd4443276dc5312ed0d0413b5c3858bccbbc"),
+    ("remark", ("discrepancy",), 0,
+     "0f012082050358aaa1749cceccb9757d5c0737b2dd3630ea5d23642f5cc43298"),
+    # torsion 3: the fixup is specific to torsion 2, so resolve exits 1
+    ("remark", ("resolve",), 1, None),
+    ("remark", ("certify",), 3,
+     "e7472b4c35cfeacb55b34567d31f69deff4f0da846f47ecf7fc14cd019d14bac"),
+    ("remark", ("certify", "--depth", "2", "--no-fixup"), 3,
+     "af475bf67ef43911a1596b92acdb3eaacd1ad35c72f1636cfaa26236eba44909"),
+    (None, ("remark",), 3,
+     "45e1f746f2cdb57056978d060a1e4e04b32f536fdd83a9be801f7feb7a98795e"),
+]
+
+
+@pytest.mark.parametrize(
+    "model,command,code,digest", GOLDEN,
+    ids=[f"{m or 'builtin'}-{'-'.join(c)}" for m, c, _, _ in GOLDEN])
+def test_out_bytes_pinned(tmp_path, capsys, model, command, code, digest):
+    out = tmp_path / "out.jsonl"
+    model_args = [] if model is None else [
+        "--model", str(MODELS / f"{model}.model")]
+    argv = [command[0], *model_args, *command[1:], "--out", str(out)]
+    assert main(argv) == code
+    written = hashlib.sha256(out.read_bytes()).hexdigest() \
+        if out.exists() else None
+    assert written == digest

@@ -88,6 +88,18 @@ class TestCandidateOrders:
     def test_values(self, m, g, expected):
         assert candidate_orders(m, g) == expected
 
+    def test_matches_brute_force(self):
+        # the divisor walk lists exactly what testing every e up to lcm did
+        from math import lcm
+        for m in range(1, 41):
+            for g in range(1, 41):
+                top = lcm(m, g)
+                expected = tuple(
+                    e for e in range(1, top + 1)
+                    if top % e == 0 and lcm(e, g) % m == 0
+                )
+                assert candidate_orders(m, g) == expected, (m, g)
+
     def test_monomial_explained(self):
         # every candidate e keeps m | lcm(e, g)
         from math import lcm
@@ -171,3 +183,12 @@ class TestModelBlowUp:
         from brauer_terminal.symbols import SymbolMatrix
         with pytest.raises(ValueError):
             Model(chart=model.chart, matrix=SymbolMatrix.zero(2, 3))
+
+    def test_non_alternating_matrix_rejected(self):
+        # blow-ups move the matrix by a row update, which needs alternation
+        model = Model.affine(3, ("x1", "x2"))
+        from brauer_terminal.symbols import SymbolMatrix
+        with pytest.raises(ValueError, match="alternating"):
+            Model(chart=model.chart, matrix=SymbolMatrix(3, ((0, 1), (1, 0))))
+        with pytest.raises(ValueError, match="alternating"):
+            Model(chart=model.chart, matrix=SymbolMatrix(3, ((1, 0), (0, 0))))

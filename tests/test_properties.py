@@ -7,8 +7,10 @@ for everything the transform and residue code computes.
 
 import random
 from fractions import Fraction
+from itertools import chain
 
-from brauer_terminal.charts import strata
+from brauer_terminal.charts import (apply_substitution, compose_substitutions,
+                                   strata)
 from brauer_terminal.discrepancy import (b_from_a, boundary_divisor,
                                          brauer_discrepancy,
                                          classical_discrepancy,
@@ -55,6 +57,30 @@ def random_walk(rng, model, steps):
         blow = model.blow_up(center)
         model = blow.children[rng.randrange(len(blow.children))]
         yield model
+
+
+def model_with_extras(rng):
+    """Random model in dimension 2 to 5 with zero to two extra covers."""
+    r = rng.choice((2, 3, 4, 6))
+    dim = rng.randint(2, 5)
+    labels = tuple(f"x{k + 1}" for k in range(dim))
+    symbols = [(*rng.sample(range(dim), 2), rng.randrange(1, r))
+               for _ in range(rng.randint(0, 5))]
+    degrees = {label: rng.choice((2, 3, 4))
+               for label in rng.sample(labels, rng.randint(0, 2))}
+    return Model.affine(r, labels, symbols, degrees)
+
+
+def blow_ups(seed, count, steps=3):
+    """(parent, center, blow-up) along random walks of random models."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        model = model_with_extras(rng)
+        for _ in range(steps):
+            center = random_center(rng, model.dim)
+            blow = model.blow_up(center)
+            yield model, center, blow
+            model = blow.children[rng.randrange(len(blow.children))]
 
 
 def vector_symbols(model):
@@ -182,13 +208,48 @@ class TestDiscrepancySweeps:
 
     def test_sibling_charts_agree_on_exceptional_degree(self):
         rng = random.Random(205)
+        roots = []
         for _ in range(50):
             model = random_model(rng, extras=True)
-            blow = model.blow_up(random_center(rng, model.dim))
+            center = random_center(rng, model.dim)
+            roots.append((model, center, model.blow_up(center)))
+        for parent, center, blow in chain(roots, blow_ups(207, 50)):
             degrees = {
                 child.cover_on(child.chart.pivot) for child in blow.children
             }
             assert len(degrees) == 1, blow.exceptional_id
+            # the direct read from the parent builds no child
+            assert parent.exceptional_cover(center) == (
+                blow.exceptional_id, degrees.pop())
+
+
+class TestRowUpdateSweeps:
+    """The blow-up step as a row update, against the generic products."""
+
+    def test_matrix_matches_transform(self):
+        for parent, _, blow in blow_ups(601, 40):
+            for child in blow.children:
+                expected = transform(parent.matrix, child.chart.substitution)
+                assert child.matrix.entries == expected.entries, \
+                    child.chart.chart_id
+
+    def test_total_substitution_matches_product(self):
+        for parent, _, blow in blow_ups(602, 40):
+            for child in blow.children:
+                assert child.chart.total_substitution == compose_substitutions(
+                    child.chart.substitution, parent.chart.total_substitution)
+
+    def test_extras_match_generic_substitution(self):
+        checked = 0
+        for parent, _, blow in blow_ups(603, 40):
+            for child in blow.children:
+                step = child.chart.substitution
+                for old, new in zip(parent.extras, child.extras):
+                    assert new.vector == tuple(
+                        v % old.modulus
+                        for v in apply_substitution(step, old.vector))
+                    checked += 1
+        assert checked >= 100
 
 
 class TestResolutionSweeps:

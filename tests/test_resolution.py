@@ -136,6 +136,24 @@ class TestEnumerateDivisors:
         assert not enum.complete
         assert enum.probes == 5
 
+    @pytest.mark.parametrize("depth,probes", [(1, 4), (2, 40), (3, 364)])
+    def test_last_level_builds_no_children(self, monkeypatch, depth, probes):
+        # only charts that get expanded are built: one blow-up per probe
+        # made before the last level, none for the last level's probes
+        before = enumerate_divisors(bad_case(), depth - 1).probes
+        calls = []
+        blow_up = Model.blow_up
+
+        def counted(model, center):
+            calls.append(center)
+            return blow_up(model, center)
+
+        monkeypatch.setattr(Model, "blow_up", counted)
+        enum = enumerate_divisors(bad_case(), depth)
+        assert len(calls) == before
+        assert (enum.probes, len(enum.side_checks), enum.complete) == (
+            probes, probes, True)
+
     def test_registry_must_be_shared(self):
         with pytest.raises(ValueError):
             enumerate_divisors([bad_case(), bad_case()], 1)
