@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
@@ -40,7 +40,6 @@ ExponentMatrix = Tuple[Tuple[int, ...], ...]
 LABEL_RE = re.compile(r"[A-Za-z_]\w*")
 
 
-@lru_cache(maxsize=None)
 def identity_substitution(dim: int) -> ExponentMatrix:
     """Identity matrix on the rank-`dim` exponent lattice."""
     return tuple(
