@@ -229,6 +229,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
                    max_rounds=args.max_rounds)
     print(f"verdict: {cert.verdict}")
     print(f"levels checked: {cert.level_checked}")
+    if not cert.complete:
+        print("incomplete: the probe budget ran out, so nothing is certified "
+              "beyond the levels it reached")
     print(f"fixup rounds: {cert.fixup_rounds}")
     if cert.bad_strata:
         strata_text = " ".join(",".join(ids) for ids in cert.bad_strata)

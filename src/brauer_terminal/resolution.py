@@ -198,14 +198,25 @@ def _base_abar(model: Model) -> Dict[str, Fraction]:
     return dict(boundary_divisor(model).coefficients)
 
 
+def _boundary_table(model: Model) -> Tuple[Optional[Fraction], ...]:
+    """Boundary coefficient 1 - 1/e of each slot, None where e is undetermined."""
+    degrees = [model.cover_on(slot) for slot in range(model.dim)]
+    return tuple(Fraction(d.value - 1, d.value) if d.determinate else None
+                 for d in degrees)
+
+
 class _Step(NamedTuple):
-    report: DiscrepancyReport
-    abar: Dict[str, Fraction]
+    divisor_id: str
+    a: Fraction
+    degree: CoverDegree
+    witness: Tuple[WitnessStep, ...]
     one_step: Optional[Fraction]
+    abar: Dict[str, Fraction]
 
 
 def _step(model: Model, stratum: Stratum, abar: Dict[str, Fraction],
-          witness: Tuple[WitnessStep, ...]) -> _Step:
+          witness: Tuple[WitnessStep, ...],
+          boundary: Tuple[Optional[Fraction], ...]) -> _Step:
     """Telescope the divisor a blow-up of one stratum extracts against the base.
 
     ``abar`` gives each divisor of the chart the coefficient its pullback
@@ -214,65 +225,101 @@ def _step(model: Model, stratum: Stratum, abar: Dict[str, Fraction],
     the blow-up (``Model.exceptional_cover``), and the returned table is
     ``abar`` extended by E with -a; every child of the blow-up shares it.
     ``one_step`` is the discrepancy of the center against the chart's own
-    boundary, None when an undetermined degree blocks it.
+    boundary (``boundary``, from ``_boundary_table``), None when an
+    undetermined degree blocks it.
     """
     center_ids = stratum.divisor_ids
     a = stratum.codim - 1 - sum(abar[d] for d in center_ids)
-    try:
-        one_step = Fraction(stratum.codim - 1) - sum(
-            (model.boundary_coefficient(i) for i in stratum.indices),
-            Fraction(0),
-        )
-    except IndeterminateDegreeError:
-        one_step = None
+    load = [boundary[i] for i in stratum.indices]
+    one_step = None if None in load else stratum.codim - 1 - sum(load)
     exceptional_id, degree = model.exceptional_cover(stratum)
     witness = witness + (WitnessStep(chart_id=model.chart.chart_id,
                                      indices=stratum.indices,
                                      center=center_ids),)
-    report = DiscrepancyReport.from_degree(
-        divisor_id=exceptional_id,
-        level=len(witness),
-        witness=witness,
-        a=a,
-        degree=degree,
+    return _Step(exceptional_id, a, degree, witness, one_step,
+                 {**abar, exceptional_id: -a})
+
+
+def _report(step: _Step) -> DiscrepancyReport:
+    return DiscrepancyReport.from_degree(
+        divisor_id=step.divisor_id, level=len(step.witness),
+        witness=step.witness, a=step.a, degree=step.degree,
     )
-    return _Step(report, {**abar, exceptional_id: -a}, one_step)
 
 
-def _expand(probe: _Probe, grow: bool):
-    """Every blow-up of one probe: its report, side check and child probes.
+_StateKey = Tuple[Tuple[str, ...], Tuple[frozenset, ...]]
 
-    Children are built only when ``grow`` is set; on the last level of an
-    enumeration they would never be blown up.
+
+def _state_key(model: Model) -> _StateKey:
+    """Divisor ids and exact covers, all a chart's steps depend on."""
+    return model.chart.divisor_ids, tuple(c.exact_on for c in model.extras)
+
+
+def _children(model: Model, stratum: Stratum, abar: Dict[str, Fraction],
+              witness: Tuple[WitnessStep, ...]) -> List[_Probe]:
+    return [_Probe(model=child, abar=abar, witness=witness)
+            for child in model.blow_up(stratum).children]
+
+
+def _expand(probe: _Probe, grow: bool,
+            states: Dict[_StateKey, Tuple[List[SideCheck], List[dict]]]):
+    """Every blow-up of one probe: its step, side check and child probes.
+
+    ``states`` maps each chart state already expanded on this level to the
+    side checks of its centers and, when growing, their extended tables.
+    The first chart of a state runs ``_step`` for each center and records
+    both. A later chart of that state yields None for the step, which would
+    repeat the first one's, and a side check of its own chart with the
+    first one's divisor and value. Children are built only when ``grow`` is
+    set; on the last level of an enumeration they would never be blown up.
     """
     model = probe.model
     chart = model.chart
-    for codim in range(2, chart.dim + 1):
-        for stratum in strata(chart, codim):
-            step = _step(model, stratum, probe.abar, probe.witness)
-            report = step.report
+    centers = chain.from_iterable(
+        strata(chart, codim) for codim in range(2, chart.dim + 1))
+    key = _state_key(model)
+    known = states.get(key)
+    if known is None:
+        checks, tables = states[key] = [], []
+        boundary = _boundary_table(model)
+        for stratum in centers:
+            step = _step(model, stratum, probe.abar, probe.witness, boundary)
             check = SideCheck(
-                divisor_id=report.divisor_id,
+                divisor_id=step.divisor_id,
                 chart_id=chart.chart_id,
                 center=stratum.divisor_ids,
                 value=step.one_step,
             )
-            children = [
-                _Probe(model=child, abar=step.abar, witness=report.witness)
-                for child in model.blow_up(stratum).children
-            ] if grow else []
-            yield report, check, children
+            checks.append(check)
+            children = []
+            if grow:
+                tables.append(step.abar)
+                children = _children(model, stratum, step.abar, step.witness)
+            yield step, check, children
+        return
+    checks, tables = known
+    for n, first in enumerate(checks):
+        check = SideCheck(divisor_id=first.divisor_id,
+                          chart_id=chart.chart_id, center=first.center,
+                          value=first.value)
+        children = []
+        if grow:
+            stratum = next(centers)
+            witness = probe.witness + (WitnessStep(
+                chart_id=chart.chart_id, indices=stratum.indices,
+                center=first.center),)
+            children = _children(model, stratum, tables[n], witness)
+        yield None, check, children
 
 
-def _merge_reports(seen: DiscrepancyReport,
-                   other: DiscrepancyReport) -> DiscrepancyReport:
-    """Combine two routes to one divisor.
+def _merge_reports(seen: DiscrepancyReport, other: _Step) -> DiscrepancyReport:
+    """Combine a report with another route's step to the same divisor.
 
     The discrepancy and the monomial residue order are genuine invariants of
     the divisor and must agree. Candidate degree lists are knowledge, not
     invariants: a route with direct exposure can pin a degree that another
-    route only bounds, so the lists are intersected. The first witness is
-    kept.
+    route only bounds, so the lists are intersected, and a new report is
+    built only when that narrows them. The first witness is kept.
     """
     if seen.a != other.a:
         raise RuntimeError(
@@ -325,6 +372,17 @@ def enumerate_divisors(base: Union[Model, Sequence[Model]], depth: int,
     reached along several routes is reported once, with the first witness in
     breadth-first order; agreement of the duplicate computations is enforced.
 
+    Each step is computed once per chart state and level. The state is the
+    chart's divisor ids, which as valuations are the rows of the total
+    substitution and so fix the symbol matrix, the extras vectors and the
+    telescoped coefficients, plus each extra's ``exact_on``, the one datum
+    that depends on the route. A later chart of a state seen on its level
+    would repeat the first one's steps, so it skips them and the merge; it
+    still counts its probes, gets side checks under its own chart id and
+    builds its children, so ``probes`` and the side checks mean what they
+    would in the full walk. A report is built only for a new divisor or
+    when a merge narrows its candidates.
+
     Args:
         base: one model or several charts descending from one root chart.
         depth: maximum number of blow-ups per route, at least 0.
@@ -357,16 +415,19 @@ def enumerate_divisors(base: Union[Model, Sequence[Model]], depth: int,
             break
         grow = level < depth - 1
         next_frontier: List[_Probe] = []
-        for report, check, children in chain.from_iterable(
-                _expand(probe, grow) for probe in frontier):
+        states: Dict[_StateKey, Tuple[List[SideCheck], List[dict]]] = {}
+        for step, check, children in chain.from_iterable(
+                _expand(probe, grow, states) for probe in frontier):
             if probes >= max_probes:
                 complete = False
                 break
             probes += 1
             side_checks.append(check)
-            seen = reports.get(report.divisor_id)
-            reports[report.divisor_id] = (
-                report if seen is None else _merge_reports(seen, report))
+            if step is not None:
+                seen = reports.get(step.divisor_id)
+                reports[step.divisor_id] = (
+                    _report(step) if seen is None
+                    else _merge_reports(seen, step))
             next_frontier.extend(children)
         frontier = next_frontier
     ordered = sorted(reports.values(), key=_witness_key)
@@ -448,9 +509,10 @@ def check_composition(model: Model,
     reports: List[DiscrepancyReport] = []
     for step_no, (indices, pick) in enumerate(steps):
         stratum = current.stratum(indices)
-        step = _step(current, stratum, abar, witness)
-        reports.append(step.report)
-        abar, witness = step.abar, step.report.witness
+        step = _step(current, stratum, abar, witness,
+                     _boundary_table(current))
+        reports.append(_report(step))
+        abar, witness = step.abar, step.witness
         children = current.blow_up(stratum).children
         if not 0 <= pick < len(children):
             raise ValueError(f"child index {pick} out of range at step {step_no}")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from brauer_terminal import cli
 from brauer_terminal.cli import main
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -114,6 +115,27 @@ class TestCertify:
         text = capsys.readouterr().out
         assert "verdict: indeterminate" in text
         assert "E(2,0,1)" in text
+
+    def test_incomplete_run_says_so(self, monkeypatch, tmp_path, capsys):
+        full = tmp_path / "full.jsonl"
+        assert main(["certify", "--model", BAD, "--depth", "3",
+                     "--out", str(full)]) == 0
+        assert "incomplete" not in capsys.readouterr().out
+        certify = cli.certify
+        monkeypatch.setattr(
+            cli, "certify",
+            lambda *args, **kwargs: certify(*args, max_probes=10, **kwargs))
+        cut = tmp_path / "cut.jsonl"
+        assert main(["certify", "--model", BAD, "--depth", "3",
+                     "--out", str(cut)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            "verdict: indeterminate",
+            "levels checked: 3",
+            "incomplete: the probe budget ran out, so nothing is certified "
+            "beyond the levels it reached",
+        ]
+        assert read_lines(cut)[0]["complete"] is False
 
     def test_deterministic_machine_output(self, tmp_path, capsys):
         first = tmp_path / "one.jsonl"

@@ -1,0 +1,104 @@
+"""Golden enumerations: the whole ``EnumerationResult``, pinned by digest.
+
+``test_golden.py`` pins the ``--out`` bytes of default-depth runs, which
+carry reports but no side checks. These cases pin a canonical dump of
+everything ``enumerate_divisors`` returns: every report with its witness,
+candidates and sources, every side check with its divisor id, chart id,
+center and value, ``probes``, ``complete`` and the indeterminate divisors.
+The digests were taken before enumeration started reusing the steps of
+repeated chart states, so any output that reuse moves shows up here.
+Re-pin only for an intended change of the enumeration, and say so in the
+change log.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from brauer_terminal.model import Model
+from brauer_terminal.resolution import (enumerate_divisors, level_one_fixup,
+                                        remark_model)
+
+
+def _fraction(value):
+    return None if value is None else str(value)
+
+
+def canonical_dump(result):
+    """Deterministic JSON text of an enumeration result."""
+    reports = [
+        {
+            "divisor_id": r.divisor_id,
+            "level": r.level,
+            "witness": [[s.chart_id, list(s.indices), list(s.center)]
+                        for s in r.witness],
+            "a": _fraction(r.a),
+            "monomial_order": r.degree.monomial_order,
+            "candidates": list(r.degree.candidates),
+            "sources": list(r.degree.sources),
+            "entries": [[e.e, _fraction(e.b), _fraction(e.weighted)]
+                        for e in r.entries],
+        }
+        for r in result.reports
+    ]
+    checks = [
+        [c.divisor_id, c.chart_id, list(c.center), _fraction(c.value)]
+        for c in result.side_checks
+    ]
+    return json.dumps({
+        "reports": reports,
+        "side_checks": checks,
+        "indeterminate_divisors": list(result.indeterminate_divisors),
+        "complete": result.complete,
+        "probes": result.probes,
+    }, separators=(",", ":"))
+
+
+def bad_case_bases():
+    model = Model.affine(2, ("x1", "x2", "x3"), [(0, 2, 1), (1, 2, 1)])
+    return level_one_fixup(model).models
+
+
+def dim4_plain():
+    return Model.affine(2, ("x1", "x2", "x3", "x4"), [(0, 2, 1), (1, 3, 1)])
+
+
+def dim4_extra():
+    return Model.affine(3, ("x1", "x2", "x3", "x4"), [(0, 1, 1)],
+                        extra_degrees={"x4": 3})
+
+
+GOLDEN = [
+    ("bad-case", bad_case_bases, 1, 200000,
+     "b3425d2ad78a78bb9cb67175898e4bbe6559462e3204fed2a6792ca93464c1e8"),
+    ("bad-case", bad_case_bases, 2, 200000,
+     "3e5eef55cbca18c9ca6ebc64a9a1aecadb7e9bc417a4cb0a4cba3c15c9051368"),
+    ("bad-case", bad_case_bases, 3, 200000,
+     "98549de1ba2645b90b8e9793eb36e68ad0d606a1037ea72d2fb1ec042f7e4760"),
+    ("bad-case", bad_case_bases, 4, 200000,
+     "87f6b7dd3d1c10ea1af6a526e79148e40edf4f52012d9b7940355e111e07074a"),
+    ("remark", remark_model, 1, 200000,
+     "b819be3f8873b2aae6582752b06581013a8c82f5190c470fa151e404bbcea428"),
+    ("remark", remark_model, 2, 200000,
+     "e530843c5661865c9a31654e0f38d84be2a674e331bc8f6044bc45e9ed1b5dc0"),
+    ("remark", remark_model, 3, 200000,
+     "9760710cf2999d5910064693a561a6db00a2851be9d991690ca48007371e27a6"),
+    ("remark", remark_model, 4, 200000,
+     "10c2e6e480c188b7405671a9bdcd15855eb57ea0e15b6dc9da26252e31d4e691"),
+    # the budget runs out part way through the third level
+    ("x1x3+x2x4", dim4_plain, 3, 3001,
+     "056ac7a1eeda3d3a133be71501391124b81e2d1aff7ad906c00e33197b061f9c"),
+    ("x1x2+x4^3", dim4_extra, 2, 200000,
+     "1c36a508720a6ff1e4f3afe4dcaab63192f9436216a7a48960e1fcc6835c6e70"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,bases,depth,max_probes,digest", GOLDEN,
+    ids=[f"{name}-depth{depth}-max{max_probes}"
+         for name, _, depth, max_probes, _ in GOLDEN])
+def test_enumeration_pinned(name, bases, depth, max_probes, digest):
+    result = enumerate_divisors(bases(), depth, max_probes=max_probes)
+    text = canonical_dump(result)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -17,8 +17,9 @@ from brauer_terminal.discrepancy import (b_from_a, boundary_divisor,
                                          weighted_infimum)
 from brauer_terminal.model import IndeterminateDegreeError, Model
 from brauer_terminal.modelfile import ModelSpec, format_model, parse_model
-from brauer_terminal.resolution import (enumerate_divisors, find_bad_strata,
-                                        level_one_fixup)
+from brauer_terminal.resolution import (_base_abar, _boundary_table,
+                                        _state_key, _step, enumerate_divisors,
+                                        find_bad_strata, level_one_fixup)
 from brauer_terminal.symbols import check_complex, residue, transform
 
 from .oracles import (determinant, monomial_order, naive_matrix,
@@ -59,10 +60,10 @@ def random_walk(rng, model, steps):
         yield model
 
 
-def model_with_extras(rng):
-    """Random model in dimension 2 to 5 with zero to two extra covers."""
+def model_with_extras(rng, max_dim=5):
+    """Random model in dimension 2 to ``max_dim`` with zero to two extras."""
     r = rng.choice((2, 3, 4, 6))
-    dim = rng.randint(2, 5)
+    dim = rng.randint(2, max_dim)
     labels = tuple(f"x{k + 1}" for k in range(dim))
     symbols = [(*rng.sample(range(dim), 2), rng.randrange(1, r))
                for _ in range(rng.randint(0, 5))]
@@ -279,6 +280,72 @@ class TestResolutionSweeps:
                 )
                 for entry in report.entries:
                     assert entry.weighted == entry.e * entry.b
+
+
+def chart_centers(chart):
+    return [s for codim in range(2, chart.dim + 1) for s in strata(chart, codim)]
+
+
+def step_outcomes(model, abar, witness):
+    """Uncached ``_step`` outcome of every center: id, a, degree, one-step."""
+    boundary = _boundary_table(model)
+    return [
+        (step.divisor_id, step.a, step.degree, step.one_step)
+        for step in (_step(model, stratum, abar, witness, boundary)
+                     for stratum in chart_centers(model.chart))
+    ]
+
+
+class TestStateKeySweeps:
+    """Enumeration reuses the steps of the first chart with a state key."""
+
+    def test_equal_keys_mean_equal_states_and_steps(self):
+        # Two BFS levels of seeded models with extras; within a level, any
+        # two charts with one key must agree on everything a step reads
+        # and on every step's outcome.
+        rng = random.Random(701)
+        repeats = separated = 0
+        for _ in range(12):
+            model = model_with_extras(rng, max_dim=4)
+            try:
+                level = [(model, _base_abar(model), ())]
+            except IndeterminateDegreeError:
+                continue  # undetermined base boundary, nothing to telescope
+            for _ in range(2):
+                children = []
+                for parent, abar, witness in level:
+                    boundary = _boundary_table(parent)
+                    for stratum in chart_centers(parent.chart):
+                        step = _step(parent, stratum, abar, witness, boundary)
+                        children.extend(
+                            (child, step.abar, step.witness)
+                            for child in parent.blow_up(stratum).children)
+                level = children
+                groups = {}
+                for entry in level:
+                    groups.setdefault(_state_key(entry[0]), []).append(entry)
+                ids = [key[0] for key in groups]
+                separated += len(ids) - len(set(ids))
+                for group in groups.values():
+                    if len(group) == 1:
+                        continue
+                    first, abar, witness = group[0]
+                    expected = step_outcomes(first, abar, witness)
+                    for other, other_abar, other_witness in group[1:]:
+                        repeats += 1
+                        assert (other.chart.total_substitution
+                                == first.chart.total_substitution)
+                        assert other.matrix.entries == first.matrix.entries
+                        assert [c.vector for c in other.extras] == [
+                            c.vector for c in first.extras]
+                        assert [other_abar[d] for d in other.chart.divisor_ids] \
+                            == [abar[d] for d in first.chart.divisor_ids]
+                        assert step_outcomes(
+                            other, other_abar, other_witness) == expected, \
+                            (first.chart.chart_id, other.chart.chart_id)
+        # keys that differ only in exact_on occur, so the sweep sees them
+        assert repeats >= 400
+        assert separated >= 200
 
 
 class TestModelFileSweeps:

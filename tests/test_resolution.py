@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from brauer_terminal.discrepancy import weighted_infimum
+from brauer_terminal import resolution
+from brauer_terminal.discrepancy import DiscrepancyReport, weighted_infimum
 from brauer_terminal.model import IndeterminateDegreeError, Model
 from brauer_terminal.resolution import (NonterminationError,
                                         TerminalityCertificate,
@@ -153,6 +154,36 @@ class TestEnumerateDivisors:
         assert len(calls) == before
         assert (enum.probes, len(enum.side_checks), enum.complete) == (
             probes, probes, True)
+
+    @pytest.mark.parametrize("bases,depth,steps,built,probes", [
+        (lambda: level_one_fixup(bad_case()).models, 4, 3704, 413, 6560),
+        (lambda: Model.affine(2, ("x1", "x2", "x3", "x4"),
+                              [(0, 2, 1), (1, 3, 1)]), 3, 6545, 365, 8943),
+    ], ids=["bad-case-fixed-depth4", "x1x3+x2x4-depth3"])
+    def test_each_step_computed_once(self, monkeypatch, bases, depth, steps,
+                                     built, probes):
+        # one _step per distinct chart state and center on each level, one
+        # report per divisor (no merge narrows candidates here); probes
+        # still count every chart, as before steps were reused
+        calls = {"step": 0, "report": 0}
+        step = resolution._step
+        from_degree = DiscrepancyReport.from_degree.__func__
+
+        def counted_step(*args):
+            calls["step"] += 1
+            return step(*args)
+
+        def counted_report(cls, **kwargs):
+            calls["report"] += 1
+            return from_degree(cls, **kwargs)
+
+        monkeypatch.setattr(resolution, "_step", counted_step)
+        monkeypatch.setattr(DiscrepancyReport, "from_degree",
+                            classmethod(counted_report))
+        enum = enumerate_divisors(bases(), depth)
+        assert (calls["step"], calls["report"], enum.probes) == (
+            steps, built, probes)
+        assert len(enum.reports) == built and enum.complete
 
     def test_registry_must_be_shared(self):
         with pytest.raises(ValueError):
