@@ -18,6 +18,7 @@ pairs, LF line endings. Two runs on the same input produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -318,7 +319,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards.
+
+    ``parse_args`` fills a fresh namespace on every call and the help width
+    is read when help is printed, so repeated ``main`` calls in one process
+    see the same parser without sharing state.
+    """
     parser = argparse.ArgumentParser(
         prog="brauer-terminal",
         description="Terminality analysis of Brauer pairs on SNC charts.",

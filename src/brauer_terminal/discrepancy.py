@@ -152,7 +152,7 @@ def brauer_discrepancy(model: Model, center: CenterLike) -> DiscrepancyReport:
 
     Computes b = c - 1/e - sum of boundary multiplicities directly, one row
     per candidate e; report construction then checks the rows against
-    a + 1 - 1/e with a the classical discrepancy of the same center.
+    a + 1 - 1/e with a = c - 1 - the same sum, which is read once.
     """
     stratum = model.stratum(center)
     load = _load(model, stratum)
@@ -171,7 +171,7 @@ def brauer_discrepancy(model: Model, center: CenterLike) -> DiscrepancyReport:
         divisor_id=exceptional_id,
         level=1,
         witness=(step,),
-        a=classical_discrepancy(model, stratum),
+        a=Fraction(stratum.codim - 1) - load,
         degree=degree,
         entries=entries,
     )

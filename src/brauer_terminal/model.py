@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Iterable, Mapping, Optional, Sequence, Tuple, TypeAlias,
+                    Union)
 
 from .charts import Chart, Stratum, blow_up as blow_up_chart, \
     exceptional_divisor_id, exceptional_valuation, new_affine_model
@@ -200,7 +201,9 @@ def _combined_degree(torsion: int, monomial: int, divisor_id: str,
     )
 
 
-CenterLike = Union[Stratum, Sequence[int]]
+# A string, so that no typing subscript naming an engine class is evaluated:
+# typing caches those, which would keep this module alive after a re-import.
+CenterLike: TypeAlias = "Union[Stratum, Sequence[int]]"
 
 
 @dataclass(frozen=True, eq=False)

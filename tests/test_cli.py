@@ -1,5 +1,7 @@
 """End-to-end command line checks, driven through main()."""
 
+import argparse
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -8,6 +10,8 @@ import pytest
 
 from brauer_terminal import cli
 from brauer_terminal.cli import main
+
+from .test_golden import GOLDEN
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 BAD = str(MODELS / "bad-case.model")
@@ -222,3 +226,63 @@ class TestErrors:
         assert main([*command, "--model", str(path)]) == 1
         assert time.perf_counter() - start < 1
         assert "at most" in capsys.readouterr().err
+
+
+def golden_digest(model, command):
+    return next(digest for m, c, _, digest in GOLDEN
+                if m == model and c == command)
+
+
+class TestParserReuse:
+    """main() builds its parser once per process and shares it."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._build_parser.cache_clear()
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["boundary", "--model", BAD]) == 0
+        assert len(built) == 6  # the top-level parser and five subcommands
+        for argv in (["discrepancy", "--model", REMARK], ["remark"],
+                     ["certify", "--model", BAD, "--depth", "1"],
+                     ["resolve", "--model", BAD], ["certify"], ["--help"]):
+            main(argv)
+        assert len(built) == 6
+
+    def test_no_state_between_calls(self, tmp_path, capsys):
+        assert main(["certify"]) == 1
+        assert main(["--help"]) == 0
+        narrow = tmp_path / "narrow.jsonl"
+        assert main(["certify", "--model", BAD, "--depth", "2", "--no-fixup",
+                     "--out", str(narrow)]) == 2
+        capsys.readouterr()
+        plain = tmp_path / "plain.jsonl"
+        assert main(["certify", "--model", BAD, "--out", str(plain)]) == 0
+        text = capsys.readouterr().out
+        assert "levels checked: 3" in text
+        assert "fixup rounds: 1" in text
+        assert hashlib.sha256(plain.read_bytes()).hexdigest() == \
+            golden_digest("bad-case", ("certify",))
+        assert hashlib.sha256(narrow.read_bytes()).hexdigest() == \
+            golden_digest("bad-case", ("certify", "--depth", "2", "--no-fixup"))
+
+    def test_help_and_usage_text_repeat(self, capsys):
+        def texts():
+            assert main(["--help"]) == 0
+            help_out = capsys.readouterr().out
+            assert main(["certify", "--depth", "0"]) == 1
+            usage_err = capsys.readouterr().err
+            return help_out, usage_err
+
+        first = texts()
+        assert first[0].startswith("usage: brauer-terminal")
+        assert "brauer-terminal certify: error:" in first[1]
+        assert texts() == first

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from brauer_terminal import discrepancy
 from brauer_terminal.discrepancy import (DiscrepancyReport, ReportEntry,
                                          WitnessStep, b_from_a,
                                          boundary_divisor, brauer_discrepancy,
@@ -109,6 +110,18 @@ class TestBrauerDiscrepancy:
                     f"b = a + 1 - 1/e broken at {center}: "
                     f"{entry.b} vs {b_from_a(a, entry.e)}"
                 )
+
+    def test_boundary_read_once(self, monkeypatch):
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return boundary_divisor(model)
+
+        monkeypatch.setattr(discrepancy, "boundary_divisor", counted)
+        report = brauer_discrepancy(bad_case(), (0, 1, 2))
+        assert len(calls) == 1
+        assert report.a == Fraction(1, 2)
 
     def test_indeterminate_center_gives_candidate_rows(self):
         model = Model.affine(3, ("x1", "x2", "x3"), [(0, 1, 1)],

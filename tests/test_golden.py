@@ -9,13 +9,17 @@ machine output, and say so in the change log.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from brauer_terminal.cli import main
 
-MODELS = Path(__file__).resolve().parents[1] / "models"
+ROOT = Path(__file__).resolve().parents[1]
+MODELS = ROOT / "models"
 
 GOLDEN = [
     ("bad-case", ("boundary",), 0,
@@ -55,3 +59,24 @@ def test_out_bytes_pinned(tmp_path, capsys, model, command, code, digest):
     written = hashlib.sha256(out.read_bytes()).hexdigest() \
         if out.exists() else None
     assert written == digest
+
+
+# one interpreter per call, as a shell user runs the command
+SUBPROCESS_CASES = [case for case in GOLDEN if case[1] == ("certify",)]
+
+
+@pytest.mark.parametrize(
+    "model,command,code,digest", SUBPROCESS_CASES,
+    ids=[f"{m}-{'-'.join(c)}" for m, c, _, _ in SUBPROCESS_CASES])
+def test_out_bytes_pinned_in_subprocess(tmp_path, model, command, code,
+                                        digest):
+    out = tmp_path / "out.jsonl"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "brauer_terminal.cli", command[0],
+            "--model", str(MODELS / f"{model}.model"), *command[1:],
+            "--out", str(out)]
+    result = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert result.returncode == code, result.stderr.decode()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

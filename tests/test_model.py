@@ -7,7 +7,12 @@ Core claims:
     - blow-ups transport the matrix and the extra components coherently
 """
 
+import gc
+import importlib
+import sys
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +197,36 @@ class TestModelBlowUp:
             Model(chart=model.chart, matrix=SymbolMatrix(3, ((0, 1), (1, 0))))
         with pytest.raises(ValueError, match="alternating"):
             Model(chart=model.chart, matrix=SymbolMatrix(3, ((1, 0), (0, 0))))
+
+
+def _engine_modules():
+    return {name: module for name, module in sys.modules.items()
+            if name == "brauer_terminal" or name.startswith("brauer_terminal.")}
+
+
+def _import_fresh():
+    for name in _engine_modules():
+        del sys.modules[name]
+    importlib.import_module("brauer_terminal")
+    return importlib.import_module("brauer_terminal.cli")
+
+
+class TestReimport:
+    def test_previous_copy_is_freed(self, capsys):
+        # a module-level typing subscript naming an engine class would sit in
+        # typing's cache and keep every earlier copy of the engine alive
+        saved = _engine_modules()
+        try:
+            cli = _import_fresh()
+            model = Path(__file__).resolve().parents[1] / "models" / \
+                "bad-case.model"
+            assert cli.main(["boundary", "--model", str(model)]) == 0
+            stratum = weakref.ref(sys.modules["brauer_terminal.charts"].Stratum)
+            del cli
+            _import_fresh()
+            gc.collect()
+            assert stratum() is None
+        finally:
+            for name in _engine_modules():
+                del sys.modules[name]
+            sys.modules.update(saved)
