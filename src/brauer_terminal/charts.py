@@ -76,15 +76,15 @@ def transpose(matrix: Sequence[Sequence[int]]) -> ExponentMatrix:
 class Chart:
     """One affine chart of an iterated coordinate blow-up.
 
-    Charts are immutable; blow-ups return fresh children. ``substitution``
-    maps parent-chart exponent vectors into this chart, ``total_substitution``
-    maps root-chart exponent vectors into this chart, and both are unimodular
-    by construction.
+    Charts are immutable; blow-ups return fresh children.
+    ``total_substitution`` maps root-chart exponent vectors into this chart
+    and is unimodular by construction. The step from the parent is the
+    identity with the ``pivot`` row replaced by the indicator of
+    ``parent_center``.
     """
 
     dim: int
     divisor_ids: Tuple[str, ...]
-    substitution: ExponentMatrix
     total_substitution: ExponentMatrix
     parent: Optional["Chart"] = None
     parent_center: Optional[Tuple[int, ...]] = None
@@ -97,9 +97,9 @@ class Chart:
             raise ValueError("one divisor id per coordinate slot required")
         if len(set(self.divisor_ids)) != self.dim:
             raise ValueError("divisor ids bound to a chart must be distinct")
-        for matrix in (self.substitution, self.total_substitution):
-            if len(matrix) != self.dim or any(len(row) != self.dim for row in matrix):
-                raise ValueError("substitution must be a dim x dim matrix")
+        matrix = self.total_substitution
+        if len(matrix) != self.dim or any(len(row) != self.dim for row in matrix):
+            raise ValueError("total substitution must be a dim x dim matrix")
         if (self.parent is None) != (self.parent_center is None):
             raise ValueError("parent and parent_center must come together")
 
@@ -187,9 +187,8 @@ def new_affine_model(dim: int, divisor_labels: Sequence[str]) -> Chart:
     for label in labels:
         if not LABEL_RE.fullmatch(label):
             raise ValueError(f"divisor label {label!r} is not an identifier")
-    ident = identity_substitution(dim)
-    return Chart(dim=dim, divisor_ids=labels, substitution=ident,
-                 total_substitution=ident)
+    return Chart(dim=dim, divisor_ids=labels,
+                 total_substitution=identity_substitution(dim))
 
 
 def exceptional_divisor_id(valuation: Sequence[int]) -> str:
@@ -235,10 +234,7 @@ def blow_up(chart: Chart, center: Stratum) -> list[Chart]:
         ValueError: if the center belongs to another chart or has codim < 2.
     """
     exc_valuation = exceptional_valuation(chart, center)
-    n = chart.dim
-    selected = tuple(1 if k in center.indices else 0 for k in range(n))
     exc_id = exceptional_divisor_id(exc_valuation)
-    ident = identity_substitution(n)
     total = chart.total_substitution
     ids = chart.divisor_ids
     children = []
@@ -246,9 +242,8 @@ def blow_up(chart: Chart, center: Stratum) -> list[Chart]:
         after = pivot + 1
         children.append(
             Chart(
-                dim=n,
+                dim=chart.dim,
                 divisor_ids=ids[:pivot] + (exc_id,) + ids[after:],
-                substitution=ident[:pivot] + (selected,) + ident[after:],
                 total_substitution=total[:pivot] + (exc_valuation,) + total[after:],
                 parent=chart,
                 parent_center=center.indices,

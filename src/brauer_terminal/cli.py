@@ -7,8 +7,8 @@ terminality audit, and ``remark`` reproduces the built-in family whose
 second cover degree stays undetermined.
 
 Exit codes: 0 success / terminal-certified, 2 bad stratum or nonpositive
-weighted discrepancy found, 3 verdict blocked by an undetermined degree,
-1 usage or input errors.
+weighted discrepancy found, 3 verdict blocked by an undetermined degree or
+by the probe budget, 1 usage or input errors.
 
 ``--out PATH`` additionally writes machine-readable JSON lines. The machine
 output is canonical: keys sorted, no whitespace, rationals as [num, den]

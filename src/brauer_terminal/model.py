@@ -162,10 +162,6 @@ class BlowUp:
     children: Tuple["Model", ...]
     exceptional_id: str
 
-    def exceptional_degree(self) -> CoverDegree:
-        """Cover degree on the new divisor; every child reads the same one."""
-        return self.parent.exceptional_cover(self.center)[1]
-
 
 def _combined_degree(torsion: int, monomial: int, divisor_id: str,
                      extras: Sequence[ExtraComponent], slot: int) -> CoverDegree:

@@ -13,9 +13,10 @@ warning instead of an error.
 
 Torsion, extra cover degrees and dimension are capped (``MAX_TORSION``,
 ``MAX_EXTRA_DEGREE``, ``MAX_DIMENSION``): candidate cover degrees are
-found by scanning every integer up to lcm(torsion, extra degrees), and a
-chart of dimension n has 2^n - n - 1 blow-up centers, so unbounded values
-would stall the commands instead of failing them.
+the divisors of lcm(torsion, extra degrees), found by trial division up
+to its square root, and a chart of dimension n has 2^n - n - 1 blow-up
+centers, so unbounded values would stall the commands instead of failing
+them.
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ afterwards every exceptional divisor of every further coordinate blow-up has
 positive weighted discrepancy, which ``certify`` verifies by exhausting all
 blow-up routes to a chosen depth.
 
-Discrepancies against the base pair telescope through a running coefficient
-table: each divisor carries the coefficient its pullback contributes, which
-is 1 - 1/e for a base divisor and minus its own discrepancy for an
-exceptional one. Degrees, and only degrees, can be indeterminate; the
-telescoped discrepancies stay exact, so indeterminacy surfaces purely as
-candidate lists on the affected divisors.
+Discrepancies against the base pair telescope through a coefficient row
+aligned with the chart's slots: each slot's divisor carries the coefficient
+its pullback contributes, which is 1 - 1/e for a base divisor and minus its
+own discrepancy for an exceptional one. A blow-up replaces the pivot entry,
+the same row update the chart and the class go through. Degrees, and only
+degrees, can be indeterminate; the telescoped discrepancies stay exact, so
+indeterminacy surfaces purely as candidate lists on the affected divisors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .charts import Stratum, strata
@@ -187,15 +187,17 @@ class EnumerationResult:
     probes: int
 
 
-@dataclass(frozen=True)
-class _Probe:
+class _Probe(NamedTuple):
+    """A chart to expand, its slots' telescoped coefficients and its route."""
+
     model: Model
-    abar: Dict[str, Fraction]
+    abar: Tuple[Fraction, ...]
     witness: Tuple[WitnessStep, ...]
 
 
-def _base_abar(model: Model) -> Dict[str, Fraction]:
-    return dict(boundary_divisor(model).coefficients)
+def _base_abar(model: Model) -> Tuple[Fraction, ...]:
+    """Coefficient row of a base chart: its boundary, slot by slot."""
+    return tuple(c for _, c in boundary_divisor(model).coefficients)
 
 
 def _boundary_table(model: Model) -> Tuple[Optional[Fraction], ...]:
@@ -209,41 +211,40 @@ class _Step(NamedTuple):
     divisor_id: str
     a: Fraction
     degree: CoverDegree
-    witness: Tuple[WitnessStep, ...]
     one_step: Optional[Fraction]
-    abar: Dict[str, Fraction]
 
 
-def _step(model: Model, stratum: Stratum, abar: Dict[str, Fraction],
-          witness: Tuple[WitnessStep, ...],
+def _step(model: Model, stratum: Stratum, abar: Tuple[Fraction, ...],
           boundary: Tuple[Optional[Fraction], ...]) -> _Step:
     """Telescope the divisor a blow-up of one stratum extracts against the base.
 
-    ``abar`` gives each divisor of the chart the coefficient its pullback
-    contributes. The new divisor E gets a = c - 1 minus the coefficients of
-    the center, its id and degree are read from ``model`` without building
-    the blow-up (``Model.exceptional_cover``), and the returned table is
-    ``abar`` extended by E with -a; every child of the blow-up shares it.
+    ``abar`` gives each slot of the chart the coefficient its divisor's
+    pullback contributes. The new divisor E gets a = c - 1 minus the
+    coefficients of the center, and its id and degree are read from
+    ``model`` without building the blow-up (``Model.exceptional_cover``).
     ``one_step`` is the discrepancy of the center against the chart's own
     boundary (``boundary``, from ``_boundary_table``), None when an
     undetermined degree blocks it.
     """
-    center_ids = stratum.divisor_ids
-    a = stratum.codim - 1 - sum(abar[d] for d in center_ids)
+    a = stratum.codim - 1 - sum(abar[i] for i in stratum.indices)
     load = [boundary[i] for i in stratum.indices]
     one_step = None if None in load else stratum.codim - 1 - sum(load)
     exceptional_id, degree = model.exceptional_cover(stratum)
-    witness = witness + (WitnessStep(chart_id=model.chart.chart_id,
-                                     indices=stratum.indices,
-                                     center=center_ids),)
-    return _Step(exceptional_id, a, degree, witness, one_step,
-                 {**abar, exceptional_id: -a})
+    return _Step(exceptional_id, a, degree, one_step)
 
 
-def _report(step: _Step) -> DiscrepancyReport:
+def _route(probe: _Probe, stratum: Stratum) -> Tuple[WitnessStep, ...]:
+    """The probe's route extended by the blow-up of ``stratum``."""
+    return probe.witness + (WitnessStep(chart_id=probe.model.chart.chart_id,
+                                        indices=stratum.indices,
+                                        center=stratum.divisor_ids),)
+
+
+def _report(step: _Step,
+            witness: Tuple[WitnessStep, ...]) -> DiscrepancyReport:
     return DiscrepancyReport.from_degree(
-        divisor_id=step.divisor_id, level=len(step.witness),
-        witness=step.witness, a=step.a, degree=step.degree,
+        divisor_id=step.divisor_id, level=len(witness),
+        witness=witness, a=step.a, degree=step.degree,
     )
 
 
@@ -255,61 +256,19 @@ def _state_key(model: Model) -> _StateKey:
     return model.chart.divisor_ids, tuple(c.exact_on for c in model.extras)
 
 
-def _children(model: Model, stratum: Stratum, abar: Dict[str, Fraction],
+def _children(probe: _Probe, stratum: Stratum, a: Fraction,
               witness: Tuple[WitnessStep, ...]) -> List[_Probe]:
-    return [_Probe(model=child, abar=abar, witness=witness)
-            for child in model.blow_up(stratum).children]
+    """Child probes of a blow-up whose new divisor has discrepancy ``a``.
 
-
-def _expand(probe: _Probe, grow: bool,
-            states: Dict[_StateKey, Tuple[List[SideCheck], List[dict]]]):
-    """Every blow-up of one probe: its step, side check and child probes.
-
-    ``states`` maps each chart state already expanded on this level to the
-    side checks of its centers and, when growing, their extended tables.
-    The first chart of a state runs ``_step`` for each center and records
-    both. A later chart of that state yields None for the step, which would
-    repeat the first one's, and a side check of its own chart with the
-    first one's divisor and value. Children are built only when ``grow`` is
-    set; on the last level of an enumeration they would never be blown up.
+    The step is a row update, so each child's row is its parent's with the
+    pivot entry replaced by the new divisor's coefficient -a.
     """
-    model = probe.model
-    chart = model.chart
-    centers = chain.from_iterable(
-        strata(chart, codim) for codim in range(2, chart.dim + 1))
-    key = _state_key(model)
-    known = states.get(key)
-    if known is None:
-        checks, tables = states[key] = [], []
-        boundary = _boundary_table(model)
-        for stratum in centers:
-            step = _step(model, stratum, probe.abar, probe.witness, boundary)
-            check = SideCheck(
-                divisor_id=step.divisor_id,
-                chart_id=chart.chart_id,
-                center=stratum.divisor_ids,
-                value=step.one_step,
-            )
-            checks.append(check)
-            children = []
-            if grow:
-                tables.append(step.abar)
-                children = _children(model, stratum, step.abar, step.witness)
-            yield step, check, children
-        return
-    checks, tables = known
-    for n, first in enumerate(checks):
-        check = SideCheck(divisor_id=first.divisor_id,
-                          chart_id=chart.chart_id, center=first.center,
-                          value=first.value)
-        children = []
-        if grow:
-            stratum = next(centers)
-            witness = probe.witness + (WitnessStep(
-                chart_id=chart.chart_id, indices=stratum.indices,
-                center=first.center),)
-            children = _children(model, stratum, tables[n], witness)
-        yield None, check, children
+    abar = probe.abar
+    children = []
+    for child in probe.model.blow_up(stratum).children:
+        p = child.chart.pivot
+        children.append(_Probe(child, abar[:p] + (-a,) + abar[p + 1:], witness))
+    return children
 
 
 def _merge_reports(seen: DiscrepancyReport, other: _Step) -> DiscrepancyReport:
@@ -372,16 +331,26 @@ def enumerate_divisors(base: Union[Model, Sequence[Model]], depth: int,
     reached along several routes is reported once, with the first witness in
     breadth-first order; agreement of the duplicate computations is enforced.
 
+    Each level is one loop over its charts and, within a chart, its
+    centers. Every probe is counted and gets a side check under its own
+    chart id; below the last level it also builds its children, whose
+    coefficient rows are the chart's with the pivot entry replaced.
+
     Each step is computed once per chart state and level. The state is the
     chart's divisor ids, which as valuations are the rows of the total
     substitution and so fix the symbol matrix, the extras vectors and the
-    telescoped coefficients, plus each extra's ``exact_on``, the one datum
-    that depends on the route. A later chart of a state seen on its level
-    would repeat the first one's steps, so it skips them and the merge; it
-    still counts its probes, gets side checks under its own chart id and
-    builds its children, so ``probes`` and the side checks mean what they
-    would in the full walk. A report is built only for a new divisor or
-    when a merge narrows its candidates.
+    coefficient row, plus each extra's ``exact_on``, the one datum that
+    depends on the route. A later chart of a state seen on its level would
+    repeat the first one's steps, so it skips them and the merge, and
+    reuses the first one's side-check values and, below the last level,
+    each center's ``a``. A report is built only for a new divisor or when
+    a merge narrows its candidates.
+
+    Every chart has the root's 2^n - n - 1 centers, so the probe count at
+    which each child's first probe falls is known when the child would be
+    built. A child beyond the budget is not built, and the result is then
+    incomplete: ``probes`` and the side checks are still those of the full
+    walk cut at ``max_probes``.
 
     Args:
         base: one model or several charts descending from one root chart.
@@ -400,35 +369,59 @@ def enumerate_divisors(base: Union[Model, Sequence[Model]], depth: int,
         raise ValueError("base models must descend from one root chart")
     if depth < 0:
         raise ValueError("depth cannot be negative")
-    frontier = [
-        _Probe(model=m, abar=_base_abar(m), witness=()) for m in bases
-    ]
+    width = 2 ** root.dim - root.dim - 1
+    frontier = [_Probe(m, _base_abar(m), ()) for m in bases]
     reports: Dict[str, DiscrepancyReport] = {}
     side_checks: List[SideCheck] = []
     probes = 0
     complete = True
     for level in range(depth):
-        if not frontier:
-            break
-        if probes >= max_probes:
-            complete = False
-            break
         grow = level < depth - 1
+        level_end = probes + len(frontier) * width
         next_frontier: List[_Probe] = []
-        states: Dict[_StateKey, Tuple[List[SideCheck], List[dict]]] = {}
-        for step, check, children in chain.from_iterable(
-                _expand(probe, grow, states) for probe in frontier):
+        states: Dict[_StateKey, Tuple[List[SideCheck], List[Fraction]]] = {}
+        for probe in frontier:
             if probes >= max_probes:
                 complete = False
                 break
-            probes += 1
-            side_checks.append(check)
-            if step is not None:
-                seen = reports.get(step.divisor_id)
-                reports[step.divisor_id] = (
-                    _report(step) if seen is None
-                    else _merge_reports(seen, step))
-            next_frontier.extend(children)
+            model = probe.model
+            chart = model.chart
+            key = _state_key(model)
+            known = key in states
+            if not known:
+                boundary = _boundary_table(model)
+                states[key] = [], []
+            checks, a_values = states[key]
+            centers = [s for codim in range(2, chart.dim + 1)
+                       for s in strata(chart, codim)]
+            for n, stratum in enumerate(centers):
+                if probes >= max_probes:
+                    complete = False
+                    break
+                probes += 1
+                if known:
+                    first = checks[n]
+                    check = SideCheck(first.divisor_id, chart.chart_id,
+                                      first.center, first.value)
+                else:
+                    step = _step(model, stratum, probe.abar, boundary)
+                    check = SideCheck(step.divisor_id, chart.chart_id,
+                                      stratum.divisor_ids, step.one_step)
+                    checks.append(check)
+                    if grow:
+                        a_values.append(step.a)
+                    seen = reports.get(step.divisor_id)
+                    reports[step.divisor_id] = (
+                        _report(step, _route(probe, stratum)) if seen is None
+                        else _merge_reports(seen, step))
+                side_checks.append(check)
+                if not grow:
+                    continue
+                if level_end + len(next_frontier) * width >= max_probes:
+                    complete = False  # the budget ends before this child
+                    continue
+                next_frontier.extend(_children(probe, stratum, a_values[n],
+                                               _route(probe, stratum)))
         frontier = next_frontier
     ordered = sorted(reports.values(), key=_witness_key)
     offenders = tuple(sorted(
@@ -503,20 +496,18 @@ def check_composition(model: Model,
     if not steps:
         raise ValueError("a composition needs at least one blow-up")
     lam = Fraction(lam)
-    abar = _base_abar(model)
-    current = model
-    witness: Tuple[WitnessStep, ...] = ()
+    probe = _Probe(model, _base_abar(model), ())
     reports: List[DiscrepancyReport] = []
     for step_no, (indices, pick) in enumerate(steps):
-        stratum = current.stratum(indices)
-        step = _step(current, stratum, abar, witness,
-                     _boundary_table(current))
-        reports.append(_report(step))
-        abar, witness = step.abar, step.witness
-        children = current.blow_up(stratum).children
+        stratum = probe.model.stratum(indices)
+        step = _step(probe.model, stratum, probe.abar,
+                     _boundary_table(probe.model))
+        witness = _route(probe, stratum)
+        reports.append(_report(step, witness))
+        children = _children(probe, stratum, step.a, witness)
         if not 0 <= pick < len(children):
             raise ValueError(f"child index {pick} out of range at step {step_no}")
-        current = children[pick]
+        probe = children[pick]
     # Valuations grow strictly along a route, so the ids are distinct.
     created = {report.divisor_id: report for report in reports}
     final_report = reports[-1]

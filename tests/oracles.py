@@ -3,8 +3,9 @@
 Nothing here imports the engine's internals beyond plain data. The symbol
 oracle expands tame symbols from explicit exponent-vector pairs, the toric
 oracle computes discrepancies straight from valuation vectors, the residue
-order oracle reads cover orders off valuation vectors, and the determinant
-is exact over Fractions. Tests compare the package against these; the two
+order oracle reads cover orders off valuation vectors, the step matrix of a
+blow-up chart is rebuilt from its center and pivot, and the determinant is
+exact over Fractions. Tests compare the package against these; the two
 sides share no code paths.
 """
 
@@ -79,6 +80,22 @@ def monomial_order(valuation: Sequence[int], lift: Sequence[Sequence[int]],
     """
     image = [sum(m * v for m, v in zip(row, valuation)) for row in lift]
     return r // gcd(r, *image)
+
+
+def step_matrix(chart) -> List[List[int]]:
+    """Substitution from a chart's parent into it, from its center and pivot.
+
+    Parent coordinate k pulls back to the monomial with exponent column k:
+    the pivot coordinate becomes the exceptional coordinate t, every other
+    center coordinate x_l becomes t * y_l, and the rest stay put. So the
+    matrix is the identity with the pivot row replaced by the indicator of
+    the center.
+    """
+    n = chart.dim
+    matrix = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    matrix[chart.pivot] = [1 if k in chart.parent_center else 0
+                           for k in range(n)]
+    return matrix
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> Fraction:

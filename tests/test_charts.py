@@ -3,7 +3,7 @@
 Core claims:
     - the root chart is the identity on its exponent lattice
     - blowing up a codim-c stratum yields exactly c charts, pivot-ordered
-    - the pivot chart substitution has the pinned column structure
+    - the pivot chart has the pinned total substitution
     - all charts of one blow-up share one exceptional divisor id
     - strict transforms and untouched coordinates keep their divisor ids
     - total substitutions compose and stay unimodular
@@ -17,7 +17,7 @@ from brauer_terminal.charts import (Chart, Stratum, apply_substitution,
                                     identity_substitution, multiplicity,
                                     new_affine_model, strata)
 
-from .oracles import determinant
+from .oracles import determinant, step_matrix
 
 
 def _root3():
@@ -27,7 +27,6 @@ def _root3():
 class TestRootChart:
     def test_identity_substitution(self):
         root = _root3()
-        assert root.substitution == identity_substitution(3)
         assert root.total_substitution == identity_substitution(3)
         assert root.chart_id == "r"
         assert root.depth == 0
@@ -58,11 +57,12 @@ class TestBlowUp:
 
     def test_pinned_pivot_substitution(self):
         # dim 3, center {x1, x2}, chart with pivot x1: x1 = t, x2 = t*y2.
-        # Parent coordinates pull back along the columns (1,0,0), (1,1,0),
-        # (0,0,1), i.e. these stored rows.
+        # Root coordinates pull back along the columns (1,0,0), (1,1,0),
+        # (0,0,1), i.e. these rows, which are also the step from the root.
         root = _root3()
         child = blow_up(root, Stratum(root, (0, 1)))[0]
-        assert child.substitution == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+        assert child.total_substitution == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+        assert step_matrix(child) == [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_shared_exceptional_id(self):
         root = _root3()
@@ -94,7 +94,7 @@ class TestBlowUp:
         root = _root3()
         child = blow_up(root, Stratum(root, (0, 1)))[0]
         grand = blow_up(child, Stratum(child, (1, 2)))[1]
-        expected = compose_substitutions(grand.substitution,
+        expected = compose_substitutions(step_matrix(grand),
                                          child.total_substitution)
         assert grand.total_substitution == expected
 
@@ -174,18 +174,18 @@ class TestMonomial:
         root = _root3()
         child = blow_up(root, Stratum(root, (0, 1)))[0]
         # x1 * x2 pulls back to t^2 * y2
-        assert apply_substitution(child.substitution, (1, 1, 0)) == (2, 1, 0)
+        assert apply_substitution(step_matrix(child), (1, 1, 0)) == (2, 1, 0)
 
     def test_product(self):
         # the pullback of a product of monomials is the product of pullbacks
         root = _root3()
         child = blow_up(root, Stratum(root, (0, 2)))[1]
         u, v = (1, 0, 2), (0, 3, 1)
-        both = apply_substitution(child.substitution,
+        both = apply_substitution(step_matrix(child),
                                   tuple(a + b for a, b in zip(u, v)))
         assert both == tuple(
-            a + b for a, b in zip(apply_substitution(child.substitution, u),
-                                  apply_substitution(child.substitution, v))
+            a + b for a, b in zip(apply_substitution(step_matrix(child), u),
+                                  apply_substitution(step_matrix(child), v))
         )
 
     def test_dimension_mismatch(self):
@@ -202,11 +202,9 @@ class TestChartValidation:
     def test_divisor_id_count(self):
         with pytest.raises(ValueError):
             Chart(dim=2, divisor_ids=("x1",),
-                  substitution=identity_substitution(2),
                   total_substitution=identity_substitution(2))
 
     def test_duplicate_ids(self):
         with pytest.raises(ValueError):
             Chart(dim=2, divisor_ids=("x1", "x1"),
-                  substitution=identity_substitution(2),
                   total_substitution=identity_substitution(2))

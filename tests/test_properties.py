@@ -18,12 +18,14 @@ from brauer_terminal.discrepancy import (b_from_a, boundary_divisor,
 from brauer_terminal.model import IndeterminateDegreeError, Model
 from brauer_terminal.modelfile import ModelSpec, format_model, parse_model
 from brauer_terminal.resolution import (_base_abar, _boundary_table,
-                                        _state_key, _step, enumerate_divisors,
+                                        _children, _Probe, _state_key, _step,
+                                        certify, enumerate_divisors,
                                         find_bad_strata, level_one_fixup)
 from brauer_terminal.symbols import check_complex, residue, transform
 
 from .oracles import (determinant, monomial_order, naive_matrix,
-                      naive_residue, substitute_symbols, toric_discrepancy)
+                      naive_residue, step_matrix, substitute_symbols,
+                      toric_discrepancy)
 
 
 def unit(dim, slot):
@@ -230,7 +232,7 @@ class TestRowUpdateSweeps:
     def test_matrix_matches_transform(self):
         for parent, _, blow in blow_ups(601, 40):
             for child in blow.children:
-                expected = transform(parent.matrix, child.chart.substitution)
+                expected = transform(parent.matrix, step_matrix(child.chart))
                 assert child.matrix.entries == expected.entries, \
                     child.chart.chart_id
 
@@ -238,13 +240,13 @@ class TestRowUpdateSweeps:
         for parent, _, blow in blow_ups(602, 40):
             for child in blow.children:
                 assert child.chart.total_substitution == compose_substitutions(
-                    child.chart.substitution, parent.chart.total_substitution)
+                    step_matrix(child.chart), parent.chart.total_substitution)
 
     def test_extras_match_generic_substitution(self):
         checked = 0
         for parent, _, blow in blow_ups(603, 40):
             for child in blow.children:
-                step = child.chart.substitution
+                step = step_matrix(child.chart)
                 for old, new in zip(parent.extras, child.extras):
                     assert new.vector == tuple(
                         v % old.modulus
@@ -281,18 +283,38 @@ class TestResolutionSweeps:
                 for entry in report.entries:
                     assert entry.weighted == entry.e * entry.b
 
+    def test_torsion_two_bound_on_the_valuation(self):
+        # Torsion 2 without extras: b(E_v) = sum v_k / e_k - 1 / e_v with
+        # every e in {1, 2}, so b >= |v|_1 / 2 - 1, and b > 0 once
+        # |v|_1 >= 3. This is the paper's theorem in this local model.
+        rng = random.Random(901)
+        checked = tight = 0
+        for _ in range(30):
+            model = random_model(rng, torsions=(2,), dims=(2, 3))
+            for report in certify(model, depth=3).reports:
+                v = [int(part) for part in report.divisor_id[2:-1].split(",")]
+                floor = Fraction(sum(v), 2) - 1
+                for entry in report.entries:
+                    assert entry.b >= floor, report.divisor_id
+                    if sum(v) >= 3:
+                        assert entry.b > 0, report.divisor_id
+                    checked += 1
+                    tight += entry.b == floor
+        assert checked >= 1000
+        assert tight >= 50
+
 
 def chart_centers(chart):
     return [s for codim in range(2, chart.dim + 1) for s in strata(chart, codim)]
 
 
-def step_outcomes(model, abar, witness):
+def step_outcomes(probe):
     """Uncached ``_step`` outcome of every center: id, a, degree, one-step."""
-    boundary = _boundary_table(model)
+    boundary = _boundary_table(probe.model)
     return [
         (step.divisor_id, step.a, step.degree, step.one_step)
-        for step in (_step(model, stratum, abar, witness, boundary)
-                     for stratum in chart_centers(model.chart))
+        for step in (_step(probe.model, stratum, probe.abar, boundary)
+                     for stratum in chart_centers(probe.model.chart))
     ]
 
 
@@ -308,41 +330,40 @@ class TestStateKeySweeps:
         for _ in range(12):
             model = model_with_extras(rng, max_dim=4)
             try:
-                level = [(model, _base_abar(model), ())]
+                level = [_Probe(model, _base_abar(model), ())]
             except IndeterminateDegreeError:
                 continue  # undetermined base boundary, nothing to telescope
             for _ in range(2):
                 children = []
-                for parent, abar, witness in level:
-                    boundary = _boundary_table(parent)
-                    for stratum in chart_centers(parent.chart):
-                        step = _step(parent, stratum, abar, witness, boundary)
-                        children.extend(
-                            (child, step.abar, step.witness)
-                            for child in parent.blow_up(stratum).children)
+                for parent in level:
+                    boundary = _boundary_table(parent.model)
+                    for stratum in chart_centers(parent.model.chart):
+                        step = _step(parent.model, stratum, parent.abar,
+                                     boundary)
+                        children.extend(_children(parent, stratum, step.a, ()))
                 level = children
                 groups = {}
-                for entry in level:
-                    groups.setdefault(_state_key(entry[0]), []).append(entry)
+                for probe in level:
+                    groups.setdefault(_state_key(probe.model), []).append(probe)
                 ids = [key[0] for key in groups]
                 separated += len(ids) - len(set(ids))
                 for group in groups.values():
                     if len(group) == 1:
                         continue
-                    first, abar, witness = group[0]
-                    expected = step_outcomes(first, abar, witness)
-                    for other, other_abar, other_witness in group[1:]:
+                    first = group[0]
+                    expected = step_outcomes(first)
+                    for other in group[1:]:
                         repeats += 1
-                        assert (other.chart.total_substitution
-                                == first.chart.total_substitution)
-                        assert other.matrix.entries == first.matrix.entries
-                        assert [c.vector for c in other.extras] == [
-                            c.vector for c in first.extras]
-                        assert [other_abar[d] for d in other.chart.divisor_ids] \
-                            == [abar[d] for d in first.chart.divisor_ids]
-                        assert step_outcomes(
-                            other, other_abar, other_witness) == expected, \
-                            (first.chart.chart_id, other.chart.chart_id)
+                        assert (other.model.chart.total_substitution
+                                == first.model.chart.total_substitution)
+                        assert (other.model.matrix.entries
+                                == first.model.matrix.entries)
+                        assert [c.vector for c in other.model.extras] == [
+                            c.vector for c in first.model.extras]
+                        assert other.abar == first.abar
+                        assert step_outcomes(other) == expected, (
+                            first.model.chart.chart_id,
+                            other.model.chart.chart_id)
         # keys that differ only in exact_on occur, so the sweep sees them
         assert repeats >= 400
         assert separated >= 200

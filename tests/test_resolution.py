@@ -155,6 +155,35 @@ class TestEnumerateDivisors:
         assert (enum.probes, len(enum.side_checks), enum.complete) == (
             probes, probes, True)
 
+    def test_budget_cut_builds_no_unprobed_children(self, monkeypatch):
+        # dim 4 has 11 centers and 28 children per chart: levels of 11,
+        # 308 and 8624 probes. A budget of 3001 ends inside level 2, so no
+        # chart below it is probed, and a deeper walk builds none of them.
+        model = Model.affine(2, ("x1", "x2", "x3", "x4"),
+                             [(0, 2, 1), (1, 3, 1)])
+        calls = []
+        blow_up = Model.blow_up
+
+        def counted(model, center):
+            calls.append(center)
+            return blow_up(model, center)
+
+        monkeypatch.setattr(Model, "blow_up", counted)
+        runs = []
+        for depth in (3, 6):
+            calls.clear()
+            runs.append((enumerate_divisors(model, depth, max_probes=3001),
+                         len(calls)))
+        assert runs[0] == runs[1]
+        assert (runs[0][0].probes, runs[0][0].complete) == (3001, False)
+        # a budget that ends exactly with level 2 completes depth 3 only:
+        # the children that depth 4 skips would have been probed next
+        full = enumerate_divisors(model, 3, max_probes=8943)
+        cut = enumerate_divisors(model, 4, max_probes=8943)
+        assert (full.probes, full.complete) == (8943, True)
+        assert (cut.probes, cut.complete) == (8943, False)
+        assert cut.reports == full.reports
+
     @pytest.mark.parametrize("bases,depth,steps,built,probes", [
         (lambda: level_one_fixup(bad_case()).models, 4, 3704, 413, 6560),
         (lambda: Model.affine(2, ("x1", "x2", "x3", "x4"),

@@ -13,7 +13,8 @@ from brauer_terminal.model import Model
 from brauer_terminal.symbols import (KummerClass, SymbolMatrix, check_complex,
                                      ramifies_on, residue, transform)
 
-from .oracles import naive_matrix, naive_residue, substitute_symbols
+from .oracles import (naive_matrix, naive_residue, step_matrix,
+                      substitute_symbols)
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -138,7 +139,7 @@ class TestTransform:
         # (t, t*y2) = (t, t)(t, y2) and the result pairs t with y2 once.
         chart = self._pivot_chart((0, 1))
         m = SymbolMatrix.from_symbols(2, 3, [(0, 1, 1)])
-        moved = transform(m, chart.substitution)
+        moved = transform(m, step_matrix(chart))
         assert moved.entry(0, 1) == 1
         assert moved.entry(1, 0) == 1
         assert check_complex(moved).ok
@@ -149,7 +150,7 @@ class TestTransform:
         # (y2, x3) survives.
         chart = self._pivot_chart((0, 1))
         m = SymbolMatrix.from_symbols(2, 3, [(0, 2, 1), (1, 2, 1)])
-        moved = transform(m, chart.substitution)
+        moved = transform(m, step_matrix(chart))
         assert residue(moved, 0).exponents == (0, 0)
         assert moved.entry(1, 2) == 1
 
@@ -159,9 +160,9 @@ class TestTransform:
         symbols = [(E1, E3, 1), (E2, E3, 2), (E1, E2, 1)]
         chart = self._pivot_chart(center, pick)
         m = SymbolMatrix.from_symbols(5, 3, [(0, 2, 1), (1, 2, 2), (0, 1, 1)])
-        moved = transform(m, chart.substitution)
+        moved = transform(m, step_matrix(chart))
         expected = naive_matrix(3, 5,
-                                substitute_symbols(symbols, chart.substitution))
+                                substitute_symbols(symbols, step_matrix(chart)))
         assert [list(row) for row in moved.entries] == expected
 
     def test_two_steps_compose(self):
@@ -169,7 +170,7 @@ class TestTransform:
         first = blow_up(root, Stratum(root, (0, 1)))[0]
         second = blow_up(first, Stratum(first, (1, 2)))[1]
         m = SymbolMatrix.from_symbols(3, 3, [(0, 1, 1), (1, 2, 2)])
-        stepwise = transform(transform(m, first.substitution),
-                             second.substitution)
+        stepwise = transform(transform(m, step_matrix(first)),
+                             step_matrix(second))
         direct = transform(m, second.total_substitution)
         assert stepwise.entries == direct.entries
