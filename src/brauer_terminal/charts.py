@@ -108,8 +108,8 @@ class Chart:
         """Structural id encoding the blow-up ancestry (root is ``r``)."""
         if self.parent is None:
             return "r"
-        center = "-".join(str(i + 1) for i in self.parent_center)
-        return f"{self.parent.chart_id}.{center}p{self.pivot + 1}"
+        return child_chart_id(self.parent.chart_id, self.parent_center,
+                              self.pivot)
 
     @property
     def depth(self) -> int:
@@ -189,6 +189,11 @@ def new_affine_model(dim: int, divisor_labels: Sequence[str]) -> Chart:
             raise ValueError(f"divisor label {label!r} is not an identifier")
     return Chart(dim=dim, divisor_ids=labels,
                  total_substitution=identity_substitution(dim))
+
+
+def child_chart_id(parent_id: str, center: Sequence[int], pivot: int) -> str:
+    """Id of the chart with ``pivot`` of the blow-up of ``center`` (slots)."""
+    return f"{parent_id}.{'-'.join(str(i + 1) for i in center)}p{pivot + 1}"
 
 
 def exceptional_divisor_id(valuation: Sequence[int]) -> str:

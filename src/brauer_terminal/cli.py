@@ -24,9 +24,8 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
-from .charts import strata
 from .discrepancy import (DiscrepancyReport, boundary_divisor,
-                          brauer_discrepancy)
+                          stratum_discrepancies)
 from .model import IndeterminateDegreeError, Model
 from .modelfile import ModelFormatError, load_model
 from .resolution import (CompositionCheck, NonterminationError, ResolutionTree,
@@ -188,11 +187,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
 
 def cmd_discrepancy(args: argparse.Namespace) -> int:
-    model = _load(args)
-    reports = []
-    for codim in range(2, model.dim + 1):
-        for stratum in strata(model.chart, codim):
-            reports.append(brauer_discrepancy(model, stratum))
+    reports = stratum_discrepancies(_load(args))
     rows = []
     for report in reports:
         center = ",".join(report.witness[0].center)
@@ -227,7 +222,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     model = _load(args)
     cert = certify(model, depth=args.depth, fixup=not args.no_fixup,
-                   max_rounds=args.max_rounds)
+                   max_rounds=args.max_rounds, max_probes=args.max_probes)
     print(f"verdict: {cert.verdict}")
     print(f"levels checked: {cert.level_checked}")
     if not cert.complete:
@@ -350,6 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cert = add("certify", cmd_certify)
     cert.add_argument("--depth", type=_positive_int, default=3)
     cert.add_argument("--max-rounds", type=_positive_int, default=64)
+    cert.add_argument("--max-probes", type=_positive_int, default=200000,
+                      help="blow-up budget of the enumeration")
     cert.add_argument("--no-fixup", action="store_true",
                       help="skip the level-one fixup before certification")
     add("remark", cmd_remark, needs_model=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .charts import Stratum, multiplicity
+from .charts import Stratum, multiplicity, strata
 from .model import CenterLike, CoverDegree, IndeterminateDegreeError, Model
 
 
@@ -124,9 +124,9 @@ def boundary_divisor(model: Model) -> BoundaryDivisor:
     return BoundaryDivisor(coefficients=tuple(coefficients))
 
 
-def _load(model: Model, stratum: Stratum) -> Fraction:
+def _load(model: Model, stratum: Stratum,
+          boundary: BoundaryDivisor) -> Fraction:
     """Sum of boundary multiplicities over the center."""
-    boundary = boundary_divisor(model)
     return sum(
         (boundary.coefficient(divisor_id) * multiplicity(stratum, divisor_id)
          for divisor_id in model.chart.divisor_ids),
@@ -137,7 +137,8 @@ def _load(model: Model, stratum: Stratum) -> Fraction:
 def classical_discrepancy(model: Model, center: CenterLike) -> Fraction:
     """Discrepancy a = c - 1 - sum of boundary multiplicities over the center."""
     stratum = model.stratum(center)
-    return Fraction(stratum.codim - 1) - _load(model, stratum)
+    return Fraction(stratum.codim - 1) - _load(model, stratum,
+                                               boundary_divisor(model))
 
 
 def b_from_a(a: Fraction, e: int) -> Fraction:
@@ -154,8 +155,24 @@ def brauer_discrepancy(model: Model, center: CenterLike) -> DiscrepancyReport:
     per candidate e; report construction then checks the rows against
     a + 1 - 1/e with a = c - 1 - the same sum, which is read once.
     """
-    stratum = model.stratum(center)
-    load = _load(model, stratum)
+    return _one_step(model, model.stratum(center), boundary_divisor(model))
+
+
+def stratum_discrepancies(model: Model) -> Tuple[DiscrepancyReport, ...]:
+    """``brauer_discrepancy`` of every coordinate stratum, codimension 2 up.
+
+    The boundary is read once for all strata.
+    """
+    boundary = boundary_divisor(model)
+    return tuple(_one_step(model, stratum, boundary)
+                 for codim in range(2, model.dim + 1)
+                 for stratum in strata(model.chart, codim))
+
+
+def _one_step(model: Model, stratum: Stratum,
+              boundary: BoundaryDivisor) -> DiscrepancyReport:
+    """``brauer_discrepancy`` against a boundary the caller has read."""
+    load = _load(model, stratum, boundary)
     exceptional_id, degree = model.exceptional_cover(stratum)
     entries = tuple(
         ReportEntry(

@@ -6,7 +6,9 @@ carry degree-2 covers that the symbol does not pair, and whose blow-up
 extracts a divisor with trivial cover. Blowing those strata up is the fixup;
 afterwards every exceptional divisor of every further coordinate blow-up has
 positive weighted discrepancy, which ``certify`` verifies by exhausting all
-blow-up routes to a chosen depth.
+blow-up routes to a chosen depth. Without extra covers every number of that
+audit is a function of the divisor's valuation, so for them ``certify``
+reads the numbers off the valuations that routes reach, without charts.
 
 Discrepancies against the base pair telescope through a coefficient row
 aligned with the chart's slots: each slot's divisor carries the coefficient
@@ -22,9 +24,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import gcd
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .charts import Stratum, strata
+from .charts import Stratum, child_chart_id, exceptional_divisor_id, strata
 from .discrepancy import DiscrepancyReport, WitnessStep, boundary_divisor
 from .model import CoverDegree, IndeterminateDegreeError, Model
 
@@ -83,7 +89,7 @@ def find_bad_strata(model: Model) -> Tuple[Stratum, ...]:
             f"bad-stratum detection is specific to torsion 2, got {model.torsion}"
         )
     bad = []
-    for stratum in strata(model.chart, 2):
+    for stratum in strata(model.chart, 2) if model.dim > 1 else ():
         i, j = stratum.indices
         if model.matrix.entry(i, j) != 0:
             continue
@@ -436,6 +442,140 @@ def enumerate_divisors(base: Union[Model, Sequence[Model]], depth: int,
     )
 
 
+_Valuation = Tuple[int, ...]
+
+
+class _Reached(NamedTuple):
+    """Least level of a valuation and the first step of its first route."""
+
+    level: int
+    child: int
+    down: _Valuation
+
+
+def _centers(n: int) -> List[Tuple[int, ...]]:
+    """Blow-up centers of an n-slot chart as slot tuples, in engine order."""
+    return [s for codim in range(2, n + 1)
+            for s in combinations(range(n), codim)]
+
+
+@lru_cache(maxsize=8)
+def _reach(n: int, depth: int) -> Dict[_Valuation, _Reached]:
+    """First routes of the valuations that at most ``depth`` blow-ups extract.
+
+    A key c gives ord_E of each coordinate of the chart the routes start
+    from. Blowing up a center S keeps E in the child with pivot p exactly
+    when c_p = min over S of c, and there E has c_k - c_p in place of c_k
+    for k in S minus p. Every chart has the same centers, so the least
+    level of c depends on c alone: the map grows backwards from the
+    indicators 1_S of the centers, which one blow-up extracts. Each value
+    also names the first child, in engine order, that keeps c one level
+    closer, and c's coordinates there; chained, they give the first route.
+    """
+    if depth < 1:
+        return {}
+    moves = [(p, [k for k in s if k != p]) for s in _centers(n) for p in s]
+    reach = {tuple(int(k in s) for k in range(n)): _Reached(1, -1, ())
+             for s in _centers(n)}
+    frontier = list(reach)
+    for level in range(2, depth + 1):
+        fresh = []
+        for c in frontier:
+            for child, (p, others) in enumerate(moves):
+                if c[p]:
+                    up = list(c)
+                    for k in others:
+                        up[k] += c[p]
+                    up = tuple(up)
+                    seen = reach.get(up)
+                    if seen is None:
+                        fresh.append(up)
+                    elif seen.level < level or seen.child < child:
+                        continue
+                    reach[up] = _Reached(level, child, c)
+        frontier = fresh
+    return reach
+
+
+def _valuation_walk(bases: Sequence[Model], depth: int,
+                    max_probes: int) -> EnumerationResult:
+    """``enumerate_divisors`` for torsion 2 without extras, on valuations.
+
+    Every number of a report is then a function of the divisor's
+    coordinates c on its base chart: a = sum of c_k/e_k - 1 over the base
+    degrees, and the monomial order is r/gcd(r, c M) for the base symbol
+    matrix M, because a chart's coordinates are a unimodular change of the
+    base's and the dropped pivot entry of a residue row is minus the sum of
+    the others. The divisors come from ``_reach``. The first witness in
+    breadth-first order follows the first steps that ``_reach`` records.
+
+    Every chart has the same C centers and K children, so the probe number
+    of a route is a mixed-radix number and the budget needs no walk: a
+    divisor is reported iff its first route's probe is below
+    ``max_probes``. Boundary degrees are 1 or 2, so every one-step value is
+    at least codim/2 - 1 >= 0 and the result carries no side checks.
+    """
+    n, r = bases[0].dim, bases[0].torsion
+    centers = {s: i for i, s in enumerate(_centers(n))}
+    children = [(s, p) for s in centers for p in s]
+    width, fan = len(centers), len(children)
+    starts: List[int] = []  # first probe of each level the budget reaches
+    total, size = 0, len(bases) * width
+    while size and len(starts) < depth and total < max_probes:
+        starts.append(total)
+        total, size = total + size, size * fan
+    # as in the chart walk, a budget of 0 cuts even a walk with no centers
+    complete = max_probes > 0 and (
+        not size or (len(starts) == depth and total <= max_probes))
+    reach = _reach(n, len(starts))
+    first: Dict[_Valuation, Tuple[int, int, _Valuation]] = {}
+    for b, model in enumerate(bases):
+        columns = tuple(zip(*model.chart.total_substitution))
+        for c, reached in reach.items():
+            v = tuple(sum(map(mul, c, column)) for column in columns)
+            if v not in first or reached.level < first[v][0]:
+                first[v] = (reached.level, b, c)
+    weights = [[r // m.cover_on(k).value for k in range(n)] for m in bases]
+    symbols = [tuple(zip(*m.matrix.entries)) for m in bases]
+    # (blow-ups, chart number) -> chart id, divisor ids, rows, witness so far
+    charts: Dict[Tuple[int, int], tuple] = {}
+    reports = []
+    for v, (level, b, c) in first.items():
+        route, chart, here = [], b, c  # (chart number, child) per step
+        for _ in range(level - 1):
+            _, child, here = reach[here]
+            chart = chart * fan + child
+            route.append((chart, child))
+        last = tuple(i for i, x in enumerate(here) if x)
+        if starts[level - 1] + chart * width + centers[last] >= max_probes:
+            continue
+        base = bases[b].chart
+        chart_id, ids, rows, witness = (base.chart_id, base.divisor_ids,
+                                        base.total_substitution, ())
+        for steps, (chart, child) in enumerate(route, 1):
+            if (steps, chart) not in charts:
+                s, p = children[child]
+                row = tuple(map(sum, zip(*(rows[i] for i in s))))
+                charts[steps, chart] = (
+                    child_chart_id(chart_id, s, p),
+                    ids[:p] + (exceptional_divisor_id(row),) + ids[p + 1:],
+                    rows[:p] + (row,) + rows[p + 1:],
+                    witness + (WitnessStep(chart_id, s,
+                                           tuple(ids[i] for i in s)),))
+            chart_id, ids, rows, witness = charts[steps, chart]
+        witness += (WitnessStep(chart_id, last, tuple(ids[i] for i in last)),)
+        order = r // gcd(r, *(sum(map(mul, c, column))
+                              for column in symbols[b]))
+        reports.append(DiscrepancyReport.from_degree(
+            divisor_id=exceptional_divisor_id(v), level=level,
+            witness=witness, a=Fraction(sum(map(mul, c, weights[b])) - r, r),
+            degree=CoverDegree(order, (order,))))
+    return EnumerationResult(
+        reports=tuple(sorted(reports, key=_witness_key)), side_checks=(),
+        indeterminate_divisors=(), complete=complete,
+        probes=total if complete else max(max_probes, 0))
+
+
 @dataclass(frozen=True)
 class Condition:
     """A named inequality with its witness value; value None means blocked."""
@@ -610,6 +750,12 @@ def certify(model: Model, depth: int = 3, *, fixup: bool = True,
     stratum is left unfixed on purpose), ``indeterminate`` when only an
     undetermined degree or an exhausted budget blocks the call, and
     ``terminal-certified`` otherwise.
+
+    Torsion 2 without extra covers is enumerated on root valuations
+    (``_valuation_walk``), which returns what ``enumerate_divisors`` would
+    for the same ``max_probes`` without building a chart. Models with
+    extras take the chart walk: their degrees and side checks depend on
+    the route, and a failed side check is listed per chart.
     """
     if depth < 1:
         raise ValueError("certification depth must be at least 1")
@@ -627,7 +773,9 @@ def certify(model: Model, depth: int = 3, *, fixup: bool = True,
             tree = fixed.tree
             rounds = fixed.rounds
             fixup_applied = True
-    enumeration = enumerate_divisors(bases, depth, max_probes=max_probes)
+    walk = (_valuation_walk if model.torsion == 2 and not model.extras
+            else enumerate_divisors)
+    enumeration = walk(bases, depth, max_probes=max_probes)
     reports = enumeration.reports
     entries = [(entry, report) for report in reports for entry in report.entries]
     min_weighted = min((e.weighted for e, _ in entries), default=None)

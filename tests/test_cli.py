@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from brauer_terminal import cli
+from brauer_terminal import cli, discrepancy
 from brauer_terminal.cli import main
 
 from .test_golden import GOLDEN
@@ -62,6 +62,28 @@ class TestDiscrepancy:
         assert first["divisor"] == "E(1,1,0)"
         assert first["a"] == [-1, 3]
         assert first["entries"] == [{"e": 3, "b": [1, 3], "weighted": [1, 1]}]
+
+    @pytest.mark.parametrize("text,strata", [
+        ((MODELS / "remark.model").read_text(), 4),
+        ("[model]\ntorsion = 2\ndimension = 4\nlabels = a,b,c,d\n"
+         "[symbols]\na c 1\n", 11),
+    ], ids=["remark", "4-slot"])
+    def test_boundary_read_once_per_command(self, monkeypatch, tmp_path,
+                                            capsys, text, strata):
+        model = tmp_path / "m.model"
+        model.write_text(text)
+        calls = []
+        boundary = discrepancy.boundary_divisor
+
+        def counted(m):
+            calls.append(m)
+            return boundary(m)
+
+        monkeypatch.setattr(discrepancy, "boundary_divisor", counted)
+        out = tmp_path / "out.jsonl"
+        main(["discrepancy", "--model", str(model), "--out", str(out)])
+        assert len(calls) == 1
+        assert len(read_lines(out)) == strata
 
 
 class TestResolve:
@@ -120,18 +142,14 @@ class TestCertify:
         assert "verdict: indeterminate" in text
         assert "E(2,0,1)" in text
 
-    def test_incomplete_run_says_so(self, monkeypatch, tmp_path, capsys):
+    def test_incomplete_run_says_so(self, tmp_path, capsys):
         full = tmp_path / "full.jsonl"
         assert main(["certify", "--model", BAD, "--depth", "3",
                      "--out", str(full)]) == 0
         assert "incomplete" not in capsys.readouterr().out
-        certify = cli.certify
-        monkeypatch.setattr(
-            cli, "certify",
-            lambda *args, **kwargs: certify(*args, max_probes=10, **kwargs))
         cut = tmp_path / "cut.jsonl"
         assert main(["certify", "--model", BAD, "--depth", "3",
-                     "--out", str(cut)]) == 3
+                     "--max-probes", "10", "--out", str(cut)]) == 3
         lines = capsys.readouterr().out.splitlines()
         assert lines[:3] == [
             "verdict: indeterminate",
@@ -140,6 +158,29 @@ class TestCertify:
             "beyond the levels it reached",
         ]
         assert read_lines(cut)[0]["complete"] is False
+
+    @pytest.mark.parametrize("budget,code,reports", [
+        (["--max-probes", "250415"], 0, 2485),
+        (["--max-probes", "250414"], 3, 2484),
+        ([], 3, 2150),
+    ], ids=["max250415", "max250414", "default"])
+    def test_probe_budget_option(self, tmp_path, capsys, budget, code,
+                                 reports):
+        # depth 4 of dim-4 x1x3+x2x4 needs 250415 probes
+        model = tmp_path / "dim4.model"
+        model.write_text("[model]\ntorsion = 2\ndimension = 4\n"
+                         "labels = x1,x2,x3,x4\n[symbols]\nx1 x3 1\n"
+                         "x2 x4 1\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["certify", "--model", str(model), "--depth", "4",
+                     *budget, "--out", str(out)]) == code
+        lines = capsys.readouterr().out.splitlines()
+        verdict = "terminal-certified" if code == 0 else "indeterminate"
+        assert lines[0] == f"verdict: {verdict}"
+        assert lines[2].startswith("incomplete:") is (code == 3)
+        written = read_lines(out)
+        assert written[0]["complete"] is (code == 0)
+        assert sum(line["type"] == "report" for line in written) == reports
 
     def test_deterministic_machine_output(self, tmp_path, capsys):
         first = tmp_path / "one.jsonl"

@@ -7,6 +7,9 @@ candidates and sources, every side check with its divisor id, chart id,
 center and value, ``probes``, ``complete`` and the indeterminate divisors.
 The digests were taken before enumeration started reusing the steps of
 repeated chart states, so any output that reuse moves shows up here.
+The ``certify`` cases pin its reports and how it ended at the budget edges
+of a depth-4 run; they were taken from the chart walk, before ``certify``
+moved torsion 2 without extras to the valuation walk.
 Re-pin only for an intended change of the enumeration, and say so in the
 change log.
 """
@@ -17,17 +20,16 @@ import json
 import pytest
 
 from brauer_terminal.model import Model
-from brauer_terminal.resolution import (enumerate_divisors, level_one_fixup,
-                                        remark_model)
+from brauer_terminal.resolution import (certify, enumerate_divisors,
+                                        level_one_fixup, remark_model)
 
 
 def _fraction(value):
     return None if value is None else str(value)
 
 
-def canonical_dump(result):
-    """Deterministic JSON text of an enumeration result."""
-    reports = [
+def report_dumps(reports):
+    return [
         {
             "divisor_id": r.divisor_id,
             "level": r.level,
@@ -40,8 +42,13 @@ def canonical_dump(result):
             "entries": [[e.e, _fraction(e.b), _fraction(e.weighted)]
                         for e in r.entries],
         }
-        for r in result.reports
+        for r in reports
     ]
+
+
+def canonical_dump(result):
+    """Deterministic JSON text of an enumeration result."""
+    reports = report_dumps(result.reports)
     checks = [
         [c.divisor_id, c.chart_id, list(c.center), _fraction(c.value)]
         for c in result.side_checks
@@ -101,4 +108,38 @@ GOLDEN = [
 def test_enumeration_pinned(name, bases, depth, max_probes, digest):
     result = enumerate_divisors(bases(), depth, max_probes=max_probes)
     text = canonical_dump(result)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def certificate_dump(cert):
+    """The same for a certificate: its reports and how the audit ended."""
+    return json.dumps({
+        "reports": report_dumps(cert.reports),
+        "complete": cert.complete,
+        "verdict": cert.verdict,
+        "min_weighted": _fraction(cert.min_weighted),
+        "min_witness": cert.min_witness,
+        "failures": list(cert.side_conditions.failures),
+    }, separators=(",", ":"))
+
+
+# Dim-4 x1x3+x2x4 at depth 4 needs 11 (1 + 28 + 784 + 21952) = 250415
+# probes. Pinned from the chart walk.
+CERTIFY_GOLDEN = [
+    (200000, 2150,
+     "04efaddd04abd76171354d580b72155bf561d28e0543623224b9254809b33a5a"),
+    (250414, 2484,
+     "1f019b09d18dddd74a35c62efd9ca2755dd869c54b9101f46e96a69dee2084a4"),
+    (250415, 2485,
+     "f1ecb3c8275de26c294283da92bbe2d3bd2bb9aa16e892ecdea4838fb716b5fe"),
+]
+
+
+@pytest.mark.parametrize("max_probes,reports,digest", CERTIFY_GOLDEN,
+                         ids=[f"max{case[0]}" for case in CERTIFY_GOLDEN])
+def test_certify_at_the_budget_edges_pinned(max_probes, reports, digest):
+    cert = certify(dim4_plain(), depth=4, max_probes=max_probes)
+    assert len(cert.reports) == reports
+    assert cert.complete is (max_probes == 250415)
+    text = certificate_dump(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -51,6 +51,14 @@ class TestFindBadStrata:
     def test_trivial_class_has_none(self):
         assert find_bad_strata(Model.affine(2, ("x1", "x2", "x3"))) == ()
 
+    def test_one_coordinate_has_no_strata(self):
+        # nothing to blow up, so nothing to certify either
+        model = Model.affine(2, ("x1",))
+        assert find_bad_strata(model) == ()
+        cert = certify(model, depth=2)
+        assert (cert.reports, cert.verdict, cert.complete) == (
+            (), "indeterminate", True)
+
     def test_torsion_guard(self):
         model = Model.affine(3, ("x1", "x2", "x3"), [(0, 1, 1)])
         with pytest.raises(UnsupportedTorsionError):
