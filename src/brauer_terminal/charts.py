@@ -267,13 +267,3 @@ def strata(chart: Chart, codim: int) -> list[Stratum]:
     if codim < 2 or codim > chart.dim:
         raise ValueError("stratum codimension must satisfy 2 <= codim <= dim")
     return [Stratum(chart, idx) for idx in combinations(range(chart.dim), codim)]
-
-
-def multiplicity(center: Stratum, divisor_id: str) -> int:
-    """Multiplicity of a coordinate divisor along a stratum (0 or 1).
-
-    Raises:
-        KeyError: if the divisor is not bound in the stratum's chart.
-    """
-    slot = center.chart.slot_of(divisor_id)
-    return 1 if slot in center.indices else 0

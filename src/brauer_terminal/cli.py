@@ -168,10 +168,9 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     lines = []
     # every divisor of a loaded root chart is original
     extra_degrees = {comp.origin_id: comp.degree for comp in model.extras}
-    for slot, divisor_id in enumerate(model.chart.divisor_ids):
+    for slot, (divisor_id, coeff) in enumerate(boundary.coefficients):
         extra = extra_degrees.get(divisor_id, 1)
         e = model.cover_on(slot).value
-        coeff = boundary.coefficient(divisor_id)
         rows.append((divisor_id, "original", str(extra), str(e), str(coeff)))
         lines.append({
             "type": "boundary",

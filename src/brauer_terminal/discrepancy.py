@@ -1,22 +1,27 @@
-"""Boundary divisors and the two discrepancy formulas.
+"""Boundary divisors and the one blow-up step every discrepancy comes from.
 
 The boundary of a pair assigns each coordinate divisor the coefficient
-1 - 1/e for its cover degree e. Blowing up a stratum of codimension c then
-gives two numbers for the new divisor: the classical discrepancy
-a = c - 1 - sum of boundary coefficients over the center, and the cover
-discrepancy b = c - 1/e - that same sum, where e is the degree on the new
-divisor. The two are linked by b = a + 1 - 1/e; reports compute b by the
-direct formula and validate the identity on construction, so the routes
-stay independent and cross-check each other.
+1 - 1/e for its cover degree e. Blowing up a stratum of codimension c
+extracts a divisor with classical discrepancy a = c - 1 minus the
+coefficients of the center, and cover discrepancy b = a + 1 - 1/e for the
+degree e on the new divisor.
+
+``_step`` is the one place a blow-up step is computed. The walks in
+``resolution`` telescope ``a`` against the base through a coefficient row
+aligned with the chart's slots; on a base chart that row is the boundary
+itself, so ``brauer_discrepancy`` is the step at the boundary row. Reports
+derive b from a and check the identity on construction. The independent
+checks of the numbers are the oracles of the test suite (toric discrepancy,
+residue order) and the gate of ``perfbench``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .charts import Stratum, multiplicity, strata
+from .charts import Stratum, strata
 from .model import CenterLike, CoverDegree, IndeterminateDegreeError, Model
 
 
@@ -63,8 +68,7 @@ class DiscrepancyReport:
 
     ``a`` is the classical discrepancy, which never depends on cover
     degrees. ``entries`` holds one row per candidate degree; construction
-    enforces b = a + 1 - 1/e on every row, so a report built from the direct
-    formula for b doubles as a consistency proof of the identity.
+    enforces b = a + 1 - 1/e on every row.
     """
 
     divisor_id: str
@@ -103,6 +107,13 @@ class DiscrepancyReport:
         return min(entry.weighted for entry in self.entries)
 
 
+def _boundary_table(model: Model) -> Tuple[Optional[Fraction], ...]:
+    """Boundary coefficient 1 - 1/e of each slot, None where e is undetermined."""
+    degrees = [model.cover_on(slot) for slot in range(model.dim)]
+    return tuple(Fraction(d.value - 1, d.value) if d.determinate else None
+                 for d in degrees)
+
+
 def boundary_divisor(model: Model) -> BoundaryDivisor:
     """Boundary of the pair on the model's chart.
 
@@ -110,35 +121,51 @@ def boundary_divisor(model: Model) -> BoundaryDivisor:
         IndeterminateDegreeError: listing every divisor of the chart whose
             cover degree is undetermined.
     """
-    blocked = []
-    coefficients = []
-    for slot, divisor_id in enumerate(model.chart.divisor_ids):
-        degree = model.cover_on(slot)
-        if not degree.determinate:
-            blocked.append(divisor_id)
-            continue
-        e = degree.value
-        coefficients.append((divisor_id, Fraction(e - 1, e)))
+    ids = model.chart.divisor_ids
+    table = _boundary_table(model)
+    blocked = [divisor_id for divisor_id, c in zip(ids, table) if c is None]
     if blocked:
         raise IndeterminateDegreeError(blocked)
-    return BoundaryDivisor(coefficients=tuple(coefficients))
+    return BoundaryDivisor(coefficients=tuple(zip(ids, table)))
 
 
-def _load(model: Model, stratum: Stratum,
-          boundary: BoundaryDivisor) -> Fraction:
-    """Sum of boundary multiplicities over the center."""
-    return sum(
-        (boundary.coefficient(divisor_id) * multiplicity(stratum, divisor_id)
-         for divisor_id in model.chart.divisor_ids),
-        Fraction(0),
+def _base_abar(model: Model) -> Tuple[Fraction, ...]:
+    """Coefficient row of a base chart: its boundary, slot by slot."""
+    return tuple(c for _, c in boundary_divisor(model).coefficients)
+
+
+class _Step(NamedTuple):
+    divisor_id: str
+    a: Fraction
+    degree: CoverDegree
+    one_step: Optional[Fraction]
+
+
+def _step(model: Model, stratum: Stratum, abar: Tuple[Fraction, ...],
+          boundary: Tuple[Optional[Fraction], ...]) -> _Step:
+    """Telescope the divisor a blow-up of one stratum extracts against the base.
+
+    ``abar`` gives each slot of the chart the coefficient its divisor's
+    pullback contributes. The new divisor E gets a = c - 1 minus the
+    coefficients of the center, and its id and degree are read from
+    ``model`` without building the blow-up (``Model.exceptional_cover``).
+    ``one_step`` is the discrepancy of the center against the chart's own
+    boundary (``boundary``, from ``_boundary_table``), None when an
+    undetermined degree blocks it.
+    """
+    a = stratum.codim - 1 - sum(abar[i] for i in stratum.indices)
+    load = [boundary[i] for i in stratum.indices]
+    one_step = None if None in load else stratum.codim - 1 - sum(load)
+    exceptional_id, degree = model.exceptional_cover(stratum)
+    return _Step(exceptional_id, a, degree, one_step)
+
+
+def _report(step: _Step,
+            witness: Tuple[WitnessStep, ...]) -> DiscrepancyReport:
+    return DiscrepancyReport.from_degree(
+        divisor_id=step.divisor_id, level=len(witness),
+        witness=witness, a=step.a, degree=step.degree,
     )
-
-
-def classical_discrepancy(model: Model, center: CenterLike) -> Fraction:
-    """Discrepancy a = c - 1 - sum of boundary multiplicities over the center."""
-    stratum = model.stratum(center)
-    return Fraction(stratum.codim - 1) - _load(model, stratum,
-                                               boundary_divisor(model))
 
 
 def b_from_a(a: Fraction, e: int) -> Fraction:
@@ -151,11 +178,11 @@ def b_from_a(a: Fraction, e: int) -> Fraction:
 def brauer_discrepancy(model: Model, center: CenterLike) -> DiscrepancyReport:
     """One-step cover discrepancy of the divisor extracted by one blow-up.
 
-    Computes b = c - 1/e - sum of boundary multiplicities directly, one row
-    per candidate e; report construction then checks the rows against
-    a + 1 - 1/e with a = c - 1 - the same sum, which is read once.
+    Raises:
+        IndeterminateDegreeError: if a boundary degree of the chart is
+            undetermined.
     """
-    return _one_step(model, model.stratum(center), boundary_divisor(model))
+    return _one_step_reports(model, (model.stratum(center),))[0]
 
 
 def stratum_discrepancies(model: Model) -> Tuple[DiscrepancyReport, ...]:
@@ -163,35 +190,20 @@ def stratum_discrepancies(model: Model) -> Tuple[DiscrepancyReport, ...]:
 
     The boundary is read once for all strata.
     """
-    boundary = boundary_divisor(model)
-    return tuple(_one_step(model, stratum, boundary)
-                 for codim in range(2, model.dim + 1)
-                 for stratum in strata(model.chart, codim))
+    return _one_step_reports(model, [stratum
+                                     for codim in range(2, model.dim + 1)
+                                     for stratum in strata(model.chart, codim)])
 
 
-def _one_step(model: Model, stratum: Stratum,
-              boundary: BoundaryDivisor) -> DiscrepancyReport:
-    """``brauer_discrepancy`` against a boundary the caller has read."""
-    load = _load(model, stratum, boundary)
-    exceptional_id, degree = model.exceptional_cover(stratum)
-    entries = tuple(
-        ReportEntry(
-            e=e,
-            b=Fraction(stratum.codim) - Fraction(1, e) - load,
-            weighted=e * (Fraction(stratum.codim) - Fraction(1, e) - load),
-        )
-        for e in degree.candidates
-    )
-    step = WitnessStep(chart_id=model.chart.chart_id, indices=stratum.indices,
-                       center=stratum.divisor_ids)
-    return DiscrepancyReport(
-        divisor_id=exceptional_id,
-        level=1,
-        witness=(step,),
-        a=Fraction(stratum.codim - 1) - load,
-        degree=degree,
-        entries=entries,
-    )
+def _one_step_reports(model: Model, centers: Sequence[Stratum]
+                      ) -> Tuple[DiscrepancyReport, ...]:
+    """The step of each center at the boundary row, as a level-1 report."""
+    row = _base_abar(model)
+    chart_id = model.chart.chart_id
+    return tuple(
+        _report(_step(model, stratum, row, row),
+                (WitnessStep(chart_id, stratum.indices, stratum.divisor_ids),))
+        for stratum in centers)
 
 
 def weighted_infimum(reports: Iterable[DiscrepancyReport]) -> Fraction:

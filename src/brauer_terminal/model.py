@@ -18,7 +18,6 @@ degrees can be listed, not the degree itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import (Iterable, Mapping, Optional, Sequence, Tuple, TypeAlias,
                     Union)
@@ -311,22 +310,6 @@ class Model:
         ]
         return exceptional_id, _combined_degree(
             self.torsion, monomial, exceptional_id, extras, pivot)
-
-    def boundary_coefficient(self, slot: int) -> Fraction:
-        """Coefficient 1 - 1/e of the slot's divisor in the boundary.
-
-        Raises:
-            IndeterminateDegreeError: if e is not determined on this divisor.
-        """
-        degree = self.cover_on(slot)
-        if not degree.determinate:
-            raise IndeterminateDegreeError(
-                (self.chart.divisor_ids[slot],),
-                f"boundary coefficient of {self.chart.divisor_ids[slot]} "
-                f"undetermined, degree candidates {list(degree.candidates)}",
-            )
-        e = degree.value
-        return Fraction(e - 1, e)
 
     def blow_up(self, center: CenterLike) -> BlowUp:
         """Blow up the underlying chart and transport the class to each child.

@@ -310,8 +310,16 @@ def build_model(spec: ModelSpec) -> Model:
 
 
 def load_model(path: Union[str, Path]) -> LoadResult:
-    """Read, parse, and build a model file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read, parse, and build a model file.
+
+    Raises:
+        ModelFormatError: on a file that is not UTF-8 or breaks the format.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(
+            f"not UTF-8 at byte offset {exc.start}: {exc.reason}") from None
     spec, warnings = parse_model(text)
     return LoadResult(spec=spec, model=build_model(spec), warnings=warnings)
 

@@ -13,8 +13,9 @@ reads the numbers off the valuations that routes reach, without charts.
 Discrepancies against the base pair telescope through a coefficient row
 aligned with the chart's slots: each slot's divisor carries the coefficient
 its pullback contributes, which is 1 - 1/e for a base divisor and minus its
-own discrepancy for an exceptional one. A blow-up replaces the pivot entry,
-the same row update the chart and the class go through. Degrees, and only
+own discrepancy for an exceptional one. The step itself is
+``discrepancy._step``; a blow-up replaces the pivot entry of the row, the
+same row update the chart and the class go through. Degrees, and only
 degrees, can be indeterminate; the telescoped discrepancies stay exact, so
 indeterminacy surfaces purely as candidate lists on the affected divisors.
 """
@@ -31,7 +32,9 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .charts import Stratum, child_chart_id, exceptional_divisor_id, strata
-from .discrepancy import DiscrepancyReport, WitnessStep, boundary_divisor
+from .discrepancy import (DiscrepancyReport, WitnessStep, _base_abar,
+                          _boundary_table, _report, _step, _Step,
+                          b_from_a, boundary_divisor)
 from .model import CoverDegree, IndeterminateDegreeError, Model
 
 
@@ -201,57 +204,11 @@ class _Probe(NamedTuple):
     witness: Tuple[WitnessStep, ...]
 
 
-def _base_abar(model: Model) -> Tuple[Fraction, ...]:
-    """Coefficient row of a base chart: its boundary, slot by slot."""
-    return tuple(c for _, c in boundary_divisor(model).coefficients)
-
-
-def _boundary_table(model: Model) -> Tuple[Optional[Fraction], ...]:
-    """Boundary coefficient 1 - 1/e of each slot, None where e is undetermined."""
-    degrees = [model.cover_on(slot) for slot in range(model.dim)]
-    return tuple(Fraction(d.value - 1, d.value) if d.determinate else None
-                 for d in degrees)
-
-
-class _Step(NamedTuple):
-    divisor_id: str
-    a: Fraction
-    degree: CoverDegree
-    one_step: Optional[Fraction]
-
-
-def _step(model: Model, stratum: Stratum, abar: Tuple[Fraction, ...],
-          boundary: Tuple[Optional[Fraction], ...]) -> _Step:
-    """Telescope the divisor a blow-up of one stratum extracts against the base.
-
-    ``abar`` gives each slot of the chart the coefficient its divisor's
-    pullback contributes. The new divisor E gets a = c - 1 minus the
-    coefficients of the center, and its id and degree are read from
-    ``model`` without building the blow-up (``Model.exceptional_cover``).
-    ``one_step`` is the discrepancy of the center against the chart's own
-    boundary (``boundary``, from ``_boundary_table``), None when an
-    undetermined degree blocks it.
-    """
-    a = stratum.codim - 1 - sum(abar[i] for i in stratum.indices)
-    load = [boundary[i] for i in stratum.indices]
-    one_step = None if None in load else stratum.codim - 1 - sum(load)
-    exceptional_id, degree = model.exceptional_cover(stratum)
-    return _Step(exceptional_id, a, degree, one_step)
-
-
 def _route(probe: _Probe, stratum: Stratum) -> Tuple[WitnessStep, ...]:
     """The probe's route extended by the blow-up of ``stratum``."""
     return probe.witness + (WitnessStep(chart_id=probe.model.chart.chart_id,
                                         indices=stratum.indices,
                                         center=stratum.divisor_ids),)
-
-
-def _report(step: _Step,
-            witness: Tuple[WitnessStep, ...]) -> DiscrepancyReport:
-    return DiscrepancyReport.from_degree(
-        divisor_id=step.divisor_id, level=len(witness),
-        witness=witness, a=step.a, degree=step.degree,
-    )
 
 
 _StateKey = Tuple[Tuple[str, ...], Tuple[frozenset, ...]]
@@ -382,6 +339,8 @@ def enumerate_divisors(base: Union[Model, Sequence[Model]], depth: int,
     probes = 0
     complete = True
     for level in range(depth):
+        if not frontier:
+            break
         grow = level < depth - 1
         level_end = probes + len(frontier) * width
         next_frontier: List[_Probe] = []
@@ -900,11 +859,10 @@ def run_remark() -> RemarkReport:
     degree_f = f_report.degree
 
     candidates = []
-    for e in degree_f.candidates:
-        b_on_x = a_f_on_x + 1 - Fraction(1, e)
-        b_on_y = None if a_f_on_y is None else a_f_on_y + 1 - Fraction(1, e)
+    for entry in f_report.entries:
+        e, b_on_x, weighted = entry.e, entry.b, entry.weighted
+        b_on_y = None if a_f_on_y is None else b_from_a(a_f_on_y, e)
         additive = b_on_y is not None and b_on_x == b_on_y + b_e
-        weighted = e * b_on_x
         obstruction = None
         if weighted <= 0:
             obstruction = (

@@ -7,15 +7,15 @@ Core claims:
     - all charts of one blow-up share one exceptional divisor id
     - strict transforms and untouched coordinates keep their divisor ids
     - total substitutions compose and stay unimodular
-    - strata enumeration and multiplicity behave on the boundaries
+    - strata enumeration behaves on the boundaries
 """
 
 import pytest
 
 from brauer_terminal.charts import (Chart, Stratum, apply_substitution,
                                     blow_up, compose_substitutions,
-                                    identity_substitution, multiplicity,
-                                    new_affine_model, strata)
+                                    identity_substitution, new_affine_model,
+                                    strata)
 
 from .oracles import determinant, step_matrix
 
@@ -147,26 +147,6 @@ class TestStrata:
     def test_divisor_ids(self):
         root = _root3()
         assert Stratum(root, (0, 2)).divisor_ids == ("x1", "x3")
-
-
-class TestMultiplicity:
-    def test_member_and_nonmember(self):
-        root = _root3()
-        center = Stratum(root, (0, 2))
-        assert multiplicity(center, "x1") == 1
-        assert multiplicity(center, "x3") == 1
-        assert multiplicity(center, "x2") == 0
-
-    def test_unknown_divisor(self):
-        root = _root3()
-        with pytest.raises(KeyError):
-            multiplicity(Stratum(root, (0, 1)), "E(1,1,0)")
-
-    def test_exceptional_after_blow_up(self):
-        root = _root3()
-        child = blow_up(root, Stratum(root, (0, 1)))[0]
-        center = Stratum(child, (0, 1))
-        assert multiplicity(center, "E(1,1,0)") == 1
 
 
 class TestMonomial:

@@ -228,6 +228,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "line 1" in err
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.model"
+        path.write_bytes(b"[model]\ntorsion = 2\n# caf\xe9\n")
+        assert main(["boundary", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "byte offset 25" in err
+        assert "Traceback" not in err
+
     def test_usage_error(self, capsys):
         assert main(["certify"]) == 1
 

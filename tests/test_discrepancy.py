@@ -1,4 +1,4 @@
-"""Boundary divisors and the two discrepancy routes.
+"""Boundary divisors and one-step discrepancies.
 
 The b-values here were frozen against hand expansion and the toric oracle:
 for a boundary with coefficients d_k, the divisor with valuation v has
@@ -13,7 +13,6 @@ from brauer_terminal import discrepancy
 from brauer_terminal.discrepancy import (DiscrepancyReport, ReportEntry,
                                          WitnessStep, b_from_a,
                                          boundary_divisor, brauer_discrepancy,
-                                         classical_discrepancy,
                                          weighted_infimum)
 from brauer_terminal.model import CoverDegree, IndeterminateDegreeError, Model
 
@@ -51,24 +50,24 @@ class TestBoundaryDivisor:
 class TestClassicalDiscrepancy:
     def test_codim_two(self):
         model = bad_case()
-        assert classical_discrepancy(model, (0, 1)) == 0
-        assert classical_discrepancy(model, (0, 2)) == 0
+        assert brauer_discrepancy(model, (0, 1)).a == 0
+        assert brauer_discrepancy(model, (0, 2)).a == 0
 
     def test_codim_three(self):
-        assert classical_discrepancy(bad_case(), (0, 1, 2)) == Fraction(1, 2)
+        assert brauer_discrepancy(bad_case(), (0, 1, 2)).a == Fraction(1, 2)
 
     def test_matches_toric_oracle(self):
         model = bad_case()
         boundary = [Fraction(1, 2)] * 3
-        assert classical_discrepancy(model, (0, 1)) == \
+        assert brauer_discrepancy(model, (0, 1)).a == \
             toric_discrepancy((1, 1, 0), boundary)
-        assert classical_discrepancy(model, (0, 1, 2)) == \
+        assert brauer_discrepancy(model, (0, 1, 2)).a == \
             toric_discrepancy((1, 1, 1), boundary)
 
     def test_trivial_pair(self):
         model = Model.affine(2, ("x1", "x2", "x3"))
-        assert classical_discrepancy(model, (0, 1)) == 1
-        assert classical_discrepancy(model, (0, 1, 2)) == 2
+        assert brauer_discrepancy(model, (0, 1)).a == 1
+        assert brauer_discrepancy(model, (0, 1, 2)).a == 2
 
 
 class TestBrauerDiscrepancy:
@@ -101,9 +100,11 @@ class TestBrauerDiscrepancy:
 
     def test_identity_with_classical_route(self):
         model = bad_case()
+        boundary = [Fraction(1, 2)] * 3
         for center in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
             report = brauer_discrepancy(model, center)
-            a = classical_discrepancy(model, center)
+            a = toric_discrepancy([int(k in center) for k in range(3)],
+                                  boundary)
             assert report.a == a
             for entry in report.entries:
                 assert entry.b == b_from_a(a, entry.e), (

@@ -7,6 +7,9 @@ candidates and sources, every side check with its divisor id, chart id,
 center and value, ``probes``, ``complete`` and the indeterminate divisors.
 The digests were taken before enumeration started reusing the steps of
 repeated chart states, so any output that reuse moves shows up here.
+The ``stratum_discrepancies`` case pins the one-step reports of every
+stratum over a seeded corpus; it was taken while those reports still
+computed b by their own formula, before they came from the walks' step.
 The ``certify`` cases pin its reports and how it ended at the budget edges
 of a depth-4 run; they were taken from the chart walk, before ``certify``
 moved torsion 2 without extras to the valuation walk.
@@ -16,10 +19,12 @@ change log.
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from brauer_terminal.model import Model
+from brauer_terminal.discrepancy import stratum_discrepancies
+from brauer_terminal.model import IndeterminateDegreeError, Model
 from brauer_terminal.resolution import (certify, enumerate_divisors,
                                         level_one_fixup, remark_model)
 
@@ -143,3 +148,42 @@ def test_certify_at_the_budget_edges_pinned(max_probes, reports, digest):
     assert cert.complete is (max_probes == 250415)
     text = certificate_dump(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def stratum_corpus(seed=8101, count=300):
+    """Seeded models: torsion 2-12, dimension 2-5, every other one with
+    extras, and a third each on the root, a child and a grandchild chart."""
+    rng = random.Random(seed)
+    for k in range(count):
+        r = rng.randint(2, 12)
+        dim = rng.randint(2, 5)
+        labels = tuple(f"x{i + 1}" for i in range(dim))
+        symbols = [(*rng.sample(range(dim), 2), rng.randrange(1, r))
+                   for _ in range(rng.randint(0, 4))]
+        degrees = {} if k % 2 else {
+            label: rng.randint(2, 6)
+            for label in rng.sample(labels, rng.randint(1, 2))}
+        model = Model.affine(r, labels, symbols, degrees)
+        for _ in range(k % 3):
+            center = tuple(sorted(rng.sample(range(dim), rng.randint(2, dim))))
+            children = model.blow_up(center).children
+            model = children[rng.randrange(len(children))]
+        yield model
+
+
+def stratum_dump(model):
+    """Reports of every stratum, or the divisors an undetermined boundary
+    names."""
+    try:
+        return {"reports": report_dumps(stratum_discrepancies(model))}
+    except IndeterminateDegreeError as exc:
+        return {"undetermined": list(exc.divisor_ids)}
+
+
+def test_stratum_discrepancies_pinned():
+    dumps = [[m.chart.chart_id, stratum_dump(m)] for m in stratum_corpus()]
+    assert sum("undetermined" in d for _, d in dumps) >= 50
+    assert sum("reports" in d for _, d in dumps) >= 200
+    text = json.dumps(dumps, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d46984afa8eaa2265e282e30716f3991b0c0b370db7a9baa3713fc0b22478268")

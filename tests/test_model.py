@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from brauer_terminal.discrepancy import boundary_divisor
 from brauer_terminal.model import (CoverDegree, ExtraComponent,
                                    IndeterminateDegreeError, Model,
                                    candidate_orders)
@@ -45,13 +46,13 @@ class TestCoverDegrees:
         model = Model.affine(2, ("x1", "x2", "x3"), [(0, 2, 1), (1, 2, 1)])
         assert model.cover_on(2).value == 2
         assert model.cover_on(0).value == 2
-        assert model.boundary_coefficient(2) == Fraction(1, 2)
+        assert boundary_divisor(model).coefficients[2] == ("x3", Fraction(1, 2))
 
     def test_trivial_class(self):
         model = Model.affine(2, ("x1", "x2"))
         degree = model.cover_on(0)
         assert degree.value == 1
-        assert model.boundary_coefficient(0) == 0
+        assert boundary_divisor(model).coefficients[0] == ("x1", 0)
 
     def test_extra_exact_at_origin(self):
         model = remark_base()
@@ -146,8 +147,8 @@ class TestExtraTransport:
         chart_b = model.blow_up((0, 2)).children[1]
         f_child = chart_b.blow_up((0, 2)).children[0]
         with pytest.raises(IndeterminateDegreeError) as err:
-            f_child.boundary_coefficient(f_child.chart.pivot)
-        assert "E(2,0,1)" in str(err.value.divisor_ids)
+            boundary_divisor(f_child)
+        assert "E(2,0,1)" in err.value.divisor_ids
 
     def test_untouched_center_keeps_component(self):
         model = remark_base()

@@ -10,6 +10,7 @@ Frozen expectations:
       b(F,X) = 1 - 1/e_F, exact additivity, and a(F,Y) = -1/3
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -166,7 +167,8 @@ class TestEnumerateDivisors:
     def test_budget_cut_builds_no_unprobed_children(self, monkeypatch):
         # dim 4 has 11 centers and 28 children per chart: levels of 11,
         # 308 and 8624 probes. A budget of 3001 ends inside level 2, so no
-        # chart below it is probed, and a deeper walk builds none of them.
+        # chart below it is probed, and a deeper walk builds none of them;
+        # once the budget has emptied the frontier, the walk stops.
         model = Model.affine(2, ("x1", "x2", "x3", "x4"),
                              [(0, 2, 1), (1, 3, 1)])
         calls = []
@@ -178,11 +180,14 @@ class TestEnumerateDivisors:
 
         monkeypatch.setattr(Model, "blow_up", counted)
         runs = []
-        for depth in (3, 6):
+        for depth in (3, 6, 10**9):
             calls.clear()
+            start = time.perf_counter()
             runs.append((enumerate_divisors(model, depth, max_probes=3001),
                          len(calls)))
-        assert runs[0] == runs[1]
+            seconds = time.perf_counter() - start
+        assert seconds < 5
+        assert runs[0] == runs[1] == runs[2]
         assert (runs[0][0].probes, runs[0][0].complete) == (3001, False)
         # a budget that ends exactly with level 2 completes depth 3 only:
         # the children that depth 4 skips would have been probed next
