@@ -5,14 +5,14 @@ from .discrepancy import (BoundaryDivisor, DiscrepancyReport, ReportEntry,
                           WitnessStep, b_from_a, boundary_divisor,
                           brauer_discrepancy, stratum_discrepancies,
                           weighted_infimum)
+from .enumeration import EnumerationResult, enumerate_divisors
 from .model import (BlowUp, CoverDegree, ExtraComponent,
                     IndeterminateDegreeError, Model)
 from .modelfile import (LoadResult, ModelFormatError, ModelSpec, build_model,
                         format_model, load_model, parse_model, save_model)
-from .resolution import (CompositionCheck, EnumerationResult, FixupResult,
-                         NonterminationError, RemarkReport, ResolutionTree,
-                         TerminalityCertificate, UnsupportedTorsionError,
-                         certify, check_composition, enumerate_divisors,
+from .resolution import (CompositionCheck, FixupResult, NonterminationError,
+                         RemarkReport, ResolutionTree, TerminalityCertificate,
+                         UnsupportedTorsionError, certify, check_composition,
                          find_bad_strata, level_one_fixup, remark_model,
                          run_remark)
 from .symbols import (ComplexCheck, KummerClass, SymbolMatrix, check_complex,

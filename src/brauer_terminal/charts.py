@@ -120,19 +120,6 @@ class Chart:
         """The chart this one descends from by blow-ups (itself at depth 0)."""
         return self if self.parent is None else self.parent.root
 
-    def slot_of(self, divisor_id: str) -> int:
-        """Coordinate slot a divisor is bound to.
-
-        Raises:
-            KeyError: if the divisor does not meet this chart.
-        """
-        try:
-            return self.divisor_ids.index(divisor_id)
-        except ValueError:
-            raise KeyError(
-                f"divisor {divisor_id!r} is not bound in chart {self.chart_id}"
-            ) from None
-
     def valuation(self, slot: int) -> Tuple[int, ...]:
         """Monomial valuation of the slot's divisor on the root coordinates."""
         return self.total_substitution[slot]

@@ -1,4 +1,4 @@
-"""Boundary divisors and the one blow-up step every discrepancy comes from.
+"""Boundary divisors and the blow-up step on ``Model`` charts.
 
 The boundary of a pair assigns each coordinate divisor the coefficient
 1 - 1/e for its cover degree e. Blowing up a stratum of codimension c
@@ -6,13 +6,15 @@ extracts a divisor with classical discrepancy a = c - 1 minus the
 coefficients of the center, and cover discrepancy b = a + 1 - 1/e for the
 degree e on the new divisor.
 
-``_step`` is the one place a blow-up step is computed. The walks in
-``resolution`` telescope ``a`` against the base through a coefficient row
-aligned with the chart's slots; on a base chart that row is the boundary
-itself, so ``brauer_discrepancy`` is the step at the boundary row. Reports
-derive b from a and check the identity on construction. The independent
-checks of the numbers are the oracles of the test suite (toric discrepancy,
-residue order) and the gate of ``perfbench``.
+``_step`` computes one blow-up step of a ``Model`` chart, telescoping ``a``
+against the base through a coefficient row aligned with the chart's slots;
+on a base chart that row is the boundary itself, so ``brauer_discrepancy``
+is the step at the boundary row. The composition audit runs it along its
+route; the enumeration in ``enumeration`` reads the same numbers off
+valuation rows instead, and its tests compare it with a walk of this step.
+Reports derive b from a and check the identity on construction. The
+independent checks of the numbers are the oracles of the test suite (toric
+discrepancy, residue order) and the gate of ``perfbench``.
 """
 
 from __future__ import annotations
@@ -30,12 +32,6 @@ class BoundaryDivisor:
     """Boundary coefficients of one chart, keyed by divisor id."""
 
     coefficients: Tuple[Tuple[str, Fraction], ...]
-
-    def coefficient(self, divisor_id: str) -> Fraction:
-        for key, value in self.coefficients:
-            if key == divisor_id:
-                return value
-        return Fraction(0)
 
 
 @dataclass(frozen=True)

@@ -162,28 +162,21 @@ class BlowUp:
     exceptional_id: str
 
 
-def _combined_degree(torsion: int, monomial: int, divisor_id: str,
-                     extras: Sequence[ExtraComponent], slot: int) -> CoverDegree:
-    """Full cover degree over the divisor in ``slot`` of a chart.
+def _combined_degree(torsion: int, monomial: int,
+                     contributions: Sequence[Tuple[str, int, bool]]
+                     ) -> CoverDegree:
+    """Full cover degree over one divisor.
 
     The monomial residue contributes its exact order m. Each extra component
-    live on the slot contributes its effective order; a single exact
+    live on the divisor contributes its effective order, given here as
+    (origin id, effective order > 1, exact on the divisor); a single exact
     contribution combines to lcm when the combination is forced (prime
     torsion, trivial monomial part, or coprime orders). Anything else leaves
     a candidate list.
     """
-    exact = []
-    contributions = []
-    for comp in extras:
-        eff = comp.effective_order(slot)
-        if eff == 1:
-            continue
-        is_exact = divisor_id in comp.exact_on
-        contributions.append((comp.origin_id, eff, is_exact))
-        if is_exact:
-            exact.append(eff)
     if not contributions:
         return CoverDegree(monomial, (monomial,))
+    exact = [eff for _, eff, is_exact in contributions if is_exact]
     if len(contributions) == 1 and exact:
         eff = exact[0]
         if _is_prime(torsion) or monomial == 1 or gcd(monomial, eff) == 1:
@@ -194,6 +187,14 @@ def _combined_degree(torsion: int, monomial: int, divisor_id: str,
         candidate_orders(monomial, loose),
         tuple(sorted({origin for origin, _, _ in contributions})),
     )
+
+
+def _contributions(extras: Sequence[ExtraComponent], divisor_id: str,
+                   slot: int) -> list[Tuple[str, int, bool]]:
+    """What each extra live on the slot's divisor adds to its degree."""
+    return [(comp.origin_id, eff, divisor_id in comp.exact_on)
+            for comp in extras
+            if (eff := comp.effective_order(slot)) > 1]
 
 
 # A string, so that no typing subscript naming an engine class is evaluated:
@@ -279,8 +280,7 @@ class Model:
         """Full cover degree over the slot's divisor (``_combined_degree``)."""
         return _combined_degree(
             self.torsion, self.residue_on(slot).order,
-            self.chart.divisor_ids[slot], self.extras, slot,
-        )
+            _contributions(self.extras, self.chart.divisor_ids[slot], slot))
 
     def _center_row(self, indices: Sequence[int]) -> Tuple[int, ...]:
         """Sum of the center's rows of the symbol matrix, mod r."""
@@ -309,7 +309,8 @@ class Model:
             for comp in self.extras
         ]
         return exceptional_id, _combined_degree(
-            self.torsion, monomial, exceptional_id, extras, pivot)
+            self.torsion, monomial,
+            _contributions(extras, exceptional_id, pivot))
 
     def blow_up(self, center: CenterLike) -> BlowUp:
         """Blow up the underlying chart and transport the class to each child.

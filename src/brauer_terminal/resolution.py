@@ -1,4 +1,4 @@
-"""Terminality analysis: bad strata, fixups, enumeration, certification.
+"""Terminality analysis: bad strata, fixups, composition, certification.
 
 For 2-torsion classes the only way a weighted discrepancy can vanish is the
 level-one degenerate case: a codimension-2 stratum whose two divisors both
@@ -10,14 +10,10 @@ blow-up routes to a chosen depth. Without extra covers every number of that
 audit is a function of the divisor's valuation, so for them ``certify``
 reads the numbers off the valuations that routes reach, without charts.
 
-Discrepancies against the base pair telescope through a coefficient row
-aligned with the chart's slots: each slot's divisor carries the coefficient
-its pullback contributes, which is 1 - 1/e for a base divisor and minus its
-own discrepancy for an exceptional one. The step itself is
-``discrepancy._step``; a blow-up replaces the pivot entry of the row, the
-same row update the chart and the class go through. Degrees, and only
-degrees, can be indeterminate; the telescoped discrepancies stay exact, so
-indeterminacy surfaces purely as candidate lists on the affected divisors.
+The enumeration itself, on valuation rows and for torsion 2 without
+extras on valuations alone, lives in ``enumeration``. The composition
+audit and the remark family follow one short route on ``Model`` charts,
+with ``discrepancy._step`` at each blow-up.
 """
 
 from __future__ import annotations
@@ -25,16 +21,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
-from math import gcd
-from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
-from .charts import Stratum, child_chart_id, exceptional_divisor_id, strata
+from .charts import Stratum, strata
 from .discrepancy import (DiscrepancyReport, WitnessStep, _base_abar,
-                          _boundary_table, _report, _step, _Step,
-                          b_from_a, boundary_divisor)
+                          _boundary_table, _report, _step, b_from_a,
+                          boundary_divisor)
+from .enumeration import _valuation_walk, enumerate_divisors
 from .model import CoverDegree, IndeterminateDegreeError, Model
 
 
@@ -169,373 +162,6 @@ def level_one_fixup(model: Model, max_rounds: int = 64) -> FixupResult:
 
 
 @dataclass(frozen=True)
-class SideCheck:
-    """One-step discrepancy of a probe center against its own chart's boundary.
-
-    ``value`` is None when an undetermined degree blocks the computation.
-    """
-
-    divisor_id: str
-    chart_id: str
-    center: Tuple[str, ...]
-    value: Optional[Fraction]
-
-    @property
-    def ok(self) -> Optional[bool]:
-        return None if self.value is None else self.value >= 0
-
-
-@dataclass(frozen=True)
-class EnumerationResult:
-    """All divisors extracted by coordinate blow-up routes up to a depth."""
-
-    reports: Tuple[DiscrepancyReport, ...]
-    side_checks: Tuple[SideCheck, ...]
-    indeterminate_divisors: Tuple[str, ...]
-    complete: bool
-    probes: int
-
-
-class _Probe(NamedTuple):
-    """A chart to expand, its slots' telescoped coefficients and its route."""
-
-    model: Model
-    abar: Tuple[Fraction, ...]
-    witness: Tuple[WitnessStep, ...]
-
-
-def _route(probe: _Probe, stratum: Stratum) -> Tuple[WitnessStep, ...]:
-    """The probe's route extended by the blow-up of ``stratum``."""
-    return probe.witness + (WitnessStep(chart_id=probe.model.chart.chart_id,
-                                        indices=stratum.indices,
-                                        center=stratum.divisor_ids),)
-
-
-_StateKey = Tuple[Tuple[str, ...], Tuple[frozenset, ...]]
-
-
-def _state_key(model: Model) -> _StateKey:
-    """Divisor ids and exact covers, all a chart's steps depend on."""
-    return model.chart.divisor_ids, tuple(c.exact_on for c in model.extras)
-
-
-def _children(probe: _Probe, stratum: Stratum, a: Fraction,
-              witness: Tuple[WitnessStep, ...]) -> List[_Probe]:
-    """Child probes of a blow-up whose new divisor has discrepancy ``a``.
-
-    The step is a row update, so each child's row is its parent's with the
-    pivot entry replaced by the new divisor's coefficient -a.
-    """
-    abar = probe.abar
-    children = []
-    for child in probe.model.blow_up(stratum).children:
-        p = child.chart.pivot
-        children.append(_Probe(child, abar[:p] + (-a,) + abar[p + 1:], witness))
-    return children
-
-
-def _merge_reports(seen: DiscrepancyReport, other: _Step) -> DiscrepancyReport:
-    """Combine a report with another route's step to the same divisor.
-
-    The discrepancy and the monomial residue order are genuine invariants of
-    the divisor and must agree. Candidate degree lists are knowledge, not
-    invariants: a route with direct exposure can pin a degree that another
-    route only bounds, so the lists are intersected, and a new report is
-    built only when that narrows them. The first witness is kept.
-    """
-    if seen.a != other.a:
-        raise RuntimeError(
-            f"divisor {seen.divisor_id} recomputed inconsistently: "
-            f"a {seen.a} vs {other.a}"
-        )
-    if seen.degree.monomial_order != other.degree.monomial_order:
-        raise RuntimeError(
-            f"divisor {seen.divisor_id} recomputed inconsistently: "
-            f"monomial orders {seen.degree.monomial_order} vs "
-            f"{other.degree.monomial_order}"
-        )
-    merged = tuple(sorted(
-        set(seen.degree.candidates) & set(other.degree.candidates)
-    ))
-    if not merged:
-        raise RuntimeError(
-            f"divisor {seen.divisor_id} recomputed inconsistently: degree "
-            f"candidates {seen.degree.candidates} and "
-            f"{other.degree.candidates} are disjoint"
-        )
-    if merged == seen.degree.candidates:
-        return seen
-    sources = () if len(merged) == 1 else tuple(sorted(
-        set(seen.degree.sources) | set(other.degree.sources)
-    ))
-    degree = CoverDegree(seen.degree.monomial_order, merged, sources)
-    return DiscrepancyReport.from_degree(
-        divisor_id=seen.divisor_id, level=seen.level, witness=seen.witness,
-        a=seen.a, degree=degree,
-    )
-
-
-def _witness_key(report: DiscrepancyReport):
-    return (
-        len(report.witness),
-        tuple((step.chart_id, step.indices) for step in report.witness),
-        report.divisor_id,
-    )
-
-
-def enumerate_divisors(base: Union[Model, Sequence[Model]], depth: int,
-                       max_probes: int = 200000) -> EnumerationResult:
-    """Enumerate every divisor extracted by blow-up routes of bounded length.
-
-    Runs breadth-first over all charts: every coordinate stratum of every
-    chart reached within ``depth`` blow-ups of a base model is blown up, the
-    new divisor's discrepancy is telescoped against the base boundary, and
-    its cover degree is read off in a chart of the blow-up. The same divisor
-    reached along several routes is reported once, with the first witness in
-    breadth-first order; agreement of the duplicate computations is enforced.
-
-    Each level is one loop over its charts and, within a chart, its
-    centers. Every probe is counted and gets a side check under its own
-    chart id; below the last level it also builds its children, whose
-    coefficient rows are the chart's with the pivot entry replaced.
-
-    Each step is computed once per chart state and level. The state is the
-    chart's divisor ids, which as valuations are the rows of the total
-    substitution and so fix the symbol matrix, the extras vectors and the
-    coefficient row, plus each extra's ``exact_on``, the one datum that
-    depends on the route. A later chart of a state seen on its level would
-    repeat the first one's steps, so it skips them and the merge, and
-    reuses the first one's side-check values and, below the last level,
-    each center's ``a``. A report is built only for a new divisor or when
-    a merge narrows its candidates.
-
-    Every chart has the root's 2^n - n - 1 centers, so the probe count at
-    which each child's first probe falls is known when the child would be
-    built. A child beyond the budget is not built, and the result is then
-    incomplete: ``probes`` and the side checks are still those of the full
-    walk cut at ``max_probes``.
-
-    Args:
-        base: one model or several charts descending from one root chart.
-        depth: maximum number of blow-ups per route, at least 0.
-        max_probes: budget of blow-ups; when exhausted the result is marked
-            incomplete instead of raising.
-
-    Raises:
-        IndeterminateDegreeError: if a base boundary degree is undetermined.
-    """
-    bases = [base] if isinstance(base, Model) else list(base)
-    if not bases:
-        raise ValueError("enumeration needs at least one base model")
-    root = bases[0].chart.root
-    if any(m.chart.root is not root for m in bases):
-        raise ValueError("base models must descend from one root chart")
-    if depth < 0:
-        raise ValueError("depth cannot be negative")
-    width = 2 ** root.dim - root.dim - 1
-    frontier = [_Probe(m, _base_abar(m), ()) for m in bases]
-    reports: Dict[str, DiscrepancyReport] = {}
-    side_checks: List[SideCheck] = []
-    probes = 0
-    complete = True
-    for level in range(depth):
-        if not frontier:
-            break
-        grow = level < depth - 1
-        level_end = probes + len(frontier) * width
-        next_frontier: List[_Probe] = []
-        states: Dict[_StateKey, Tuple[List[SideCheck], List[Fraction]]] = {}
-        for probe in frontier:
-            if probes >= max_probes:
-                complete = False
-                break
-            model = probe.model
-            chart = model.chart
-            key = _state_key(model)
-            known = key in states
-            if not known:
-                boundary = _boundary_table(model)
-                states[key] = [], []
-            checks, a_values = states[key]
-            centers = [s for codim in range(2, chart.dim + 1)
-                       for s in strata(chart, codim)]
-            for n, stratum in enumerate(centers):
-                if probes >= max_probes:
-                    complete = False
-                    break
-                probes += 1
-                if known:
-                    first = checks[n]
-                    check = SideCheck(first.divisor_id, chart.chart_id,
-                                      first.center, first.value)
-                else:
-                    step = _step(model, stratum, probe.abar, boundary)
-                    check = SideCheck(step.divisor_id, chart.chart_id,
-                                      stratum.divisor_ids, step.one_step)
-                    checks.append(check)
-                    if grow:
-                        a_values.append(step.a)
-                    seen = reports.get(step.divisor_id)
-                    reports[step.divisor_id] = (
-                        _report(step, _route(probe, stratum)) if seen is None
-                        else _merge_reports(seen, step))
-                side_checks.append(check)
-                if not grow:
-                    continue
-                if level_end + len(next_frontier) * width >= max_probes:
-                    complete = False  # the budget ends before this child
-                    continue
-                next_frontier.extend(_children(probe, stratum, a_values[n],
-                                               _route(probe, stratum)))
-        frontier = next_frontier
-    ordered = sorted(reports.values(), key=_witness_key)
-    offenders = tuple(sorted(
-        r.divisor_id for r in ordered if not r.degree.determinate
-    ))
-    return EnumerationResult(
-        reports=tuple(ordered),
-        side_checks=tuple(side_checks),
-        indeterminate_divisors=offenders,
-        complete=complete,
-        probes=probes,
-    )
-
-
-_Valuation = Tuple[int, ...]
-
-
-class _Reached(NamedTuple):
-    """Least level of a valuation and the first step of its first route."""
-
-    level: int
-    child: int
-    down: _Valuation
-
-
-def _centers(n: int) -> List[Tuple[int, ...]]:
-    """Blow-up centers of an n-slot chart as slot tuples, in engine order."""
-    return [s for codim in range(2, n + 1)
-            for s in combinations(range(n), codim)]
-
-
-@lru_cache(maxsize=8)
-def _reach(n: int, depth: int) -> Dict[_Valuation, _Reached]:
-    """First routes of the valuations that at most ``depth`` blow-ups extract.
-
-    A key c gives ord_E of each coordinate of the chart the routes start
-    from. Blowing up a center S keeps E in the child with pivot p exactly
-    when c_p = min over S of c, and there E has c_k - c_p in place of c_k
-    for k in S minus p. Every chart has the same centers, so the least
-    level of c depends on c alone: the map grows backwards from the
-    indicators 1_S of the centers, which one blow-up extracts. Each value
-    also names the first child, in engine order, that keeps c one level
-    closer, and c's coordinates there; chained, they give the first route.
-    """
-    if depth < 1:
-        return {}
-    moves = [(p, [k for k in s if k != p]) for s in _centers(n) for p in s]
-    reach = {tuple(int(k in s) for k in range(n)): _Reached(1, -1, ())
-             for s in _centers(n)}
-    frontier = list(reach)
-    for level in range(2, depth + 1):
-        fresh = []
-        for c in frontier:
-            for child, (p, others) in enumerate(moves):
-                if c[p]:
-                    up = list(c)
-                    for k in others:
-                        up[k] += c[p]
-                    up = tuple(up)
-                    seen = reach.get(up)
-                    if seen is None:
-                        fresh.append(up)
-                    elif seen.level < level or seen.child < child:
-                        continue
-                    reach[up] = _Reached(level, child, c)
-        frontier = fresh
-    return reach
-
-
-def _valuation_walk(bases: Sequence[Model], depth: int,
-                    max_probes: int) -> EnumerationResult:
-    """``enumerate_divisors`` for torsion 2 without extras, on valuations.
-
-    Every number of a report is then a function of the divisor's
-    coordinates c on its base chart: a = sum of c_k/e_k - 1 over the base
-    degrees, and the monomial order is r/gcd(r, c M) for the base symbol
-    matrix M, because a chart's coordinates are a unimodular change of the
-    base's and the dropped pivot entry of a residue row is minus the sum of
-    the others. The divisors come from ``_reach``. The first witness in
-    breadth-first order follows the first steps that ``_reach`` records.
-
-    Every chart has the same C centers and K children, so the probe number
-    of a route is a mixed-radix number and the budget needs no walk: a
-    divisor is reported iff its first route's probe is below
-    ``max_probes``. Boundary degrees are 1 or 2, so every one-step value is
-    at least codim/2 - 1 >= 0 and the result carries no side checks.
-    """
-    n, r = bases[0].dim, bases[0].torsion
-    centers = {s: i for i, s in enumerate(_centers(n))}
-    children = [(s, p) for s in centers for p in s]
-    width, fan = len(centers), len(children)
-    starts: List[int] = []  # first probe of each level the budget reaches
-    total, size = 0, len(bases) * width
-    while size and len(starts) < depth and total < max_probes:
-        starts.append(total)
-        total, size = total + size, size * fan
-    # as in the chart walk, a budget of 0 cuts even a walk with no centers
-    complete = max_probes > 0 and (
-        not size or (len(starts) == depth and total <= max_probes))
-    reach = _reach(n, len(starts))
-    first: Dict[_Valuation, Tuple[int, int, _Valuation]] = {}
-    for b, model in enumerate(bases):
-        columns = tuple(zip(*model.chart.total_substitution))
-        for c, reached in reach.items():
-            v = tuple(sum(map(mul, c, column)) for column in columns)
-            if v not in first or reached.level < first[v][0]:
-                first[v] = (reached.level, b, c)
-    weights = [[r // m.cover_on(k).value for k in range(n)] for m in bases]
-    symbols = [tuple(zip(*m.matrix.entries)) for m in bases]
-    # (blow-ups, chart number) -> chart id, divisor ids, rows, witness so far
-    charts: Dict[Tuple[int, int], tuple] = {}
-    reports = []
-    for v, (level, b, c) in first.items():
-        route, chart, here = [], b, c  # (chart number, child) per step
-        for _ in range(level - 1):
-            _, child, here = reach[here]
-            chart = chart * fan + child
-            route.append((chart, child))
-        last = tuple(i for i, x in enumerate(here) if x)
-        if starts[level - 1] + chart * width + centers[last] >= max_probes:
-            continue
-        base = bases[b].chart
-        chart_id, ids, rows, witness = (base.chart_id, base.divisor_ids,
-                                        base.total_substitution, ())
-        for steps, (chart, child) in enumerate(route, 1):
-            if (steps, chart) not in charts:
-                s, p = children[child]
-                row = tuple(map(sum, zip(*(rows[i] for i in s))))
-                charts[steps, chart] = (
-                    child_chart_id(chart_id, s, p),
-                    ids[:p] + (exceptional_divisor_id(row),) + ids[p + 1:],
-                    rows[:p] + (row,) + rows[p + 1:],
-                    witness + (WitnessStep(chart_id, s,
-                                           tuple(ids[i] for i in s)),))
-            chart_id, ids, rows, witness = charts[steps, chart]
-        witness += (WitnessStep(chart_id, last, tuple(ids[i] for i in last)),)
-        order = r // gcd(r, *(sum(map(mul, c, column))
-                              for column in symbols[b]))
-        reports.append(DiscrepancyReport.from_degree(
-            divisor_id=exceptional_divisor_id(v), level=level,
-            witness=witness, a=Fraction(sum(map(mul, c, weights[b])) - r, r),
-            degree=CoverDegree(order, (order,))))
-    return EnumerationResult(
-        reports=tuple(sorted(reports, key=_witness_key)), side_checks=(),
-        indeterminate_divisors=(), complete=complete,
-        probes=total if complete else max(max_probes, 0))
-
-
-@dataclass(frozen=True)
 class Condition:
     """A named inequality with its witness value; value None means blocked."""
 
@@ -595,18 +221,21 @@ def check_composition(model: Model,
     if not steps:
         raise ValueError("a composition needs at least one blow-up")
     lam = Fraction(lam)
-    probe = _Probe(model, _base_abar(model), ())
+    witness: Tuple[WitnessStep, ...] = ()
+    abar = _base_abar(model)
     reports: List[DiscrepancyReport] = []
     for step_no, (indices, pick) in enumerate(steps):
-        stratum = probe.model.stratum(indices)
-        step = _step(probe.model, stratum, probe.abar,
-                     _boundary_table(probe.model))
-        witness = _route(probe, stratum)
+        stratum = model.stratum(indices)
+        step = _step(model, stratum, abar, _boundary_table(model))
+        witness += (WitnessStep(model.chart.chart_id, stratum.indices,
+                                stratum.divisor_ids),)
         reports.append(_report(step, witness))
-        children = _children(probe, stratum, step.a, witness)
+        children = model.blow_up(stratum).children
         if not 0 <= pick < len(children):
             raise ValueError(f"child index {pick} out of range at step {step_no}")
-        probe = children[pick]
+        model = children[pick]
+        p = model.chart.pivot
+        abar = abar[:p] + (-step.a,) + abar[p + 1:]
     # Valuations grow strictly along a route, so the ids are distinct.
     created = {report.divisor_id: report for report in reports}
     final_report = reports[-1]
@@ -713,8 +342,9 @@ def certify(model: Model, depth: int = 3, *, fixup: bool = True,
     Torsion 2 without extra covers is enumerated on root valuations
     (``_valuation_walk``), which returns what ``enumerate_divisors`` would
     for the same ``max_probes`` without building a chart. Models with
-    extras take the chart walk: their degrees and side checks depend on
-    the route, and a failed side check is listed per chart.
+    extras take ``enumerate_divisors``, which walks every chart as a row
+    state: their degrees and side checks depend on the route, and a failed
+    side check is listed per chart.
     """
     if depth < 1:
         raise ValueError("certification depth must be at least 1")

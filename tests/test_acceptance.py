@@ -134,10 +134,8 @@ def test_criterion_6_toric_oracle_equivalence(corpus):
         for _ in range(50):
             base = rng.choice(corpus)
             boundary = boundary_divisor(base)
-            coeffs = tuple(
-                boundary.coefficient(label)
-                for label in base.chart.divisor_ids
-            )
+            coeffs = tuple(dict(boundary.coefficients)[label]
+                           for label in base.chart.divisor_ids)
             sequence = []
             model = base
             blow = None

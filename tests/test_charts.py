@@ -34,11 +34,7 @@ class TestRootChart:
     def test_labels_become_divisor_ids(self):
         root = _root3()
         assert root.divisor_ids == ("x1", "x2", "x3")
-        assert root.slot_of("x2") == 1
-
-    def test_slot_of_unknown_divisor(self):
-        with pytest.raises(KeyError):
-            _root3().slot_of("x9")
+        assert root.divisor_ids.index("x2") == 1
 
     @pytest.mark.parametrize("labels", [("x1", "x1", "x3"), ("x1",),
                                         ("x1", "2bad", "x3"),

@@ -124,7 +124,7 @@ class TestExtraTransport:
         comp = chart_b.extras[0]
         assert comp.vector == (0, 0, 1)
         assert result.exceptional_id in comp.exact_on
-        e_slot = chart_b.chart.slot_of(result.exceptional_id)
+        e_slot = chart_b.chart.divisor_ids.index(result.exceptional_id)
         degree = chart_b.cover_on(e_slot)
         assert degree.monomial_order == 3
         assert degree.value == 3

@@ -11,14 +11,13 @@ from itertools import chain
 
 from brauer_terminal.charts import (apply_substitution, compose_substitutions,
                                    strata)
-from brauer_terminal.discrepancy import (_base_abar, _boundary_table, _step,
-                                         b_from_a, boundary_divisor,
+from brauer_terminal.discrepancy import (b_from_a, boundary_divisor,
                                          brauer_discrepancy, weighted_infimum)
 from brauer_terminal.model import IndeterminateDegreeError, Model
 from brauer_terminal.modelfile import ModelSpec, format_model, parse_model
-from brauer_terminal.resolution import (_children, _Probe, _state_key,
-                                        certify, enumerate_divisors,
-                                        find_bad_strata, level_one_fixup)
+from brauer_terminal.enumeration import _RowWalk, enumerate_divisors
+from brauer_terminal.resolution import (certify, find_bad_strata,
+                                        level_one_fixup)
 from brauer_terminal.symbols import check_complex, residue, transform
 
 from .oracles import (determinant, monomial_order, naive_matrix,
@@ -178,9 +177,8 @@ class TestDiscrepancySweeps:
         for _ in range(25):
             model = random_model(rng, torsions=(2, 3), dims=(2, 3))
             boundary = boundary_divisor(model)
-            coeffs = tuple(
-                boundary.coefficient(label) for label in model.chart.divisor_ids
-            )
+            coeffs = tuple(dict(boundary.coefficients)[label]
+                           for label in model.chart.divisor_ids)
             for report in enumerate_divisors(model, depth=2).reports:
                 valuation = tuple(
                     int(part) for part in report.divisor_id[2:-1].split(",")
@@ -302,69 +300,50 @@ class TestResolutionSweeps:
         assert tight >= 50
 
 
-def chart_centers(chart):
-    return [s for codim in range(2, chart.dim + 1) for s in strata(chart, codim)]
-
-
-def step_outcomes(probe):
-    """Uncached ``_step`` outcome of every center: id, a, degree, one-step."""
-    boundary = _boundary_table(probe.model)
-    return [
-        (step.divisor_id, step.a, step.degree, step.one_step)
-        for step in (_step(probe.model, stratum, probe.abar, boundary)
-                     for stratum in chart_centers(probe.model.chart))
-    ]
+def step_outcomes(walk, chart):
+    """Uncached step of every center of a row-walk chart."""
+    slots = walk.slots(chart)
+    return [walk.step(chart, slots, center) for center in walk.centers]
 
 
 class TestStateKeySweeps:
     """Enumeration reuses the steps of the first chart with a state key."""
 
     def test_equal_keys_mean_equal_states_and_steps(self):
-        # Two BFS levels of seeded models with extras; within a level, any
-        # two charts with one key must agree on everything a step reads
-        # and on every step's outcome.
+        # Two BFS levels of the row walk on seeded models with extras;
+        # within a level, any two charts with one key must agree on
+        # everything a step reads and on every step's outcome.
         rng = random.Random(701)
         repeats = separated = 0
         for _ in range(12):
             model = model_with_extras(rng, max_dim=4)
             try:
-                level = [_Probe(model, _base_abar(model), ())]
+                walk = _RowWalk([model])
             except IndeterminateDegreeError:
                 continue  # undetermined base boundary, nothing to telescope
+            level = walk.charts
             for _ in range(2):
-                children = []
-                for parent in level:
-                    boundary = _boundary_table(parent.model)
-                    for stratum in chart_centers(parent.model.chart):
-                        step = _step(parent.model, stratum, parent.abar,
-                                     boundary)
-                        children.extend(_children(parent, stratum, step.a, ()))
-                level = children
+                level = [child for chart in level
+                         for center, step in zip(walk.centers,
+                                                 step_outcomes(walk, chart))
+                         for child in walk.children(chart, center, step, ())]
                 groups = {}
-                for probe in level:
-                    groups.setdefault(_state_key(probe.model), []).append(probe)
-                ids = [key[0] for key in groups]
+                for chart in level:
+                    groups.setdefault(chart.key, []).append(chart)
+                ids = [key[1] for key in groups]
                 separated += len(ids) - len(set(ids))
                 for group in groups.values():
-                    if len(group) == 1:
-                        continue
                     first = group[0]
-                    expected = step_outcomes(first)
+                    expected = step_outcomes(walk, first)
                     for other in group[1:]:
                         repeats += 1
-                        assert (other.model.chart.total_substitution
-                                == first.model.chart.total_substitution)
-                        assert (other.model.matrix.entries
-                                == first.model.matrix.entries)
-                        assert [c.vector for c in other.model.extras] == [
-                            c.vector for c in first.model.extras]
-                        assert other.abar == first.abar
-                        assert step_outcomes(other) == expected, (
-                            first.model.chart.chart_id,
-                            other.model.chart.chart_id)
-        # keys that differ only in exact_on occur, so the sweep sees them
+                        assert (other.rows, other.roots, other.abar) == (
+                            first.rows, first.roots, first.abar)
+                        assert step_outcomes(walk, other) == expected, (
+                            first.chart_id, other.chart_id)
+        # keys that differ only in exact flags occur, so the sweep sees them
         assert repeats >= 400
-        assert separated >= 200
+        assert separated >= 150
 
 
 class TestModelFileSweeps:
@@ -396,7 +375,7 @@ class TestBoundarySweeps:
             model = random_model(rng, torsions=(2, 3, 5), extras=True)
             boundary = boundary_divisor(model)
             for slot, label in enumerate(model.chart.divisor_ids):
-                coeff = boundary.coefficient(label)
+                coeff = dict(boundary.coefficients)[label]
                 assert 0 <= coeff < 1
                 e = model.cover_on(slot).value
                 assert coeff == Fraction(e - 1, e)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauer_terminal import resolution
+from brauer_terminal import enumeration
 from brauer_terminal.discrepancy import DiscrepancyReport, weighted_infimum
 from brauer_terminal.model import IndeterminateDegreeError, Model
 from brauer_terminal.resolution import (NonterminationError,
@@ -31,6 +31,19 @@ from .oracles import toric_discrepancy
 
 def bad_case():
     return Model.affine(2, ("x1", "x2", "x3"), [(0, 2, 1), (1, 2, 1)])
+
+
+def count_children(monkeypatch):
+    """Record the center of every blow-up whose children the walk builds."""
+    calls = []
+    children = enumeration._RowWalk.children
+
+    def counted(walk, chart, center, *rest):
+        calls.append(center)
+        return children(walk, chart, center, *rest)
+
+    monkeypatch.setattr(enumeration._RowWalk, "children", counted)
+    return calls
 
 
 class TestFindBadStrata:
@@ -148,17 +161,10 @@ class TestEnumerateDivisors:
 
     @pytest.mark.parametrize("depth,probes", [(1, 4), (2, 40), (3, 364)])
     def test_last_level_builds_no_children(self, monkeypatch, depth, probes):
-        # only charts that get expanded are built: one blow-up per probe
-        # made before the last level, none for the last level's probes
+        # only charts that get expanded are built: one blow-up's children
+        # per probe made before the last level, none for the last level's
         before = enumerate_divisors(bad_case(), depth - 1).probes
-        calls = []
-        blow_up = Model.blow_up
-
-        def counted(model, center):
-            calls.append(center)
-            return blow_up(model, center)
-
-        monkeypatch.setattr(Model, "blow_up", counted)
+        calls = count_children(monkeypatch)
         enum = enumerate_divisors(bad_case(), depth)
         assert len(calls) == before
         assert (enum.probes, len(enum.side_checks), enum.complete) == (
@@ -171,14 +177,7 @@ class TestEnumerateDivisors:
         # once the budget has emptied the frontier, the walk stops.
         model = Model.affine(2, ("x1", "x2", "x3", "x4"),
                              [(0, 2, 1), (1, 3, 1)])
-        calls = []
-        blow_up = Model.blow_up
-
-        def counted(model, center):
-            calls.append(center)
-            return blow_up(model, center)
-
-        monkeypatch.setattr(Model, "blow_up", counted)
+        calls = count_children(monkeypatch)
         runs = []
         for depth in (3, 6, 10**9):
             calls.clear()
@@ -197,18 +196,21 @@ class TestEnumerateDivisors:
         assert (cut.probes, cut.complete) == (8943, False)
         assert cut.reports == full.reports
 
-    @pytest.mark.parametrize("bases,depth,steps,built,probes", [
-        (lambda: level_one_fixup(bad_case()).models, 4, 3704, 413, 6560),
+    @pytest.mark.parametrize("bases,depth,steps,built,probes,reported", [
+        (lambda: level_one_fixup(bad_case()).models, 4, 3704, 413, 6560, 413),
         (lambda: Model.affine(2, ("x1", "x2", "x3", "x4"),
-                              [(0, 2, 1), (1, 3, 1)]), 3, 6545, 365, 8943),
-    ], ids=["bad-case-fixed-depth4", "x1x3+x2x4-depth3"])
+                              [(0, 2, 1), (1, 3, 1)]), 3, 6545, 365, 8943,
+         365),
+        (remark_model, 4, 2132, 220, 3280, 214),
+    ], ids=["bad-case-fixed-depth4", "x1x3+x2x4-depth3", "remark-depth4"])
     def test_each_step_computed_once(self, monkeypatch, bases, depth, steps,
-                                     built, probes):
-        # one _step per distinct chart state and center on each level, one
-        # report per divisor (no merge narrows candidates here); probes
-        # still count every chart, as before steps were reused
+                                     built, probes, reported):
+        # one step per distinct chart state and center on each level, one
+        # report per divisor plus one per merge that narrows candidates
+        # (none in the torsion-2 cases); probes still count every chart,
+        # as before steps were reused
         calls = {"step": 0, "report": 0}
-        step = resolution._step
+        step = enumeration._RowWalk.step
         from_degree = DiscrepancyReport.from_degree.__func__
 
         def counted_step(*args):
@@ -219,13 +221,13 @@ class TestEnumerateDivisors:
             calls["report"] += 1
             return from_degree(cls, **kwargs)
 
-        monkeypatch.setattr(resolution, "_step", counted_step)
+        monkeypatch.setattr(enumeration._RowWalk, "step", counted_step)
         monkeypatch.setattr(DiscrepancyReport, "from_degree",
                             classmethod(counted_report))
         enum = enumerate_divisors(bases(), depth)
         assert (calls["step"], calls["report"], enum.probes) == (
             steps, built, probes)
-        assert len(enum.reports) == built and enum.complete
+        assert len(enum.reports) == reported and enum.complete
 
     def test_registry_must_be_shared(self):
         with pytest.raises(ValueError):

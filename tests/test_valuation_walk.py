@@ -13,10 +13,10 @@ from operator import mul
 import pytest
 
 from brauer_terminal import resolution
+from brauer_terminal.enumeration import _reach, _valuation_walk
 from brauer_terminal.model import Model
-from brauer_terminal.resolution import (_reach, _valuation_walk, certify,
-                                        enumerate_divisors, find_bad_strata,
-                                        level_one_fixup)
+from brauer_terminal.resolution import (certify, enumerate_divisors,
+                                        find_bad_strata, level_one_fixup)
 
 from .oracles import monomial_order
 from .test_golden_enumeration import bad_case_bases, dim4_plain
