@@ -120,10 +120,6 @@ class Chart:
         """The chart this one descends from by blow-ups (itself at depth 0)."""
         return self if self.parent is None else self.parent.root
 
-    def valuation(self, slot: int) -> Tuple[int, ...]:
-        """Monomial valuation of the slot's divisor on the root coordinates."""
-        return self.total_substitution[slot]
-
 
 @dataclass(frozen=True)
 class Stratum:

@@ -12,7 +12,11 @@ on a base chart that row is the boundary itself, so ``brauer_discrepancy``
 is the step at the boundary row. The composition audit runs it along its
 route; the enumeration in ``enumeration`` reads the same numbers off
 valuation rows instead, and its tests compare it with a walk of this step.
-Reports derive b from a and check the identity on construction. The
+A report builds each number once, on integers: with a = p/q, each
+candidate e gets b = ((p + q)e - q)/(qe) and e*b = ((p + q)e - q)/q, one
+normalising ``Fraction`` constructor each. Construction checks b = a + 1 -
+1/e and e*b = e * b on every entry, also when the constructors are called
+directly, by cross-multiplying numerators and denominators. The
 independent checks of the numbers are the oracles of the test suite (toric
 discrepancy, residue order) and the gate of ``perfbench``.
 """
@@ -45,7 +49,9 @@ class ReportEntry:
     def __post_init__(self) -> None:
         if self.e < 1:
             raise ValueError("cover degrees are positive")
-        if self.weighted != self.e * self.b:
+        b, weighted = self.b, self.weighted
+        if (weighted.numerator * b.denominator
+                != self.e * b.numerator * weighted.denominator):
             raise ValueError("weighted discrepancy must equal e * b")
 
 
@@ -77,23 +83,28 @@ class DiscrepancyReport:
     def __post_init__(self) -> None:
         if tuple(entry.e for entry in self.entries) != self.degree.candidates:
             raise ValueError("report entries must follow the candidate degrees")
+        p, q = self.a.numerator, self.a.denominator
         for entry in self.entries:
-            if entry.b != b_from_a(self.a, entry.e):
+            e, b = entry.e, entry.b
+            if b.numerator * q * e != b.denominator * ((p + q) * e - q):
                 raise ValueError(
-                    f"entry for e={entry.e} breaks b = a + 1 - 1/e: "
-                    f"b={entry.b}, a={self.a}"
+                    f"entry for e={e} breaks b = a + 1 - 1/e: "
+                    f"b={b}, a={self.a}"
                 )
 
     @classmethod
     def from_degree(cls, divisor_id: str, level: int,
                     witness: Tuple[WitnessStep, ...], a: Fraction,
                     degree: CoverDegree) -> "DiscrepancyReport":
+        if not isinstance(a, Fraction):
+            a = Fraction(a)
+        p, q = a.numerator, a.denominator
         entries = tuple(
-            ReportEntry(e=e, b=b, weighted=e * b)
-            for e, b in ((e, b_from_a(a, e)) for e in degree.candidates)
+            ReportEntry(e, Fraction(top, q * e), Fraction(top, q))
+            for e, top in ((e, (p + q) * e - q) for e in degree.candidates)
         )
         return cls(divisor_id=divisor_id, level=level, witness=witness,
-                   a=Fraction(a), degree=degree, entries=entries)
+                   a=a, degree=degree, entries=entries)
 
     @property
     def determinate(self) -> bool:
@@ -147,11 +158,15 @@ def _step(model: Model, stratum: Stratum, abar: Tuple[Fraction, ...],
     ``model`` without building the blow-up (``Model.exceptional_cover``).
     ``one_step`` is the discrepancy of the center against the chart's own
     boundary (``boundary``, from ``_boundary_table``), None when an
-    undetermined degree blocks it.
+    undetermined degree blocks it. On a base chart the two rows are one
+    (``boundary is abar``), and so are ``a`` and ``one_step``.
     """
     a = stratum.codim - 1 - sum(abar[i] for i in stratum.indices)
-    load = [boundary[i] for i in stratum.indices]
-    one_step = None if None in load else stratum.codim - 1 - sum(load)
+    if boundary is abar:
+        one_step = a
+    else:
+        load = [boundary[i] for i in stratum.indices]
+        one_step = None if None in load else stratum.codim - 1 - sum(load)
     exceptional_id, degree = model.exceptional_cover(stratum)
     return _Step(exceptional_id, a, degree, one_step)
 
@@ -168,7 +183,10 @@ def b_from_a(a: Fraction, e: int) -> Fraction:
     """Translate a classical discrepancy into a cover discrepancy."""
     if e < 1:
         raise ValueError("cover degrees are positive")
-    return Fraction(a) + 1 - Fraction(1, e)
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
+    p, q = a.numerator, a.denominator
+    return Fraction((p + q) * e - q, q * e)
 
 
 def brauer_discrepancy(model: Model, center: CenterLike) -> DiscrepancyReport:

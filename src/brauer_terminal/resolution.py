@@ -345,6 +345,14 @@ def certify(model: Model, depth: int = 3, *, fixup: bool = True,
     extras take ``enumerate_divisors``, which walks every chart as a row
     state: their degrees and side checks depend on the route, and a failed
     side check is listed per chart.
+
+    The summary is read in one pass over the reports, from the signs of
+    numerators and integer cross-multiplications: the least e * b with the
+    first divisor that attains it, level-one positivity and b >= 0 (level
+    = route length), b >= 0 on every divisor, and whether a determinate
+    degree gives e * b <= 0. ``failures`` lists ``level-1 b < 0``, then
+    each divisor's negative worst b in report order, then the failed side
+    checks.
     """
     if depth < 1:
         raise ValueError("certification depth must be at least 1")
@@ -366,27 +374,32 @@ def certify(model: Model, depth: int = 3, *, fixup: bool = True,
             else enumerate_divisors)
     enumeration = walk(bases, depth, max_probes=max_probes)
     reports = enumeration.reports
-    entries = [(entry, report) for report in reports for entry in report.entries]
-    min_weighted = min((e.weighted for e, _ in entries), default=None)
-    min_witness = None
-    if min_weighted is not None:
-        for entry, report in entries:
-            if entry.weighted == min_weighted:
-                min_witness = report.divisor_id
-                break
-    level1 = [r for r in reports if len(r.witness) == 1]
-    level1_positive = all(
-        entry.weighted > 0 for r in level1 for entry in r.entries
-    )
-    failures: List[str] = []
-    level1_b = all(entry.b >= 0 for r in level1 for entry in r.entries)
-    if not level1_b:
-        failures.append("level-1 b < 0")
-    exc_b = all(entry.b >= 0 for r in reports for entry in r.entries)
+    # Fraction denominators are positive, so a sign is the numerator's and
+    # x < y is x.n * y.d < y.n * x.d. Entries follow the sorted candidates
+    # and b = a + 1 - 1/e grows with e, so a report's worst b is its first.
+    min_weighted = min_witness = None
+    level1_positive = level1_b = exc_b = True
+    determinate_bad = False
+    negative: List[str] = []
     for report in reports:
-        worst = min(entry.b for entry in report.entries)
-        if worst < 0:
-            failures.append(f"b({report.divisor_id},X) = {worst}")
+        level1 = len(report.witness) == 1
+        for entry in report.entries:
+            w = entry.weighted
+            if min_weighted is None or (w.numerator * min_weighted.denominator
+                                        < min_weighted.numerator * w.denominator):
+                min_weighted, min_witness = w, report.divisor_id
+            if w.numerator <= 0:
+                if level1:
+                    level1_positive = False
+                if report.degree.determinate:
+                    determinate_bad = True
+        worst = report.entries[0].b
+        if worst.numerator < 0:
+            exc_b = False
+            if level1:
+                level1_b = False
+            negative.append(f"b({report.divisor_id},X) = {worst}")
+    failures = ([] if level1_b else ["level-1 b < 0"]) + negative
     one_step_ok = True
     for check in enumeration.side_checks:
         if check.ok is False:
@@ -400,15 +413,12 @@ def certify(model: Model, depth: int = 3, *, fixup: bool = True,
         one_step_a_nonnegative=one_step_ok,
         failures=tuple(failures),
     )
-    determinate_bad = any(
-        report.degree.determinate and entry.weighted <= 0
-        for report in reports for entry in report.entries
-    )
     unfixed_bad = bool(bad_strata) and not fixup_applied and model.torsion == 2 \
         and not fixup
     if determinate_bad or unfixed_bad:
         verdict = "bad-stratum-found"
-    elif not enumeration.complete or min_weighted is None or min_weighted <= 0:
+    elif (not enumeration.complete or min_weighted is None
+          or min_weighted.numerator <= 0):
         verdict = "indeterminate"
     else:
         verdict = "terminal-certified"

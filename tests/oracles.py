@@ -5,7 +5,8 @@ oracle expands tame symbols from explicit exponent-vector pairs, the toric
 oracle computes discrepancies straight from valuation vectors, the residue
 order oracle reads cover orders off valuation vectors, the step matrix of a
 blow-up chart is rebuilt from its center and pivot, and the determinant is
-exact over Fractions. Tests compare the package against these; the two
+exact over Fractions, and the certificate summary is read pass by pass
+with Fraction operators. Tests compare the package against these; the two
 sides share no code paths.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Vec = Tuple[int, ...]
 Symbol = Tuple[Vec, Vec, int]
@@ -115,3 +116,68 @@ def determinant(matrix: Sequence[Sequence[int]]) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * Fraction(matrix[0][j]) * determinant(minor)
     return total
+
+
+def certify_summary(reports: Sequence, side_checks: Sequence, complete: bool,
+                    bad_strata: Sequence, torsion: int, fixup: bool) -> dict:
+    """The summary ``certify`` reads off an enumeration, one pass per number.
+
+    This is the multi-pass reading the engine used before it took one loop:
+    the least weighted discrepancy e * b with the first divisor attaining
+    it, level-one positivity (level = route length), the b >= 0 side
+    conditions with their failure lines, and the verdict. It reads only the
+    reports' and side checks' plain fields and compares with Fraction
+    operators.
+    """
+    entries = [(entry, report) for report in reports
+               for entry in report.entries]
+    min_weighted = min((e.weighted for e, _ in entries), default=None)
+    min_witness: Optional[str] = None
+    if min_weighted is not None:
+        for entry, report in entries:
+            if entry.weighted == min_weighted:
+                min_witness = report.divisor_id
+                break
+    level1 = [r for r in reports if len(r.witness) == 1]
+    level1_positive = all(
+        entry.weighted > 0 for r in level1 for entry in r.entries
+    )
+    failures: List[str] = []
+    level1_b = all(entry.b >= 0 for r in level1 for entry in r.entries)
+    if not level1_b:
+        failures.append("level-1 b < 0")
+    exc_b = all(entry.b >= 0 for r in reports for entry in r.entries)
+    for report in reports:
+        worst = min(entry.b for entry in report.entries)
+        if worst < 0:
+            failures.append(f"b({report.divisor_id},X) = {worst}")
+    one_step_ok = True
+    for check in side_checks:
+        if check.value is not None and check.value < 0:
+            one_step_ok = False
+            failures.append(
+                f"a({check.divisor_id},{check.chart_id},Delta) = {check.value}"
+            )
+    determinate_bad = any(
+        len(report.degree.candidates) == 1 and entry.weighted <= 0
+        for report in reports for entry in report.entries
+    )
+    fixup_applied = torsion == 2 and fixup and bool(bad_strata)
+    unfixed_bad = bool(bad_strata) and not fixup_applied and torsion == 2 \
+        and not fixup
+    if determinate_bad or unfixed_bad:
+        verdict = "bad-stratum-found"
+    elif not complete or min_weighted is None or min_weighted <= 0:
+        verdict = "indeterminate"
+    else:
+        verdict = "terminal-certified"
+    return {
+        "min_weighted": min_weighted,
+        "min_witness": min_witness,
+        "level1_terminal": level1_positive,
+        "level1_b_nonnegative": level1_b,
+        "exceptional_b_nonnegative": exc_b,
+        "one_step_a_nonnegative": one_step_ok,
+        "failures": tuple(failures),
+        "verdict": verdict,
+    }

@@ -105,7 +105,7 @@ class TestBlowUp:
     def test_exceptional_valuation_row(self):
         root = _root3()
         child = blow_up(root, Stratum(root, (0, 2)))[0]
-        assert child.valuation(child.pivot) == (1, 0, 1)
+        assert child.total_substitution[child.pivot] == (1, 0, 1)
 
     def test_center_must_match_chart(self):
         root = _root3()

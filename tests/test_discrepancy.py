@@ -6,6 +6,7 @@ a = sum v_k (1 - d_k) - 1, and b = a + 1 - 1/e.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,7 +15,8 @@ from brauer_terminal.discrepancy import (DiscrepancyReport, ReportEntry,
                                          WitnessStep, b_from_a,
                                          boundary_divisor, brauer_discrepancy,
                                          weighted_infimum)
-from brauer_terminal.model import CoverDegree, IndeterminateDegreeError, Model
+from brauer_terminal.model import (CoverDegree, IndeterminateDegreeError, Model,
+                                   candidate_orders)
 
 from .oracles import toric_discrepancy
 
@@ -170,6 +172,83 @@ class TestReportInvariants:
     def test_weighted_checked(self):
         with pytest.raises(ValueError):
             ReportEntry(2, Fraction(1, 2), Fraction(2))
+
+
+def lowest_terms(x):
+    return type(x) is Fraction and x.denominator > 0 \
+        and gcd(x.numerator, x.denominator) == 1
+
+
+class TestReportArithmetic:
+    """``from_degree`` builds b and e*b from a's numerator and denominator.
+
+    They must equal the formulas with Fraction operators, in lowest terms,
+    and a one-unit change to either must be rejected on construction.
+    """
+
+    CANDIDATES = sorted({candidate_orders(m, g) for m in range(1, 7)
+                         for g in (1, 4, 6)})
+    STEP = WitnessStep("r", (0, 1), ("x1", "x2"))
+
+    def report(self, a, candidates, entries=None):
+        degree = CoverDegree(candidates[-1], candidates)
+        if entries is None:
+            return DiscrepancyReport.from_degree(
+                divisor_id="E", level=1, witness=(self.STEP,), a=a,
+                degree=degree)
+        return DiscrepancyReport(divisor_id="E", level=1,
+                                 witness=(self.STEP,), a=a, degree=degree,
+                                 entries=entries)
+
+    def test_sweep_matches_fraction_operators(self):
+        assert len(self.CANDIDATES) >= 10
+        assert max(map(len, self.CANDIDATES)) == 4
+        for q in range(1, 25):
+            for p in range(-40, 41):
+                a = Fraction(p, q)
+                rows = {}
+                for e in {e for c in self.CANDIDATES for e in c}:
+                    b = a + 1 - Fraction(1, e)
+                    rows[e] = (e, b, e * b)
+                    assert b_from_a(a, e) == b
+                for candidates in self.CANDIDATES:
+                    report = self.report(a, candidates)
+                    assert report.a is a
+                    got = tuple((x.e, x.b, x.weighted)
+                                for x in report.entries)
+                    assert got == tuple(map(rows.get, candidates)), \
+                        (a, candidates)
+                    for entry in report.entries:
+                        assert lowest_terms(entry.b), (a, entry)
+                        assert lowest_terms(entry.weighted), (a, entry)
+
+    def test_integer_a_becomes_a_fraction(self):
+        report = self.report(-2, (1, 3))
+        assert type(report.a) is Fraction and report.a == -2
+        assert [x.b for x in report.entries] == [-2, Fraction(-4, 3)]
+
+    def test_one_unit_changes_rejected(self):
+        for q in range(1, 25, 5):
+            for p in range(-40, 41, 7):
+                a = Fraction(p, q)
+                for candidates in self.CANDIDATES:
+                    entries = self.report(a, candidates).entries
+                    for k, entry in enumerate(entries):
+                        e, b, w = entry.e, entry.b, entry.weighted
+                        for du in (-1, 1):
+                            b2 = Fraction(b.numerator + du, b.denominator)
+                            w2 = Fraction(w.numerator + du, w.denominator)
+                            with pytest.raises(ValueError):
+                                ReportEntry(e, b2, w)
+                            with pytest.raises(ValueError):
+                                ReportEntry(e, b, w2)
+                            # a consistent entry whose b is off a
+                            shifted = entries[:k] + (
+                                ReportEntry(e, b2, e * b2),) + entries[k + 1:]
+                            with pytest.raises(ValueError):
+                                self.report(a, candidates, shifted)
+                    assert self.report(a, candidates, entries).entries \
+                        == entries
 
 
 class TestWeightedInfimum:
