@@ -1,12 +1,12 @@
 """Exact terminality analysis for Brauer pairs on SNC coordinate charts."""
 
-from .charts import Chart, Stratum, blow_up, new_affine_model, strata
+from .charts import Stratum, strata
 from .discrepancy import (BoundaryDivisor, DiscrepancyReport, ReportEntry,
                           WitnessStep, b_from_a, boundary_divisor,
                           brauer_discrepancy, stratum_discrepancies,
                           weighted_infimum)
 from .enumeration import EnumerationResult, enumerate_divisors
-from .model import (BlowUp, CoverDegree, ExtraComponent,
+from .model import (Chart, CoverDegree, ExtraComponent,
                     IndeterminateDegreeError, Model)
 from .modelfile import (LoadResult, ModelFormatError, ModelSpec, build_model,
                         format_model, load_model, parse_model, save_model)
@@ -16,12 +16,11 @@ from .resolution import (CompositionCheck, FixupResult, NonterminationError,
                          find_bad_strata, level_one_fixup, remark_model,
                          run_remark)
 from .symbols import (ComplexCheck, KummerClass, SymbolMatrix, check_complex,
-                      ramifies_on, residue, transform)
+                      ramifies_on, residue, residue_order)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowUp",
     "BoundaryDivisor",
     "Chart",
     "ComplexCheck",
@@ -47,7 +46,6 @@ __all__ = [
     "UnsupportedTorsionError",
     "WitnessStep",
     "b_from_a",
-    "blow_up",
     "boundary_divisor",
     "brauer_discrepancy",
     "build_model",
@@ -59,15 +57,14 @@ __all__ = [
     "format_model",
     "level_one_fixup",
     "load_model",
-    "new_affine_model",
     "parse_model",
     "ramifies_on",
     "remark_model",
     "residue",
+    "residue_order",
     "run_remark",
     "save_model",
     "strata",
     "stratum_discrepancies",
-    "transform",
     "weighted_infimum",
 ]

@@ -1,4 +1,4 @@
-"""Boundary divisors and the blow-up step on ``Model`` charts.
+"""Boundary divisors and the discrepancy reports of one-step blow-ups.
 
 The boundary of a pair assigns each coordinate divisor the coefficient
 1 - 1/e for its cover degree e. Blowing up a stratum of codimension c
@@ -6,12 +6,11 @@ extracts a divisor with classical discrepancy a = c - 1 minus the
 coefficients of the center, and cover discrepancy b = a + 1 - 1/e for the
 degree e on the new divisor.
 
-``_step`` computes one blow-up step of a ``Model`` chart, telescoping ``a``
-against the base through a coefficient row aligned with the chart's slots;
-on a base chart that row is the boundary itself, so ``brauer_discrepancy``
-is the step at the boundary row. The composition audit runs it along its
-route; the enumeration in ``enumeration`` reads the same numbers off
-valuation rows instead, and its tests compare it with a walk of this step.
+The numbers come from the charts' one blow-up step (``model._RowWalk``),
+which telescopes ``a`` through a coefficient row aligned with the chart's
+slots; on a base chart that row is the boundary itself, so
+``brauer_discrepancy`` is the step at the boundary row, and the
+composition audit and the walks run the same step along their routes.
 A report builds each number once, on integers: with a = p/q, each
 candidate e gets b = ((p + q)e - q)/(qe) and e*b = ((p + q)e - q)/q, one
 normalising ``Fraction`` constructor each. Construction checks b = a + 1 -
@@ -25,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .charts import Stratum, strata
-from .model import CenterLike, CoverDegree, IndeterminateDegreeError, Model
+from .model import (CenterLike, Chart, CoverDegree, IndeterminateDegreeError,
+                    PairLike, _RowWalk, as_chart)
 
 
 @dataclass(frozen=True)
@@ -114,69 +114,28 @@ class DiscrepancyReport:
         return min(entry.weighted for entry in self.entries)
 
 
-def _boundary_table(model: Model) -> Tuple[Optional[Fraction], ...]:
-    """Boundary coefficient 1 - 1/e of each slot, None where e is undetermined."""
-    degrees = [model.cover_on(slot) for slot in range(model.dim)]
-    return tuple(Fraction(d.value - 1, d.value) if d.determinate else None
-                 for d in degrees)
-
-
-def boundary_divisor(model: Model) -> BoundaryDivisor:
-    """Boundary of the pair on the model's chart.
+def boundary_divisor(pair: PairLike) -> BoundaryDivisor:
+    """Boundary of the pair on a chart (a model: its root chart).
 
     Raises:
         IndeterminateDegreeError: listing every divisor of the chart whose
             cover degree is undetermined.
     """
-    ids = model.chart.divisor_ids
-    table = _boundary_table(model)
-    blocked = [divisor_id for divisor_id, c in zip(ids, table) if c is None]
+    chart = as_chart(pair)
+    walk = chart.model.walk
+    row = walk.boundary(chart)
+    ids = chart.divisor_ids
+    blocked = [divisor_id for divisor_id, c in zip(ids, row) if c is None]
     if blocked:
         raise IndeterminateDegreeError(blocked)
-    return BoundaryDivisor(coefficients=tuple(zip(ids, table)))
+    return BoundaryDivisor(coefficients=tuple(zip(ids, map(walk.fraction,
+                                                           row))))
 
 
-def _base_abar(model: Model) -> Tuple[Fraction, ...]:
-    """Coefficient row of a base chart: its boundary, slot by slot."""
-    return tuple(c for _, c in boundary_divisor(model).coefficients)
-
-
-class _Step(NamedTuple):
-    divisor_id: str
-    a: Fraction
-    degree: CoverDegree
-    one_step: Optional[Fraction]
-
-
-def _step(model: Model, stratum: Stratum, abar: Tuple[Fraction, ...],
-          boundary: Tuple[Optional[Fraction], ...]) -> _Step:
-    """Telescope the divisor a blow-up of one stratum extracts against the base.
-
-    ``abar`` gives each slot of the chart the coefficient its divisor's
-    pullback contributes. The new divisor E gets a = c - 1 minus the
-    coefficients of the center, and its id and degree are read from
-    ``model`` without building the blow-up (``Model.exceptional_cover``).
-    ``one_step`` is the discrepancy of the center against the chart's own
-    boundary (``boundary``, from ``_boundary_table``), None when an
-    undetermined degree blocks it. On a base chart the two rows are one
-    (``boundary is abar``), and so are ``a`` and ``one_step``.
-    """
-    a = stratum.codim - 1 - sum(abar[i] for i in stratum.indices)
-    if boundary is abar:
-        one_step = a
-    else:
-        load = [boundary[i] for i in stratum.indices]
-        one_step = None if None in load else stratum.codim - 1 - sum(load)
-    exceptional_id, degree = model.exceptional_cover(stratum)
-    return _Step(exceptional_id, a, degree, one_step)
-
-
-def _report(step: _Step,
-            witness: Tuple[WitnessStep, ...]) -> DiscrepancyReport:
-    return DiscrepancyReport.from_degree(
-        divisor_id=step.divisor_id, level=len(witness),
-        witness=witness, a=step.a, degree=step.degree,
-    )
+def _base_row(walk: _RowWalk, chart: Chart) -> Tuple[int, ...]:
+    """Coefficient row of a base chart, scaled: its boundary, slot by slot."""
+    return tuple(int(c * walk.scale)
+                 for _, c in boundary_divisor(chart).coefficients)
 
 
 def b_from_a(a: Fraction, e: int) -> Fraction:
@@ -189,35 +148,45 @@ def b_from_a(a: Fraction, e: int) -> Fraction:
     return Fraction((p + q) * e - q, q * e)
 
 
-def brauer_discrepancy(model: Model, center: CenterLike) -> DiscrepancyReport:
+def brauer_discrepancy(pair: PairLike, center: CenterLike
+                       ) -> DiscrepancyReport:
     """One-step cover discrepancy of the divisor extracted by one blow-up.
 
     Raises:
+        ValueError: if the center is no blow-up center of the chart.
         IndeterminateDegreeError: if a boundary degree of the chart is
             undetermined.
     """
-    return _one_step_reports(model, (model.stratum(center),))[0]
+    chart = as_chart(pair)
+    return _one_step_reports(chart, (chart.stratum(center),))[0]
 
 
-def stratum_discrepancies(model: Model) -> Tuple[DiscrepancyReport, ...]:
+def stratum_discrepancies(pair: PairLike) -> Tuple[DiscrepancyReport, ...]:
     """``brauer_discrepancy`` of every coordinate stratum, codimension 2 up.
 
     The boundary is read once for all strata.
     """
-    return _one_step_reports(model, [stratum
-                                     for codim in range(2, model.dim + 1)
-                                     for stratum in strata(model.chart, codim)])
+    chart = as_chart(pair)
+    return _one_step_reports(chart, [stratum
+                                     for codim in range(2, chart.dim + 1)
+                                     for stratum in strata(chart, codim)])
 
 
-def _one_step_reports(model: Model, centers: Sequence[Stratum]
+def _one_step_reports(chart: Chart, centers: Sequence[Stratum]
                       ) -> Tuple[DiscrepancyReport, ...]:
     """The step of each center at the boundary row, as a level-1 report."""
-    row = _base_abar(model)
-    chart_id = model.chart.chart_id
-    return tuple(
-        _report(_step(model, stratum, row, row),
-                (WitnessStep(chart_id, stratum.indices, stratum.divisor_ids),))
-        for stratum in centers)
+    walk = chart.model.walk
+    row = _base_row(walk, chart)
+    slots = walk.slots(chart)
+    reports = []
+    for stratum in centers:
+        step = walk.step(chart, slots, stratum.indices, row)
+        reports.append(DiscrepancyReport.from_degree(
+            divisor_id=step.divisor_id, level=1,
+            witness=(WitnessStep(chart.chart_id, stratum.indices,
+                                 step.center),),
+            a=walk.fraction(step.a), degree=step.degree))
+    return tuple(reports)
 
 
 def weighted_infimum(reports: Iterable[DiscrepancyReport]) -> Fraction:

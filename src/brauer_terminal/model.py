@@ -1,12 +1,18 @@
-"""Brauer pairs on SNC charts: the symbol class plus its extra covers.
+"""Brauer pairs, their blown-up charts, and the one blow-up step.
 
-A ``Model`` couples a chart with the symbol matrix of the class restricted
-to that chart and the transported data of any extra cyclic covers attached
-to original divisors. Blowing up a model blows up the chart, pushes the
-matrix through the substitution, and transports the extra covers. The step
-is a row addition (see ``charts``), so both are O(n^2) row updates; the
-cover degree on the new divisor can be read from the parent alone, without
-building any child.
+A ``Model`` is a Brauer pair on the root chart spec k{x1,...,xn}: the
+coordinate labels, the symbol matrix of the class, and the extra cyclic
+covers attached to original divisors. A ``Chart`` of an iterated
+coordinate blow-up is its slots' valuations on the root coordinates, its
+divisor ids, one exact flag per slot and extra cover, and its chart id; it
+carries no matrix and no extra vectors of its own.
+
+Everything a blow-up step reads comes off those rows (``_RowWalk``): on
+the divisor with root row v the residue order is r/gcd(r, v M) for the
+root matrix M, an extra cover on the root divisor in slot s has exposure
+v[s], and slots i and j pair by rows[i] M rows[j] mod r. The new divisor's
+row is the sum of the center's rows, in the pivot slot of each child. The
+fixup, the audits and both walks run this one step.
 
 Cover degrees along divisors are where indeterminacy enters. An extra cover
 restricts exactly to the divisor it was declared on and, by direct exposure,
@@ -18,13 +24,16 @@ degrees can be listed, not the degree itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache, cached_property
 from math import gcd, isqrt, lcm
-from typing import (Iterable, Mapping, Optional, Sequence, Tuple, TypeAlias,
-                    Union)
+from operator import mul
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, TypeAlias, Union)
 
-from .charts import Chart, Stratum, blow_up as blow_up_chart, \
-    exceptional_divisor_id, exceptional_valuation, new_affine_model
-from .symbols import KummerClass, SymbolMatrix, residue
+from .charts import (LABEL_RE, Stratum, exceptional_divisor_id,
+                     identity_substitution)
+from .symbols import SymbolMatrix, residue_order
 
 
 class IndeterminateDegreeError(ValueError):
@@ -95,71 +104,15 @@ class CoverDegree:
 
 @dataclass(frozen=True)
 class ExtraComponent:
-    """Transported state of one extra cyclic cover.
-
-    ``vector`` holds, mod ``modulus``, the multiplicity of each chart
-    coordinate in the pullback of the origin divisor's equation. ``exact_on``
-    is the set of divisors on which the restricted cover degree is exact
-    rather than merely bounded.
-    """
+    """An extra cyclic cover of degree ``degree`` branched along the root
+    divisor ``origin_id``."""
 
     origin_id: str
     degree: int
-    modulus: int
-    vector: Tuple[int, ...]
-    exact_on: frozenset
 
     def __post_init__(self) -> None:
         if self.degree < 2:
             raise ValueError("extra covers of degree < 2 carry no information")
-        if self.modulus % self.degree != 0:
-            raise ValueError("component modulus must be a multiple of its degree")
-        object.__setattr__(
-            self, "vector", tuple(int(v) % self.modulus for v in self.vector)
-        )
-
-    @classmethod
-    def at_origin(cls, origin_id: str, degree: int, slot: int, dim: int,
-                  torsion: int) -> "ExtraComponent":
-        vec = tuple(1 if k == slot else 0 for k in range(dim))
-        return cls(origin_id, degree, lcm(torsion, degree), vec,
-                   frozenset({origin_id}))
-
-    def transported(self, center_indices: Sequence[int], pivot: int,
-                    parent_divisor_ids: Sequence[str],
-                    exceptional_id: str) -> "ExtraComponent":
-        """Push the component through the blow-up step with the given pivot.
-
-        The step is a row addition, so only the pivot entry moves: it becomes
-        the exposure, the sum of the center entries. The new exceptional
-        divisor becomes exact exactly when its exposure is nonzero and every
-        slot feeding that exposure is the origin divisor itself (direct
-        exposure).
-        """
-        exposure = sum(self.vector[l] for l in center_indices)
-        vector = self.vector[:pivot] + (exposure,) + self.vector[pivot + 1:]
-        feeders = [l for l in center_indices if self.vector[l] % self.degree != 0]
-        exact = self.exact_on
-        if exposure % self.degree != 0 and feeders and all(
-            parent_divisor_ids[l] == self.origin_id for l in feeders
-        ):
-            exact = exact | {exceptional_id}
-        return ExtraComponent(self.origin_id, self.degree, self.modulus,
-                              vector, exact)
-
-    def effective_order(self, slot: int) -> int:
-        """Degree of this cover's restriction over the slot's divisor."""
-        return self.degree // gcd(self.degree, self.vector[slot])
-
-
-@dataclass(frozen=True)
-class BlowUp:
-    """Result of blowing up a model: all charts of the modification."""
-
-    parent: "Model"
-    center: Stratum
-    children: Tuple["Model", ...]
-    exceptional_id: str
 
 
 def _combined_degree(torsion: int, monomial: int,
@@ -189,29 +142,31 @@ def _combined_degree(torsion: int, monomial: int,
     )
 
 
-def _contributions(extras: Sequence[ExtraComponent], divisor_id: str,
-                   slot: int) -> list[Tuple[str, int, bool]]:
-    """What each extra live on the slot's divisor adds to its degree."""
-    return [(comp.origin_id, eff, divisor_id in comp.exact_on)
-            for comp in extras
-            if (eff := comp.effective_order(slot)) > 1]
-
-
 # A string, so that no typing subscript naming an engine class is evaluated:
 # typing caches those, which would keep this module alive after a re-import.
 CenterLike: TypeAlias = "Union[Stratum, Sequence[int]]"
+PairLike: TypeAlias = "Union[Model, Chart]"
 
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A Brauer pair restricted to one chart of an iterated blow-up."""
+    """A Brauer pair on the root chart: labels, symbol matrix, extra covers."""
 
-    chart: Chart
+    labels: Tuple[str, ...]
     matrix: SymbolMatrix
     extras: Tuple[ExtraComponent, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.matrix.dim != self.chart.dim:
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        if not labels:
+            raise ValueError("dimension must be at least 1")
+        for label in labels:
+            if not LABEL_RE.fullmatch(label):
+                raise ValueError(f"divisor label {label!r} is not an identifier")
+        if len(set(labels)) != len(labels):
+            raise ValueError("divisor labels must be distinct")
+        if self.matrix.dim != len(labels):
             raise ValueError("symbol matrix does not match chart dimension")
         entries, r = self.matrix.entries, self.matrix.r
         if any(row[i] for i, row in enumerate(entries)) or any(
@@ -220,8 +175,9 @@ class Model:
         ):
             raise ValueError("symbol matrix must be alternating")
         for comp in self.extras:
-            if len(comp.vector) != self.chart.dim:
-                raise ValueError("extra component does not match chart dimension")
+            if comp.origin_id not in labels:
+                raise ValueError(
+                    f"extra cover on unknown divisor {comp.origin_id!r}")
 
     @classmethod
     def affine(cls, torsion: int, labels: Sequence[str],
@@ -239,22 +195,20 @@ class Model:
         Raises:
             ValueError: on bad labels, slots, degrees, or unknown extra keys.
         """
-        chart = new_affine_model(len(tuple(labels)), labels)
-        matrix = SymbolMatrix.from_symbols(torsion, chart.dim, symbols)
+        labels = tuple(labels)
+        matrix = SymbolMatrix.from_symbols(torsion, len(labels), symbols)
         extra_degrees = dict(extra_degrees or {})
         for label in extra_degrees:
-            if label not in chart.divisor_ids:
+            if label not in labels:
                 raise ValueError(f"extra cover on unknown divisor {label!r}")
         components = []
-        for slot, label in enumerate(chart.divisor_ids):
+        for label in labels:
             degree = int(extra_degrees.get(label, 1))
             if degree < 1:
                 raise ValueError(f"extra cover degree on {label!r} must be >= 1")
             if degree > 1:
-                components.append(
-                    ExtraComponent.at_origin(label, degree, slot, chart.dim, torsion)
-                )
-        return cls(chart=chart, matrix=matrix, extras=tuple(components))
+                components.append(ExtraComponent(label, degree))
+        return cls(labels=labels, matrix=matrix, extras=tuple(components))
 
     @property
     def torsion(self) -> int:
@@ -262,86 +216,197 @@ class Model:
 
     @property
     def dim(self) -> int:
-        return self.chart.dim
+        return len(self.labels)
 
-    def stratum(self, center: CenterLike) -> Stratum:
-        """The center as a stratum of this chart, from slots or a stratum."""
-        if isinstance(center, Stratum):
-            if center.chart is not self.chart:
-                raise ValueError("center belongs to a different chart")
-            return center
-        return Stratum(self.chart, tuple(center))
+    @cached_property
+    def chart(self) -> "Chart":
+        """The root chart: identity rows, and each extra exact on its origin."""
+        return Chart(self, identity_substitution(self.dim), self.labels,
+                     tuple(tuple(label == comp.origin_id
+                                 for comp in self.extras)
+                           for label in self.labels), "r")
 
-    def residue_on(self, slot: int) -> KummerClass:
-        """Residue class of the symbol part along the slot's divisor."""
-        return residue(self.matrix, slot)
+    @cached_property
+    def walk(self) -> "_RowWalk":
+        """The blow-up step of this model's charts, with its memos."""
+        return _RowWalk(self)
 
     def cover_on(self, slot: int) -> CoverDegree:
-        """Full cover degree over the slot's divisor (``_combined_degree``)."""
-        return _combined_degree(
-            self.torsion, self.residue_on(slot).order,
-            _contributions(self.extras, self.chart.divisor_ids[slot], slot))
+        """Cover degree over the root divisor in ``slot``."""
+        return self.chart.cover_on(slot)
 
-    def _center_row(self, indices: Sequence[int]) -> Tuple[int, ...]:
-        """Sum of the center's rows of the symbol matrix, mod r."""
-        r = self.torsion
-        rows = [self.matrix.entries[k] for k in indices]
-        return tuple(sum(column) % r for column in zip(*rows))
 
-    def exceptional_cover(self, center: CenterLike) -> Tuple[str, CoverDegree]:
-        """Id and cover degree of the divisor a blow-up of ``center`` extracts.
+class Chart(NamedTuple):
+    """One chart of an iterated coordinate blow-up of a model's root chart.
 
-        Read from this model alone: in the child with pivot p the residue row
-        of the new divisor is the center row sum, and each extra component is
-        transported into that child only, so no child chart or model is
-        built. Every child reads the same degree; the first pivot's is taken.
+    ``rows[k]`` is the root valuation of the divisor in slot k, which has
+    id ``divisor_ids[k]``; ``exact[k][j]`` says whether extra cover j of
+    the model restricts to that divisor with an exact degree. Charts are
+    immutable; ``children`` returns the charts of a blow-up.
+    """
+
+    model: Model
+    rows: Tuple[Tuple[int, ...], ...]
+    divisor_ids: Tuple[str, ...]
+    exact: Tuple[Tuple[bool, ...], ...]
+    chart_id: str
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def stratum(self, center: CenterLike) -> Stratum:
+        """The center as a blow-up center of this chart.
+
+        Raises:
+            ValueError: for a stratum of another chart, slots out of range
+                or repeated, or a codimension below 2.
         """
-        stratum = self.stratum(center)
-        exceptional_id = exceptional_divisor_id(
-            exceptional_valuation(self.chart, stratum))
-        pivot = stratum.indices[0]
-        row = self._center_row(stratum.indices)
-        monomial = KummerClass(
-            self.torsion, row[:pivot] + row[pivot + 1:]).order
-        extras = [
-            comp.transported(stratum.indices, pivot, self.chart.divisor_ids,
-                             exceptional_id)
-            for comp in self.extras
-        ]
-        return exceptional_id, _combined_degree(
-            self.torsion, monomial,
-            _contributions(extras, exceptional_id, pivot))
+        if isinstance(center, Stratum):
+            if center.chart is not self:
+                raise ValueError("center belongs to a different chart")
+        else:
+            center = Stratum(self, tuple(center))
+        if center.codim < 2:
+            raise ValueError("blow-up centers must have codimension at least 2")
+        return center
 
-    def blow_up(self, center: CenterLike) -> BlowUp:
-        """Blow up the underlying chart and transport the class to each child.
+    def cover_on(self, slot: int) -> CoverDegree:
+        """Cover degree over the slot's divisor (``_combined_degree``)."""
+        return self.model.walk.degree(self.rows[slot], self.exact[slot])[0]
 
-        The step with pivot p is a row addition, so the child's symbol
-        matrix A M A^T (``symbols.transform``) is a row update: row p becomes
-        the center row sum s = sum of M[k] over the center, column p becomes
-        -s, the diagonal entry is 0, and every other entry is unchanged.
-        Extra components move the same way (``ExtraComponent.transported``).
+    def children(self, center: CenterLike) -> List["Chart"]:
+        """The charts of the blow-up of ``center``, in ascending pivot order:
+        the one with pivot p holds the new divisor in slot p."""
+        indices = self.stratum(center).indices
+        walk = self.model.walk
+        slots = walk.slots(self)
+        return walk.children(self, indices,
+                             walk.step(self, slots, indices, slots[0]))
+
+
+def as_chart(pair: PairLike) -> Chart:
+    """The chart a pair argument names: a chart, or a model's root chart."""
+    return pair.chart if isinstance(pair, Model) else pair
+
+
+_Row = Tuple[int, ...]
+
+
+class _RowStep(NamedTuple):
+    """A center's new divisor: its rows, exact flags and scaled numbers."""
+
+    divisor_id: str
+    center: Tuple[str, ...]
+    row: _Row
+    exact: Tuple[bool, ...]
+    a: Optional[int]
+    one_step: Optional[int]  # None when an undetermined degree blocks it
+    degree: CoverDegree
+
+
+class _RowWalk:
+    """The blow-up step of one model's charts, read off root rows.
+
+    Degrees follow ``_combined_degree`` and are memoised per (root row,
+    exact flags); a model keeps one walk (``Model.walk``), so the memos
+    serve every call on its charts. Coefficients, ``a`` and one-step values are integers
+    scaled by lcm(r, extra degrees), which every degree divides;
+    ``fraction`` turns one into a ``Fraction``.
+    """
+
+    def __init__(self, model: Model):
+        self.torsion = model.torsion
+        self.scale = scale = lcm(model.torsion,
+                                 *(c.degree for c in model.extras))
+        self.columns = tuple(zip(*model.matrix.entries))
+        self.extras = tuple((c.origin_id, c.degree,
+                             model.labels.index(c.origin_id))
+                            for c in model.extras)
+        self.degrees: Dict[tuple, Tuple[CoverDegree, Optional[int]]] = {}
+        # over scale, not self: a cache holding self would make a cycle
+        self.fraction = cache(lambda v: None if v is None
+                              else Fraction(v, scale))
+        self.name = cache(exceptional_divisor_id)
+
+    def degree(self, row: _Row, exact: Tuple[bool, ...]
+               ) -> Tuple[CoverDegree, Optional[int]]:
+        """The degree on the divisor with root row ``row``, and its boundary
+        coefficient 1 - 1/e scaled (None when undetermined)."""
+        known = self.degrees.get((row, exact))
+        if known is None:
+            r = self.torsion
+            degree = _combined_degree(
+                r, residue_order(r, [sum(map(mul, row, column))
+                                     for column in self.columns]),
+                [(origin, eff, flag) for (origin, d, slot), flag
+                 in zip(self.extras, exact)
+                 if (eff := d // gcd(d, row[slot])) > 1])
+            known = self.degrees[row, exact] = degree, (
+                self.scale - self.scale // degree.candidates[0]
+                if degree.determinate else None)
+        return known
+
+    def pairing(self, u: _Row, v: _Row) -> int:
+        """How the class pairs the divisors with root rows u and v: u M v
+        mod r."""
+        return sum(sum(map(mul, u, column)) * x
+                   for column, x in zip(self.columns, v)) % self.torsion
+
+    def boundary(self, chart: Chart) -> Tuple[Optional[int], ...]:
+        """Each slot's boundary coefficient 1 - 1/e, scaled (None where e
+        is undetermined)."""
+        return tuple(self.degree(row, exact)[1]
+                     for row, exact in zip(chart.rows, chart.exact))
+
+    def slots(self, chart: Chart) -> tuple:
+        """What the steps of a chart read: the boundary row, each extra's
+        exposures mod its degree, and each extra's origin slot (-1 once
+        gone)."""
+        ids = chart.divisor_ids
+        return (self.boundary(chart),
+                [[row[slot] % d for row in chart.rows]
+                 for _, d, slot in self.extras],
+                [ids.index(o) if o in ids else -1 for o, _, _ in self.extras])
+
+    def step(self, chart: Chart, slots: tuple, center: Tuple[int, ...],
+             abar: Sequence[Optional[int]]) -> _RowStep:
+        """The divisor a blow-up of ``center`` extracts.
+
+        Its row is the sum of the center's rows. It is exact on an extra
+        when its exposure, the sum of the center's, is nonzero and only the
+        origin feeds it. ``a`` is c - 1 minus the center's coefficients in
+        ``abar``, the chart's slots telescoped against a base; ``one_step``
+        is the same against the chart's own boundary. Passing the boundary
+        row (``slots[0]``) as ``abar`` makes the two one.
         """
-        stratum = self.stratum(center)
-        charts = blow_up_chart(self.chart, stratum)
-        exceptional_id = charts[0].divisor_ids[charts[0].pivot]
-        r = self.torsion
-        row = self._center_row(stratum.indices)
-        negated = tuple(-v % r for v in row)
-        children = []
-        for child in charts:
-            p = child.pivot
-            pivot_row = row[:p] + (0,) + row[p + 1:]
-            moved = tuple(
-                pivot_row if i == p else old[:p] + (negated[i],) + old[p + 1:]
-                for i, old in enumerate(self.matrix.entries)
-            )
-            comps = tuple(
-                comp.transported(stratum.indices, p, self.chart.divisor_ids,
-                                 exceptional_id)
-                for comp in self.extras
-            )
-            children.append(
-                Model(chart=child, matrix=SymbolMatrix(r, moved), extras=comps)
-            )
-        return BlowUp(parent=self, center=stratum, children=tuple(children),
-                      exceptional_id=exceptional_id)
+        bound, entries, origins = slots
+        top = (len(center) - 1) * self.scale
+        load = [bound[i] for i in center]
+        one_step = None if None in load else top - sum(load)
+        row = tuple(map(sum, zip(*[chart.rows[i] for i in center])))
+        exact = tuple(
+            sum(entry[i] for i in center) % d != 0
+            and all(i == origin for i in center if entry[i])
+            for entry, origin, (_, d, _) in zip(entries, origins, self.extras))
+        return _RowStep(
+            self.name(row), tuple(chart.divisor_ids[i] for i in center),
+            row, exact,
+            one_step if abar is bound else top - sum(abar[i] for i in center),
+            one_step, self.degree(row, exact)[0])
+
+    def children(self, chart: Chart, center: Tuple[int, ...],
+                 step: _RowStep) -> List[Chart]:
+        """The blow-up's charts: the one with pivot p has the new divisor in
+        slot p, and chart id ``<parent>.<center slots>p<p>`` (from 1)."""
+        rows, ids, exact = chart.rows, chart.divisor_ids, chart.exact
+        stem = f"{chart.chart_id}.{'-'.join(str(i + 1) for i in center)}p"
+        return [Chart(chart.model, rows[:p] + (step.row,) + rows[p + 1:],
+                      ids[:p] + (step.divisor_id,) + ids[p + 1:],
+                      exact[:p] + (step.exact,) + exact[p + 1:],
+                      stem + str(p + 1))
+                for p in center]
+
+
+def _put(row: tuple, slot: int, value) -> tuple:
+    return row[:slot] + (value,) + row[slot + 1:]

@@ -11,9 +11,9 @@ audit is a function of the divisor's valuation, so for them ``certify``
 reads the numbers off the valuations that routes reach, without charts.
 
 The enumeration itself, on valuation rows and for torsion 2 without
-extras on valuations alone, lives in ``enumeration``. The composition
-audit and the remark family follow one short route on ``Model`` charts,
-with ``discrepancy._step`` at each blow-up.
+extras on valuations alone, lives in ``enumeration``. The fixup, the
+composition audit and the remark family follow short routes with the
+charts' one blow-up step (``model._RowWalk``).
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .charts import Stratum, strata
-from .discrepancy import (DiscrepancyReport, WitnessStep, _base_abar,
-                          _boundary_table, _report, _step, b_from_a,
+from .discrepancy import (DiscrepancyReport, WitnessStep, _base_row, b_from_a,
                           boundary_divisor)
 from .enumeration import _valuation_walk, enumerate_divisors
-from .model import CoverDegree, IndeterminateDegreeError, Model
+from .model import (Chart, CoverDegree, IndeterminateDegreeError, Model,
+                    PairLike, _put, as_chart)
 
 
 class UnsupportedTorsionError(ValueError):
@@ -64,56 +64,62 @@ class ResolutionTree:
 
 @dataclass(frozen=True)
 class FixupResult:
+    """The fixup's tree and its leaf charts, free of bad strata."""
+
     tree: ResolutionTree
-    models: Tuple[Model, ...]
+    charts: Tuple[Chart, ...]
     rounds: int
 
 
-def find_bad_strata(model: Model) -> Tuple[Stratum, ...]:
+def find_bad_strata(pair: PairLike) -> Tuple[Stratum, ...]:
     """Codimension-2 strata witnessing the level-one degenerate case.
 
-    A stratum {i, j} qualifies when both divisors carry covers of degree
-    exactly 2, the symbol matrix does not pair them, and the blow-up of the
-    stratum constructively extracts a divisor with trivial cover.
+    A stratum {i, j} of the chart (a model: its root chart) qualifies when
+    both divisors carry covers of degree exactly 2, the class does not pair
+    them (rows[i] M rows[j] = 0 mod r for the root matrix M), and the
+    blow-up of the stratum constructively extracts a divisor with trivial
+    cover.
 
     Raises:
         UnsupportedTorsionError: unless the class has torsion 2.
         IndeterminateDegreeError: if any degree needed here is undetermined.
     """
-    if model.torsion != 2:
+    chart = as_chart(pair)
+    if chart.model.torsion != 2:
         raise UnsupportedTorsionError(
-            f"bad-stratum detection is specific to torsion 2, got {model.torsion}"
-        )
+            "bad-stratum detection is specific to torsion 2, got "
+            f"{chart.model.torsion}")
+    walk = chart.model.walk
+    slots = walk.slots(chart)
+    rows, ids = chart.rows, chart.divisor_ids
     bad = []
-    for stratum in strata(model.chart, 2) if model.dim > 1 else ():
+    for stratum in strata(chart, 2) if chart.dim > 1 else ():
         i, j = stratum.indices
-        if model.matrix.entry(i, j) != 0:
+        if walk.pairing(rows[i], rows[j]) != 0:
             continue
-        e_i = model.cover_on(i)
-        e_j = model.cover_on(j)
-        for degree, slot in ((e_i, i), (e_j, j)):
+        degrees = [walk.degree(rows[k], chart.exact[k])[0] for k in (i, j)]
+        for degree, slot in zip(degrees, (i, j)):
             if not degree.determinate:
                 raise IndeterminateDegreeError(
-                    (model.chart.divisor_ids[slot],),
+                    (ids[slot],),
                     "bad-stratum detection needs determinate degrees, "
-                    f"{model.chart.divisor_ids[slot]} has candidates "
-                    f"{list(degree.candidates)}",
+                    f"{ids[slot]} has candidates {list(degree.candidates)}",
                 )
-        if e_i.value != 2 or e_j.value != 2:
+        if degrees[0].value != 2 or degrees[1].value != 2:
             continue
-        exceptional_id, e_exc = model.exceptional_cover(stratum)
-        if not e_exc.determinate:
+        step = walk.step(chart, slots, stratum.indices, slots[0])
+        if not step.degree.determinate:
             raise IndeterminateDegreeError(
-                (exceptional_id,),
-                f"degree on {exceptional_id} is undetermined, candidates "
-                f"{list(e_exc.candidates)}",
+                (step.divisor_id,),
+                f"degree on {step.divisor_id} is undetermined, candidates "
+                f"{list(step.degree.candidates)}",
             )
-        if e_exc.value == 1:
+        if step.degree.value == 1:
             bad.append(stratum)
     return tuple(bad)
 
 
-def level_one_fixup(model: Model, max_rounds: int = 64) -> FixupResult:
+def level_one_fixup(pair: PairLike, max_rounds: int = 64) -> FixupResult:
     """Blow up bad strata, chart by chart, until none are left.
 
     One round is one blow-up, applied to the oldest unfinished chart at its
@@ -125,9 +131,11 @@ def level_one_fixup(model: Model, max_rounds: int = 64) -> FixupResult:
         UnsupportedTorsionError: unless the class has torsion 2.
         NonterminationError: if the round budget is exhausted.
     """
-    pending = deque([model])
+    root = as_chart(pair)
+    walk = root.model.walk
+    pending = deque([root])
     edges: List[TreeEdge] = []
-    clean: List[Model] = []
+    clean: List[Chart] = []
     leaves: List[str] = []
     rounds = 0
     while pending:
@@ -135,30 +143,30 @@ def level_one_fixup(model: Model, max_rounds: int = 64) -> FixupResult:
         bad = find_bad_strata(current)
         if not bad:
             clean.append(current)
-            leaves.append(current.chart.chart_id)
+            leaves.append(current.chart_id)
             continue
         if rounds >= max_rounds:
-            partial = ResolutionTree(model.chart.chart_id, tuple(edges),
+            partial = ResolutionTree(root.chart_id, tuple(edges),
                                      tuple(leaves), rounds)
             raise NonterminationError(
                 f"fixup did not finish within {max_rounds} rounds", partial
             )
         stratum = bad[0]
-        result = current.blow_up(stratum)
+        slots = walk.slots(current)
+        step = walk.step(current, slots, stratum.indices, slots[0])
         rounds += 1
-        for child in result.children:
+        for child in walk.children(current, stratum.indices, step):
             edges.append(
                 TreeEdge(
-                    parent=current.chart.chart_id,
-                    child=child.chart.chart_id,
+                    parent=current.chart_id,
+                    child=child.chart_id,
                     center=stratum.divisor_ids,
-                    exceptional=result.exceptional_id,
+                    exceptional=step.divisor_id,
                 )
             )
             pending.append(child)
-    tree = ResolutionTree(model.chart.chart_id, tuple(edges), tuple(leaves),
-                          rounds)
-    return FixupResult(tree=tree, models=tuple(clean), rounds=rounds)
+    tree = ResolutionTree(root.chart_id, tuple(edges), tuple(leaves), rounds)
+    return FixupResult(tree=tree, charts=tuple(clean), rounds=rounds)
 
 
 @dataclass(frozen=True)
@@ -199,13 +207,13 @@ class CompositionCheck:
     reports: Tuple[DiscrepancyReport, ...]
 
 
-def check_composition(model: Model,
+def check_composition(pair: PairLike,
                       sequence: Sequence[Tuple[Sequence[int], int]],
                       lam: Fraction = Fraction(0)) -> CompositionCheck:
     """Follow one blow-up route and audit the composed discrepancy bound.
 
     Args:
-        model: base model X.
+        pair: base chart X (a model: its root chart).
         sequence: (center slots, child index) per blow-up; the last step
             extracts the divisor under scrutiny.
         lam: the bound to verify.
@@ -221,21 +229,22 @@ def check_composition(model: Model,
     if not steps:
         raise ValueError("a composition needs at least one blow-up")
     lam = Fraction(lam)
+    chart = as_chart(pair)
+    walk = chart.model.walk
     witness: Tuple[WitnessStep, ...] = ()
-    abar = _base_abar(model)
+    abar = _base_row(walk, chart)
     reports: List[DiscrepancyReport] = []
     for step_no, (indices, pick) in enumerate(steps):
-        stratum = model.stratum(indices)
-        step = _step(model, stratum, abar, _boundary_table(model))
-        witness += (WitnessStep(model.chart.chart_id, stratum.indices,
-                                stratum.divisor_ids),)
-        reports.append(_report(step, witness))
-        children = model.blow_up(stratum).children
-        if not 0 <= pick < len(children):
+        center = chart.stratum(indices).indices
+        step = walk.step(chart, walk.slots(chart), center, abar)
+        witness += (WitnessStep(chart.chart_id, center, step.center),)
+        reports.append(DiscrepancyReport.from_degree(
+            divisor_id=step.divisor_id, level=len(witness), witness=witness,
+            a=walk.fraction(step.a), degree=step.degree))
+        if not 0 <= pick < len(center):
             raise ValueError(f"child index {pick} out of range at step {step_no}")
-        model = children[pick]
-        p = model.chart.pivot
-        abar = abar[:p] + (-step.a,) + abar[p + 1:]
+        chart = walk.children(chart, center, step)[pick]
+        abar = _put(abar, center[pick], -step.a)
     # Valuations grow strictly along a route, so the ids are distinct.
     created = {report.divisor_id: report for report in reports}
     final_report = reports[-1]
@@ -259,7 +268,7 @@ def check_composition(model: Model,
     side.append(
         Condition(
             name=f"a({final_id},Y,Delta_Y) >= 0",
-            value=step.one_step,
+            value=walk.fraction(step.one_step),
             ok=None if step.one_step is None else step.one_step >= 0,
         )
     )
@@ -359,14 +368,14 @@ def certify(model: Model, depth: int = 3, *, fixup: bool = True,
     bad_strata: Tuple[Tuple[str, ...], ...] = ()
     tree = None
     rounds = 0
-    bases: Sequence[Model] = (model,)
+    bases: Sequence[Chart] = (model.chart,)
     fixup_applied = False
     if model.torsion == 2:
         bad = find_bad_strata(model)
         bad_strata = tuple(s.divisor_ids for s in bad)
         if fixup and bad:
             fixed = level_one_fixup(model, max_rounds=max_rounds)
-            bases = fixed.models
+            bases = fixed.charts
             tree = fixed.tree
             rounds = fixed.rounds
             fixup_applied = True

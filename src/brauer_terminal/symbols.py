@@ -3,17 +3,17 @@
 A class of torsion r presented by tame symbols (x_i, x_j) is stored as an
 alternating matrix M over Z/r: M[i][j] holds the exponent with which the
 symbol pairs slot i against slot j, and M[j][i] = -M[i][j]. Residues along
-divisors, induced cyclic cover degrees, and the pushforward of the matrix
-through a blow-up substitution all live here.
+divisors and their orders, the degrees of the cyclic covers they induce,
+live here. Blown-up charts keep the root's matrix: the residue along a
+divisor with root valuation v is x^(v M), so its order is r/gcd(r, v M)
+(``residue_order``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence, Tuple
-
-from .charts import apply_substitution, transpose
+from typing import Iterable, Tuple
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,10 @@ class SymbolMatrix:
     def row(self, i: int) -> Tuple[int, ...]:
         return self.entries[i]
 
-    def signed_lift(self) -> Tuple[Tuple[int, ...], ...]:
-        """Antisymmetric integer lift: upper triangle in [0, r), lower negated."""
-        n = self.dim
-        lift = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = self.entries[i][j] % self.r
-                lift[i][j] = v
-                lift[j][i] = -v
-        return tuple(tuple(row) for row in lift)
+
+def residue_order(r: int, exponents: Iterable[int]) -> int:
+    """Order in k*/(k*)^r of the class of a monomial with these exponents."""
+    return r // gcd(r, *exponents)
 
 
 @dataclass(frozen=True)
@@ -94,8 +88,7 @@ class KummerClass:
     @property
     def order(self) -> int:
         """Order of the class, i.e. degree of the cyclic cover it defines."""
-        return self.r // gcd(self.r, *self.exponents) if self.exponents \
-            else self.r // self.r
+        return residue_order(self.r, self.exponents)
 
     @property
     def is_trivial(self) -> bool:
@@ -155,24 +148,3 @@ def check_complex(matrix: SymbolMatrix) -> ComplexCheck:
         verified=tuple(verified),
         violations=tuple(violations),
     )
-
-
-def transform(matrix: SymbolMatrix,
-              substitution: Sequence[Sequence[int]]) -> SymbolMatrix:
-    """Push a symbol matrix through a blow-up substitution.
-
-    Symbols are bilinear in the exponent vectors of their arguments, and
-    exponent vectors move by v -> A @ v, so the matrix of the transported
-    class is A @ M~ @ A^T reduced mod r, where M~ is the antisymmetric
-    integer lift of M. The result is alternating by construction.
-
-    This is the generic product for any substitution. Blow-ups do not call
-    it: their step is a row addition, and ``Model.blow_up`` applies it as
-    an O(n^2) row update; the tests check that update against this.
-    """
-    lift = matrix.signed_lift()
-    half = tuple(apply_substitution(substitution, col) for col in transpose(lift))
-    moved = tuple(
-        apply_substitution(substitution, row) for row in transpose(half)
-    )
-    return SymbolMatrix(matrix.r, moved)

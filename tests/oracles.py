@@ -1,22 +1,35 @@
 """Independent reference implementations used to pin expected test values.
 
-Nothing here imports the engine's internals beyond plain data. The symbol
-oracle expands tame symbols from explicit exponent-vector pairs, the toric
-oracle computes discrepancies straight from valuation vectors, the residue
-order oracle reads cover orders off valuation vectors, the step matrix of a
-blow-up chart is rebuilt from its center and pivot, and the determinant is
-exact over Fractions, and the certificate summary is read pass by pass
-with Fraction operators. Tests compare the package against these; the two
-sides share no code paths.
+Nothing here imports the engine's internals beyond plain data, the rule
+that combines a degree from its parts (``_combined_degree``) and the
+report types. The symbol oracle expands tame symbols from explicit
+exponent-vector pairs, the toric oracle computes discrepancies straight
+from valuation vectors, the residue order oracle reads cover orders off
+valuation vectors, the step matrix of a blow-up chart is rebuilt from its
+center and pivot, the determinant is exact over Fractions, and the
+certificate summary is read pass by pass with Fraction operators.
+
+The reference blow-up (``blow_up``) keeps a chart the way the engine did
+before its charts became root-valuation rows: every chart carries its
+total substitution, the class pushed through it (``transform``, A M A^T
+by generic matrix products) and each extra cover's vector pushed through
+it (``apply_substitution``), and reads residues and exposures off those.
+Tests compare the engine's row reading with these; the two sides share no
+code paths.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
+from brauer_terminal.model import CoverDegree, _combined_degree
+from brauer_terminal.symbols import SymbolMatrix
+
 Vec = Tuple[int, ...]
+Matrix = Tuple[Vec, ...]
 Symbol = Tuple[Vec, Vec, int]
 
 
@@ -81,6 +94,181 @@ def monomial_order(valuation: Sequence[int], lift: Sequence[Sequence[int]],
     """
     image = [sum(m * v for m, v in zip(row, valuation)) for row in lift]
     return r // gcd(r, *image)
+
+
+def compose_substitutions(outer: Sequence[Sequence[int]],
+                          inner: Sequence[Sequence[int]]) -> Matrix:
+    """Matrix product outer @ inner over the integers."""
+    n = len(outer)
+    if any(len(row) != len(inner) for row in outer):
+        raise ValueError("substitution shapes do not compose")
+    cols = range(len(inner[0]) if inner else 0)
+    return tuple(
+        tuple(sum(outer[i][k] * inner[k][j] for k in range(len(inner)))
+              for j in cols)
+        for i in range(n)
+    )
+
+
+def apply_substitution(matrix: Sequence[Sequence[int]],
+                       vector: Sequence[int]) -> Vec:
+    """Image A @ v of an exponent vector under a substitution."""
+    if any(len(row) != len(vector) for row in matrix):
+        raise ValueError("substitution does not match vector length")
+    return tuple(sum(row[k] * vector[k] for k in range(len(vector)))
+                 for row in matrix)
+
+
+def transpose(matrix: Sequence[Sequence[int]]) -> Matrix:
+    return tuple(zip(*[tuple(row) for row in matrix])) if matrix else ()
+
+
+def signed_lift(matrix: SymbolMatrix) -> Matrix:
+    """Antisymmetric integer lift: upper triangle in [0, r), lower negated."""
+    n = matrix.dim
+    lift = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lift[i][j] = matrix.entries[i][j] % matrix.r
+            lift[j][i] = -lift[i][j]
+    return tuple(tuple(row) for row in lift)
+
+
+def transform(matrix: SymbolMatrix,
+              substitution: Sequence[Sequence[int]]) -> SymbolMatrix:
+    """Push a symbol matrix through a substitution.
+
+    Symbols are bilinear in the exponent vectors of their arguments, and
+    exponent vectors move by v -> A @ v, so the matrix of the transported
+    class is A @ M~ @ A^T reduced mod r, where M~ is the antisymmetric
+    integer lift of M.
+    """
+    half = tuple(apply_substitution(substitution, col)
+                 for col in transpose(signed_lift(matrix)))
+    moved = tuple(apply_substitution(substitution, row)
+                  for row in transpose(half))
+    return SymbolMatrix(matrix.r, moved)
+
+
+@dataclass(frozen=True)
+class Extra:
+    """An extra cover pushed into a chart: ``vector`` holds, mod
+    ``modulus``, each coordinate's multiplicity in the pullback of the
+    origin divisor's equation; ``exact_on`` the divisors on which the
+    restricted degree is exact."""
+
+    origin_id: str
+    degree: int
+    modulus: int
+    vector: Vec
+    exact_on: frozenset
+
+    @classmethod
+    def at_origin(cls, origin_id: str, degree: int, slot: int, dim: int,
+                  torsion: int) -> "Extra":
+        return cls(origin_id, degree, lcm(torsion, degree),
+                   tuple(int(k == slot) for k in range(dim)),
+                   frozenset({origin_id}))
+
+    def transported(self, substitution: Sequence[Sequence[int]],
+                    center: Sequence[int], parent_ids: Sequence[str],
+                    exceptional_id: str) -> "Extra":
+        """The cover in the child with step matrix ``substitution``. The
+        new divisor becomes exact exactly when its exposure is nonzero and
+        every slot feeding that exposure is the origin divisor itself."""
+        exposure = sum(self.vector[k] for k in center)
+        feeders = [k for k in center if self.vector[k] % self.degree]
+        exact = self.exact_on
+        if exposure % self.degree and all(
+                parent_ids[k] == self.origin_id for k in feeders):
+            exact = exact | {exceptional_id}
+        vector = tuple(v % self.modulus
+                       for v in apply_substitution(substitution,
+                                                   self.vector))
+        return Extra(self.origin_id, self.degree, self.modulus, vector,
+                     exact)
+
+    def effective_order(self, slot: int) -> int:
+        """Degree of this cover's restriction over the slot's divisor."""
+        return self.degree // gcd(self.degree, self.vector[slot])
+
+
+@dataclass(frozen=True, eq=False)
+class RefChart:
+    """A chart of the reference blow-up, with the class and the extra
+    covers in its own coordinates."""
+
+    divisor_ids: Tuple[str, ...]
+    total_substitution: Matrix
+    matrix: SymbolMatrix
+    extras: Tuple[Extra, ...]
+    chart_id: str = "r"
+    parent: Optional["RefChart"] = None
+    parent_center: Optional[Tuple[int, ...]] = None
+    pivot: Optional[int] = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.divisor_ids)
+
+    @property
+    def torsion(self) -> int:
+        return self.matrix.r
+
+
+def root_chart(model) -> RefChart:
+    """The reference root chart of an engine model, from its plain data."""
+    n, ids = model.dim, tuple(model.labels)
+    return RefChart(ids, tuple(tuple(int(i == j) for j in range(n))
+                            for i in range(n)),
+                 model.matrix,
+                 tuple(Extra.at_origin(c.origin_id, c.degree,
+                                       ids.index(c.origin_id), n,
+                                       model.torsion)
+                       for c in model.extras))
+
+
+def blow_up(chart: RefChart, center: Sequence[int]) -> List[RefChart]:
+    """The charts of the blow-up of ``center`` (slots), by pivot.
+
+    Each child's total substitution, matrix and extra vectors are its
+    parent's times the step matrix, by the generic products above.
+    """
+    center = tuple(sorted(center))
+    valuation = tuple(map(sum, zip(*(chart.total_substitution[i]
+                                     for i in center))))
+    exceptional_id = f"E({','.join(map(str, valuation))})"
+    stem = ".".join((chart.chart_id, "-".join(str(i + 1) for i in center)))
+    charts = []
+    for pivot in center:
+        substitution = [[int(i == j) for j in range(chart.dim)]
+                        for i in range(chart.dim)]
+        substitution[pivot] = [int(k in center) for k in range(chart.dim)]
+        charts.append(RefChart(
+            divisor_ids=tuple(exceptional_id if k == pivot else d
+                              for k, d in enumerate(chart.divisor_ids)),
+            total_substitution=compose_substitutions(
+                substitution, chart.total_substitution),
+            matrix=transform(chart.matrix, substitution),
+            extras=tuple(e.transported(substitution, center,
+                                       chart.divisor_ids, exceptional_id)
+                         for e in chart.extras),
+            chart_id=f"{stem}p{pivot + 1}", parent=chart,
+            parent_center=center, pivot=pivot))
+    return charts
+
+
+def cover_on(chart: RefChart, slot: int) -> CoverDegree:
+    """Cover degree over a slot's divisor, read off the chart's matrix row
+    and extra vectors."""
+    r = chart.torsion
+    residue = [v for k, v in enumerate(chart.matrix.entries[slot])
+               if k != slot]
+    return _combined_degree(
+        r, r // gcd(r, *residue),
+        [(e.origin_id, e.effective_order(slot),
+          chart.divisor_ids[slot] in e.exact_on)
+         for e in chart.extras if e.effective_order(slot) > 1])
 
 
 def step_matrix(chart) -> List[List[int]]:

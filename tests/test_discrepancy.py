@@ -41,8 +41,8 @@ class TestBoundaryDivisor:
     def test_indeterminate_lists_all_offenders(self):
         model = Model.affine(3, ("x1", "x2", "x3"), [(0, 1, 1)],
                              extra_degrees={"x3": 3})
-        chart_b = model.blow_up((0, 2)).children[1]
-        f_child = chart_b.blow_up((0, 2)).children[0]
+        chart_b = model.chart.children((0, 2))[1]
+        f_child = chart_b.children((0, 2))[0]
         with pytest.raises(IndeterminateDegreeError) as err:
             boundary_divisor(f_child)
         assert err.value.divisor_ids == ("E(2,0,1)",)
@@ -97,7 +97,7 @@ class TestBrauerDiscrepancy:
         with pytest.raises(ValueError, match="codimension"):
             brauer_discrepancy(model, (0,))
         with pytest.raises(ValueError, match="codimension"):
-            model.exceptional_cover((1,))
+            model.chart.children((1,))
 
     def test_identity_with_classical_route(self):
         model = bad_case()
@@ -128,7 +128,7 @@ class TestBrauerDiscrepancy:
     def test_indeterminate_center_gives_candidate_rows(self):
         model = Model.affine(3, ("x1", "x2", "x3"), [(0, 1, 1)],
                              extra_degrees={"x3": 3})
-        chart_b = model.blow_up((0, 2)).children[1]
+        chart_b = model.chart.children((0, 2))[1]
         report = brauer_discrepancy(chart_b, (0, 2))
         assert [e.e for e in report.entries] == [1, 3]
         assert not report.determinate
@@ -261,7 +261,7 @@ class TestWeightedInfimum:
     def test_candidate_rows_count(self):
         model = Model.affine(3, ("x1", "x2", "x3"), [(0, 1, 1)],
                              extra_degrees={"x3": 3})
-        chart_b = model.blow_up((0, 2)).children[1]
+        chart_b = model.chart.children((0, 2))[1]
         report = brauer_discrepancy(chart_b, (0, 2))
         # the e = 1 candidate decides the infimum
         assert weighted_infimum([report]) == min(e.weighted

@@ -69,7 +69,7 @@ def canonical_dump(result):
 
 def bad_case_bases():
     model = Model.affine(2, ("x1", "x2", "x3"), [(0, 2, 1), (1, 2, 1)])
-    return level_one_fixup(model).models
+    return level_one_fixup(model).charts
 
 
 def dim4_plain():
@@ -163,25 +163,25 @@ def stratum_corpus(seed=8101, count=300):
         degrees = {} if k % 2 else {
             label: rng.randint(2, 6)
             for label in rng.sample(labels, rng.randint(1, 2))}
-        model = Model.affine(r, labels, symbols, degrees)
+        chart = Model.affine(r, labels, symbols, degrees).chart
         for _ in range(k % 3):
             center = tuple(sorted(rng.sample(range(dim), rng.randint(2, dim))))
-            children = model.blow_up(center).children
-            model = children[rng.randrange(len(children))]
-        yield model
+            children = chart.children(center)
+            chart = children[rng.randrange(len(children))]
+        yield chart
 
 
-def stratum_dump(model):
+def stratum_dump(chart):
     """Reports of every stratum, or the divisors an undetermined boundary
     names."""
     try:
-        return {"reports": report_dumps(stratum_discrepancies(model))}
+        return {"reports": report_dumps(stratum_discrepancies(chart))}
     except IndeterminateDegreeError as exc:
         return {"undetermined": list(exc.divisor_ids)}
 
 
 def test_stratum_discrepancies_pinned():
-    dumps = [[m.chart.chart_id, stratum_dump(m)] for m in stratum_corpus()]
+    dumps = [[c.chart_id, stratum_dump(c)] for c in stratum_corpus()]
     assert sum("undetermined" in d for _, d in dumps) >= 50
     assert sum("reports" in d for _, d in dumps) >= 200
     text = json.dumps(dumps, separators=(",", ":"))

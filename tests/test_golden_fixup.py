@@ -26,13 +26,13 @@ from brauer_terminal.resolution import (NonterminationError,
 from .test_golden_enumeration import report_dumps
 
 
-def descend(model, center, pick):
+def descend(chart, center, pick):
     """The chart with index ``pick`` of the blow-up of ``center``."""
-    return model.blow_up(center).children[pick]
+    return chart.children(center)[pick]
 
 
 def chart_id(chart):
-    return chart.chart.chart_id
+    return chart.chart_id
 
 
 def fixup_corpus(seed=1101, count=240):
@@ -54,7 +54,7 @@ def fixup_corpus(seed=1101, count=240):
         degrees = {} if k % 2 else {
             label: rng.randint(2, 4)
             for label in rng.sample(labels, rng.randint(1, 2))}
-        chart = Model.affine(2, labels, symbols, degrees)
+        chart = Model.affine(2, labels, symbols, degrees).chart
         for _ in range(k % 3):
             center = tuple(sorted(rng.sample(range(dim), rng.randint(2, dim))))
             chart = descend(chart, center, rng.randrange(len(center)))

@@ -1,10 +1,12 @@
-"""Models: extra-cover transport and cover degrees.
+"""Models: cover degrees and the extra covers on blown-up charts.
 
 Core claims:
     - cover degrees combine the monomial residue order with extra covers
     - an extra cover is exact on its origin and on divisors extracted
       directly out of it, and only a candidate list after an indirect hop
-    - blow-ups transport the matrix and the extra components coherently
+    - a chart's exposures (root valuations at the origin), exact flags and
+      degrees match the reference blow-up, which transports the matrix and
+      the extra vectors chart by chart
 """
 
 import gc
@@ -17,9 +19,11 @@ from pathlib import Path
 import pytest
 
 from brauer_terminal.discrepancy import boundary_divisor
-from brauer_terminal.model import (CoverDegree, ExtraComponent,
-                                   IndeterminateDegreeError, Model,
-                                   candidate_orders)
+from brauer_terminal.model import (CoverDegree, IndeterminateDegreeError,
+                                   Model, candidate_orders)
+from brauer_terminal.symbols import SymbolMatrix
+
+from .oracles import blow_up, cover_on, root_chart
 
 
 def remark_base():
@@ -116,88 +120,109 @@ class TestCandidateOrders:
                     assert lcm(m, g) % e == 0
 
 
+def descend(model, route):
+    """The engine's chart and the reference chart at the end of a route of
+    (center, child index) steps."""
+    chart, reference = model.chart, root_chart(model)
+    for center, pick in route:
+        chart = chart.children(center)[pick]
+        reference = blow_up(reference, center)[pick]
+    return chart, reference
+
+
+def assert_extras_agree(chart, reference):
+    """Exposures, exact flags and degrees read off the engine's rows equal
+    the reference's transported vectors."""
+    labels = chart.model.labels
+    assert chart.chart_id == reference.chart_id
+    assert chart.divisor_ids == reference.divisor_ids
+    for k, divisor_id in enumerate(chart.divisor_ids):
+        for flag, extra in zip(chart.exact[k], reference.extras):
+            origin = labels.index(extra.origin_id)
+            assert chart.rows[k][origin] % extra.modulus == extra.vector[k]
+            assert flag == (divisor_id in extra.exact_on)
+        assert chart.cover_on(k) == cover_on(reference, k)
+
+
 class TestExtraTransport:
     def test_direct_exposure_becomes_exact(self):
-        model = remark_base()
-        result = model.blow_up((0, 2))
-        chart_b = result.children[1]
-        comp = chart_b.extras[0]
-        assert comp.vector == (0, 0, 1)
-        assert result.exceptional_id in comp.exact_on
-        e_slot = chart_b.chart.divisor_ids.index(result.exceptional_id)
+        chart_b, reference = descend(remark_base(), [((0, 2), 1)])
+        assert_extras_agree(chart_b, reference)
+        e_slot = chart_b.divisor_ids.index("E(1,0,1)")
+        assert [row[2] for row in chart_b.rows] == [0, 0, 1]
+        assert chart_b.exact[e_slot] == (True,)
         degree = chart_b.cover_on(e_slot)
         assert degree.monomial_order == 3
         assert degree.value == 3
 
     def test_indirect_hop_leaves_candidates(self):
-        model = remark_base()
-        chart_b = model.blow_up((0, 2)).children[1]
-        second = chart_b.blow_up((0, 2))
-        f_child = second.children[0]
-        comp = f_child.extras[0]
-        assert comp.vector == (1, 0, 1)
-        assert second.exceptional_id not in comp.exact_on
-        degree = f_child.cover_on(f_child.chart.pivot)
+        f_child, reference = descend(remark_base(),
+                                     [((0, 2), 1), ((0, 2), 0)])
+        assert_extras_agree(f_child, reference)
+        assert [row[2] for row in f_child.rows] == [1, 0, 1]
+        assert f_child.exact[0] == (False,)
+        degree = f_child.cover_on(0)
         assert degree.candidates == (1, 3)
         assert degree.monomial_order == 3
         assert degree.sources == ("x3",)
 
     def test_boundary_raises_on_open_degree(self):
-        model = remark_base()
-        chart_b = model.blow_up((0, 2)).children[1]
-        f_child = chart_b.blow_up((0, 2)).children[0]
+        f_child, _ = descend(remark_base(), [((0, 2), 1), ((0, 2), 0)])
         with pytest.raises(IndeterminateDegreeError) as err:
             boundary_divisor(f_child)
         assert "E(2,0,1)" in err.value.divisor_ids
 
     def test_untouched_center_keeps_component(self):
-        model = remark_base()
         # center avoiding x3 entirely: the component must not gain exposure
-        child = model.blow_up((0, 1)).children[0]
-        comp = child.extras[0]
-        assert comp.vector == (0, 0, 1)
-        assert comp.exact_on == frozenset({"x3"})
+        child, reference = descend(remark_base(), [((0, 1), 0)])
+        assert_extras_agree(child, reference)
+        assert [row[2] for row in child.rows] == [0, 0, 1]
+        assert child.exact == ((False,), (False,), (True,))
 
     def test_modulus_covers_degree_not_dividing_torsion(self):
-        comp = ExtraComponent.at_origin("x1", 3, 0, 2, torsion=2)
-        assert comp.modulus == 6
-        assert comp.effective_order(0) == 3
-        assert comp.effective_order(1) == 1
+        # a degree-3 cover on torsion 2: exposures are plain root
+        # valuations, where the reference reduces mod lcm(2, 3) = 6
+        model = Model.affine(2, ("x1", "x2"), extra_degrees={"x1": 3})
+        assert root_chart(model).extras[0].modulus == 6
+        assert (model.cover_on(0).value, model.cover_on(1).value) == (3, 1)
+        for route in ([((0, 1), 0)], [((0, 1), 1), ((0, 1), 0)]):
+            assert_extras_agree(*descend(model, route))
 
 
 class TestModelBlowUp:
     def test_children_share_root_chart(self):
         model = Model.affine(2, ("x1", "x2", "x3"))
-        result = model.blow_up((0, 1))
-        assert all(c.chart.root is model.chart.root for c in result.children)
-        grand = result.children[0].blow_up((0, 2)).children
-        assert all(c.chart.root is model.chart.root for c in grand)
+        children = model.chart.children((0, 1))
+        assert all(c.model is model for c in children)
+        grand = children[0].children((0, 2))
+        assert all(c.model is model for c in grand)
+        assert model.chart is model.chart
 
     def test_matrix_moves_with_chart(self):
         model = Model.affine(2, ("x1", "x2", "x3"), [(0, 2, 1), (1, 2, 1)])
-        child = model.blow_up((0, 1)).children[0]
-        assert child.matrix.entry(1, 2) == 1
-        assert child.residue_on(0).is_trivial
+        child, reference = descend(model, [((0, 1), 0)])
+        assert model.walk.pairing(child.rows[1], child.rows[2]) == 1
+        assert reference.matrix.entry(1, 2) == 1
+        assert child.cover_on(0).monomial_order == 1
+        assert child.cover_on(0) == cover_on(reference, 0)
 
     def test_stratum_helper_validates(self):
         model = Model.affine(2, ("x1", "x2"))
         with pytest.raises(ValueError):
-            model.blow_up((0,))
+            model.chart.children((0,))
 
     def test_dimension_mismatch_rejected(self):
         model = Model.affine(2, ("x1", "x2"))
-        from brauer_terminal.symbols import SymbolMatrix
         with pytest.raises(ValueError):
-            Model(chart=model.chart, matrix=SymbolMatrix.zero(2, 3))
+            Model(labels=model.labels, matrix=SymbolMatrix.zero(2, 3))
 
     def test_non_alternating_matrix_rejected(self):
-        # blow-ups move the matrix by a row update, which needs alternation
+        # charts read the class as rows[i] M rows[j], which needs alternation
         model = Model.affine(3, ("x1", "x2"))
-        from brauer_terminal.symbols import SymbolMatrix
         with pytest.raises(ValueError, match="alternating"):
-            Model(chart=model.chart, matrix=SymbolMatrix(3, ((0, 1), (1, 0))))
+            Model(labels=model.labels, matrix=SymbolMatrix(3, ((0, 1), (1, 0))))
         with pytest.raises(ValueError, match="alternating"):
-            Model(chart=model.chart, matrix=SymbolMatrix(3, ((1, 0), (0, 0))))
+            Model(labels=model.labels, matrix=SymbolMatrix(3, ((1, 0), (0, 0))))
 
 
 def _engine_modules():

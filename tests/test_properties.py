@@ -1,28 +1,32 @@
 """Randomized consistency sweeps over models, walks, and transforms.
 
 Each test draws from a seeded generator, so failures replay exactly.
-The naive symbol oracle from oracles.py is the independent reference
-for everything the transform and residue code computes.
+The naive symbol oracle and the reference blow-up from oracles.py are the
+independent references for everything the engine reads off a chart's
+root valuation rows: pairing entries, residue orders, exposures, exact
+flags and degrees.
 """
 
 import random
 from fractions import Fraction
 from itertools import chain
 
-from brauer_terminal.charts import (apply_substitution, compose_substitutions,
-                                   strata)
-from brauer_terminal.discrepancy import (b_from_a, boundary_divisor,
-                                         brauer_discrepancy, weighted_infimum)
-from brauer_terminal.model import IndeterminateDegreeError, Model
+from brauer_terminal.charts import strata
+from brauer_terminal.discrepancy import (_base_row, b_from_a,
+                                         boundary_divisor, brauer_discrepancy,
+                                         weighted_infimum)
+from brauer_terminal.model import IndeterminateDegreeError, Model, _put
 from brauer_terminal.modelfile import ModelSpec, format_model, parse_model
-from brauer_terminal.enumeration import _RowWalk, enumerate_divisors
+from brauer_terminal.enumeration import _centers, enumerate_divisors
 from brauer_terminal.resolution import (certify, find_bad_strata,
                                         level_one_fixup)
-from brauer_terminal.symbols import check_complex, residue, transform
+from brauer_terminal.symbols import check_complex, residue_order
 
-from .oracles import (determinant, monomial_order, naive_matrix,
-                      naive_residue, step_matrix, substitute_symbols,
-                      toric_discrepancy)
+from .oracles import (blow_up, compose_substitutions, cover_on, determinant,
+                      monomial_order, naive_matrix, naive_residue, root_chart,
+                      step_matrix, substitute_symbols, toric_discrepancy,
+                      transform)
+from .test_symbols import chart_matrix
 
 
 def unit(dim, slot):
@@ -50,13 +54,14 @@ def random_center(rng, dim, max_codim=None):
 
 
 def random_walk(rng, model, steps):
-    """Follow one random chain of blow-ups; yields each model visited."""
-    yield model
+    """Follow one random chain of blow-ups; yields each chart visited."""
+    chart = model.chart
+    yield chart
     for _ in range(steps):
-        center = random_center(rng, model.dim)
-        blow = model.blow_up(center)
-        model = blow.children[rng.randrange(len(blow.children))]
-        yield model
+        center = random_center(rng, chart.dim)
+        children = chart.children(center)
+        chart = children[rng.randrange(len(children))]
+        yield chart
 
 
 def model_with_extras(rng, max_dim=5):
@@ -72,15 +77,19 @@ def model_with_extras(rng, max_dim=5):
 
 
 def blow_ups(seed, count, steps=3):
-    """(parent, center, blow-up) along random walks of random models."""
+    """(parent, center, children) along random walks of random models, with
+    the reference parent and children of the same route."""
     rng = random.Random(seed)
     for _ in range(count):
         model = model_with_extras(rng)
+        chart, reference = model.chart, root_chart(model)
         for _ in range(steps):
             center = random_center(rng, model.dim)
-            blow = model.blow_up(center)
-            yield model, center, blow
-            model = blow.children[rng.randrange(len(blow.children))]
+            children = chart.children(center)
+            references = blow_up(reference, center)
+            yield chart, center, children, reference, references
+            pick = rng.randrange(len(children))
+            chart, reference = children[pick], references[pick]
 
 
 def vector_symbols(model):
@@ -101,8 +110,8 @@ class TestTransformSweeps:
         for _ in range(40):
             model = random_model(rng, extras=True)
             for step in random_walk(rng, model, 3):
-                verdict = check_complex(step.matrix)
-                assert verdict.ok, (step.chart.chart_id, verdict.violations)
+                verdict = check_complex(chart_matrix(step))
+                assert verdict.ok, (step.chart_id, verdict.violations)
 
     def test_matches_naive_oracle_along_walks(self):
         rng = random.Random(102)
@@ -110,9 +119,10 @@ class TestTransformSweeps:
             model = random_model(rng)
             symbols = vector_symbols(model)
             for step in random_walk(rng, model, 3):
-                moved = substitute_symbols(symbols, step.chart.total_substitution)
-                expected = naive_matrix(step.dim, step.torsion, moved)
-                assert [list(row) for row in step.matrix.entries] == expected
+                moved = substitute_symbols(symbols, step.rows)
+                expected = naive_matrix(step.dim, model.torsion, moved)
+                assert [list(row) for row in chart_matrix(step).entries] \
+                    == expected
 
     def test_functorial_in_the_total_substitution(self):
         rng = random.Random(103)
@@ -120,8 +130,8 @@ class TestTransformSweeps:
             model = random_model(rng)
             root_matrix = model.matrix
             for step in random_walk(rng, model, 3):
-                direct = transform(root_matrix, step.chart.total_substitution)
-                assert direct.entries == step.matrix.entries
+                direct = transform(root_matrix, step.rows)
+                assert direct == chart_matrix(step)
 
     def test_residue_matches_naive_oracle(self):
         rng = random.Random(104)
@@ -129,18 +139,19 @@ class TestTransformSweeps:
             model = random_model(rng)
             symbols = vector_symbols(model)
             for step in random_walk(rng, model, 2):
-                moved = substitute_symbols(symbols, step.chart.total_substitution)
+                moved = substitute_symbols(symbols, step.rows)
                 for slot in range(step.dim):
-                    got = residue(step.matrix, slot)
-                    want = naive_residue(step.dim, step.torsion, moved, slot)
-                    assert got.exponents == want, (step.chart.chart_id, slot)
+                    want = naive_residue(step.dim, model.torsion, moved, slot)
+                    assert step.cover_on(slot).monomial_order == \
+                        residue_order(model.torsion, want), (step.chart_id,
+                                                             slot)
 
     def test_substitutions_stay_unimodular(self):
         rng = random.Random(105)
         for _ in range(40):
             model = random_model(rng)
             for step in random_walk(rng, model, 3):
-                assert determinant(step.chart.total_substitution) in (1, -1)
+                assert determinant(step.rows) in (1, -1)
 
 
 class TestDiscrepancySweeps:
@@ -211,43 +222,50 @@ class TestDiscrepancySweeps:
         for _ in range(50):
             model = random_model(rng, extras=True)
             center = random_center(rng, model.dim)
-            roots.append((model, center, model.blow_up(center)))
-        for parent, center, blow in chain(roots, blow_ups(207, 50)):
-            degrees = {
-                child.cover_on(child.chart.pivot) for child in blow.children
-            }
-            assert len(degrees) == 1, blow.exceptional_id
-            # the direct read from the parent builds no child
-            assert parent.exceptional_cover(center) == (
-                blow.exceptional_id, degrees.pop())
+            reference = root_chart(model)
+            roots.append((model.chart, center, model.chart.children(center),
+                          reference, blow_up(reference, center)))
+        for parent, center, children, _, references in chain(
+                roots, blow_ups(207, 50)):
+            degrees = {child.cover_on(p) for child, p in zip(children, center)}
+            assert len(degrees) == 1, children[0].chart_id
+            assert degrees == {cover_on(r, r.pivot) for r in references}
+            # the step reads it from the parent and builds no child
+            walk = parent.model.walk
+            slots = walk.slots(parent)
+            step = walk.step(parent, slots, center, slots[0])
+            assert (step.divisor_id, step.degree) == (
+                children[0].divisor_ids[center[0]], degrees.pop())
 
 
 class TestRowUpdateSweeps:
-    """The blow-up step as a row update, against the generic products."""
+    """The blow-up step on root rows, against the generic products."""
 
     def test_matrix_matches_transform(self):
-        for parent, _, blow in blow_ups(601, 40):
-            for child in blow.children:
-                expected = transform(parent.matrix, step_matrix(child.chart))
-                assert child.matrix.entries == expected.entries, \
-                    child.chart.chart_id
+        for _, _, children, reference, references in blow_ups(601, 40):
+            for child, expected in zip(children, references):
+                assert chart_matrix(child) == transform(
+                    reference.matrix, step_matrix(expected)), child.chart_id
+                assert child.chart_id == expected.chart_id
 
     def test_total_substitution_matches_product(self):
-        for parent, _, blow in blow_ups(602, 40):
-            for child in blow.children:
-                assert child.chart.total_substitution == compose_substitutions(
-                    step_matrix(child.chart), parent.chart.total_substitution)
+        for parent, _, children, _, references in blow_ups(602, 40):
+            for child, expected in zip(children, references):
+                assert child.rows == compose_substitutions(
+                    step_matrix(expected), parent.rows)
 
     def test_extras_match_generic_substitution(self):
         checked = 0
-        for parent, _, blow in blow_ups(603, 40):
-            for child in blow.children:
-                step = step_matrix(child.chart)
-                for old, new in zip(parent.extras, child.extras):
-                    assert new.vector == tuple(
-                        v % old.modulus
-                        for v in apply_substitution(step, old.vector))
-                    checked += 1
+        for _, _, children, _, references in blow_ups(603, 40):
+            for child, expected in zip(children, references):
+                labels = child.model.labels
+                for k, divisor_id in enumerate(child.divisor_ids):
+                    for flag, extra in zip(child.exact[k], expected.extras):
+                        row = child.rows[k][labels.index(extra.origin_id)]
+                        assert row % extra.modulus == extra.vector[k]
+                        assert flag == (divisor_id in extra.exact_on)
+                        checked += 1
+                    assert child.cover_on(k) == cover_on(expected, k)
         assert checked >= 100
 
 
@@ -257,9 +275,9 @@ class TestResolutionSweeps:
         for _ in range(30):
             model = random_model(rng, torsions=(2,), dims=(3,))
             result = level_one_fixup(model)
-            for leaf in result.models:
+            for leaf in result.charts:
                 assert find_bad_strata(leaf) == ()
-            reports = enumerate_divisors(result.models, depth=1).reports
+            reports = enumerate_divisors(result.charts, depth=1).reports
             assert weighted_infimum(reports) > 0
 
     def test_enumeration_reports_are_internally_consistent(self):
@@ -300,10 +318,11 @@ class TestResolutionSweeps:
         assert tight >= 50
 
 
-def step_outcomes(walk, chart):
-    """Uncached step of every center of a row-walk chart."""
+def step_outcomes(walk, chart, abar):
+    """Uncached step of every center of a chart."""
     slots = walk.slots(chart)
-    return [walk.step(chart, slots, center) for center in walk.centers]
+    return [walk.step(chart, slots, center, abar)
+            for center in _centers(chart.dim)]
 
 
 class TestStateKeySweeps:
@@ -317,30 +336,34 @@ class TestStateKeySweeps:
         repeats = separated = 0
         for _ in range(12):
             model = model_with_extras(rng, max_dim=4)
+            walk = model.walk
             try:
-                walk = _RowWalk([model])
+                level = [(model.chart, _base_row(walk, model.chart))]
             except IndeterminateDegreeError:
                 continue  # undetermined base boundary, nothing to telescope
-            level = walk.charts
             for _ in range(2):
-                level = [child for chart in level
-                         for center, step in zip(walk.centers,
-                                                 step_outcomes(walk, chart))
-                         for child in walk.children(chart, center, step, ())]
+                level = [
+                    (child, _put(abar, p, -step.a))
+                    for chart, abar in level
+                    for center, step in zip(_centers(model.dim),
+                                            step_outcomes(walk, chart, abar))
+                    for p, child in zip(center,
+                                        walk.children(chart, center, step))]
                 groups = {}
-                for chart in level:
-                    groups.setdefault(chart.key, []).append(chart)
-                ids = [key[1] for key in groups]
+                for chart, abar in level:
+                    groups.setdefault((chart.divisor_ids, chart.exact),
+                                      []).append((chart, abar))
+                ids = [key[0] for key in groups]
                 separated += len(ids) - len(set(ids))
                 for group in groups.values():
-                    first = group[0]
-                    expected = step_outcomes(walk, first)
-                    for other in group[1:]:
+                    first, first_abar = group[0]
+                    expected = step_outcomes(walk, first, first_abar)
+                    for other, other_abar in group[1:]:
                         repeats += 1
-                        assert (other.rows, other.roots, other.abar) == (
-                            first.rows, first.roots, first.abar)
-                        assert step_outcomes(walk, other) == expected, (
-                            first.chart_id, other.chart_id)
+                        assert (other.rows, other_abar) == (first.rows,
+                                                            first_abar)
+                        assert step_outcomes(walk, other, other_abar) \
+                            == expected, (first.chart_id, other.chart_id)
         # keys that differ only in exact flags occur, so the sweep sees them
         assert repeats >= 400
         assert separated >= 150

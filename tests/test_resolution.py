@@ -15,9 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from brauer_terminal import enumeration
-from brauer_terminal.discrepancy import DiscrepancyReport, weighted_infimum
-from brauer_terminal.model import IndeterminateDegreeError, Model
+from brauer_terminal.discrepancy import (DiscrepancyReport, boundary_divisor,
+                                         brauer_discrepancy,
+                                         stratum_discrepancies,
+                                         weighted_infimum)
+from brauer_terminal.model import IndeterminateDegreeError, Model, _RowWalk
 from brauer_terminal.resolution import (NonterminationError,
                                         TerminalityCertificate,
                                         SideConditionSummary,
@@ -36,13 +38,13 @@ def bad_case():
 def count_children(monkeypatch):
     """Record the center of every blow-up whose children the walk builds."""
     calls = []
-    children = enumeration._RowWalk.children
+    children = _RowWalk.children
 
     def counted(walk, chart, center, *rest):
         calls.append(center)
         return children(walk, chart, center, *rest)
 
-    monkeypatch.setattr(enumeration._RowWalk, "children", counted)
+    monkeypatch.setattr(_RowWalk, "children", counted)
     return calls
 
 
@@ -81,8 +83,8 @@ class TestFindBadStrata:
     def test_indeterminate_degree_raises(self):
         model = Model.affine(2, ("x1", "x2", "x3"), [(0, 1, 1)],
                              extra_degrees={"x3": 2})
-        chart = model.blow_up((0, 2)).children[1]
-        grand = chart.blow_up((0, 2)).children[0]
+        chart = model.chart.children((0, 2))[1]
+        grand = chart.children((0, 2))[0]
         with pytest.raises(IndeterminateDegreeError):
             find_bad_strata(grand)
 
@@ -91,8 +93,8 @@ class TestLevelOneFixup:
     def test_single_round_repairs(self):
         result = level_one_fixup(bad_case())
         assert result.rounds == 1
-        assert len(result.models) == 2
-        for leaf in result.models:
+        assert len(result.charts) == 2
+        for leaf in result.charts:
             assert find_bad_strata(leaf) == ()
 
     def test_tree_records_the_blow_up(self):
@@ -109,7 +111,7 @@ class TestLevelOneFixup:
         model = Model.affine(2, ("x1", "x2", "x3"), [(0, 1, 1)])
         result = level_one_fixup(model)
         assert result.rounds == 0
-        assert result.models == (model,)
+        assert result.charts == (model.chart,)
 
     def test_round_budget(self):
         with pytest.raises(NonterminationError) as err:
@@ -143,7 +145,7 @@ class TestEnumerateDivisors:
 
     def test_duplicate_reported_once(self):
         fixed = level_one_fixup(bad_case())
-        enum = enumerate_divisors(fixed.models, 1)
+        enum = enumerate_divisors(fixed.charts, 1)
         ids = [r.divisor_id for r in enum.reports]
         assert len(ids) == len(set(ids))
         # both leaves can blow up the shared strict strata
@@ -197,7 +199,7 @@ class TestEnumerateDivisors:
         assert cut.reports == full.reports
 
     @pytest.mark.parametrize("bases,depth,steps,built,probes,reported", [
-        (lambda: level_one_fixup(bad_case()).models, 4, 3704, 413, 6560, 413),
+        (lambda: level_one_fixup(bad_case()).charts, 4, 3704, 413, 6560, 413),
         (lambda: Model.affine(2, ("x1", "x2", "x3", "x4"),
                               [(0, 2, 1), (1, 3, 1)]), 3, 6545, 365, 8943,
          365),
@@ -209,8 +211,9 @@ class TestEnumerateDivisors:
         # report per divisor plus one per merge that narrows candidates
         # (none in the torsion-2 cases); probes still count every chart,
         # as before steps were reused
+        base = bases()
         calls = {"step": 0, "report": 0}
-        step = enumeration._RowWalk.step
+        step = _RowWalk.step
         from_degree = DiscrepancyReport.from_degree.__func__
 
         def counted_step(*args):
@@ -221,10 +224,10 @@ class TestEnumerateDivisors:
             calls["report"] += 1
             return from_degree(cls, **kwargs)
 
-        monkeypatch.setattr(enumeration._RowWalk, "step", counted_step)
+        monkeypatch.setattr(_RowWalk, "step", counted_step)
         monkeypatch.setattr(DiscrepancyReport, "from_degree",
                             classmethod(counted_report))
-        enum = enumerate_divisors(bases(), depth)
+        enum = enumerate_divisors(base, depth)
         assert (calls["step"], calls["report"], enum.probes) == (
             steps, built, probes)
         assert len(enum.reports) == reported and enum.complete
@@ -232,6 +235,10 @@ class TestEnumerateDivisors:
     def test_registry_must_be_shared(self):
         with pytest.raises(ValueError):
             enumerate_divisors([bad_case(), bad_case()], 1)
+        # the same for charts: those of two roots never share a walk
+        with pytest.raises(ValueError, match="one root"):
+            enumerate_divisors([bad_case().chart,
+                                bad_case().chart.children((0, 1))[0]], 1)
 
     def test_remark_family_flagged(self):
         enum = enumerate_divisors(remark_model(), 2)
@@ -280,6 +287,35 @@ class TestCheckComposition:
     def test_bad_child_index(self):
         with pytest.raises(ValueError):
             check_composition(bad_case(), [((0, 1), 9)])
+
+
+class TestCallerErrors:
+    """The errors callers see on bad centers and undetermined degrees."""
+
+    @pytest.mark.parametrize("center", [(0,), (0, 3), (1, 1), ()])
+    def test_bad_centers_rejected(self, center):
+        with pytest.raises(ValueError):
+            brauer_discrepancy(bad_case(), center)
+        with pytest.raises(ValueError):
+            check_composition(bad_case(), [((0, 1), 0), (center, 0)])
+
+    @pytest.mark.parametrize("pick", [2, 9, -1])
+    def test_child_index_out_of_range(self, pick):
+        with pytest.raises(ValueError, match="child index"):
+            check_composition(bad_case(), [((0, 1), 0), ((0, 1), pick)])
+
+    def test_every_undetermined_divisor_listed(self):
+        chart = remark_model().chart
+        for center, pick in (((0, 2), 1), ((0, 2), 0), ((0, 2), 1)):
+            chart = chart.children(center)[pick]
+        calls = (boundary_divisor, stratum_discrepancies,
+                 lambda c: brauer_discrepancy(c, (0, 1)),
+                 lambda c: check_composition(c, [((0, 1), 0)]),
+                 lambda c: enumerate_divisors(c, 1))
+        for call in calls:
+            with pytest.raises(IndeterminateDegreeError) as err:
+                call(chart)
+            assert err.value.divisor_ids == ("E(2,0,1)", "E(3,0,2)")
 
 
 class TestCertify:

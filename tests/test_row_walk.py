@@ -1,85 +1,119 @@
-"""The row walk of ``enumerate_divisors`` against a chart walk on models.
+"""The row walk of ``enumerate_divisors`` against a reference chart walk.
 
-``enumerate_divisors`` reads every number of a step off valuation rows:
-the residue order from the base matrix, the extras' exposures and exact
-flags from the base vectors, and a from scaled integers. So its own
-cross-route checks compare the row formulas with themselves. The reference
-here walks ``Model`` charts instead: ``Model.blow_up`` transports the
-symbol matrix and the extras chart by chart, and ``discrepancy._step``
-reads a, the degree and the one-step value off each chart. It has no
-state reuse, no scaled integers and no child pruning, and it checks on
-every repeated divisor that a and the monomial order agree between routes.
-The two must give the same canonical dump: every report, side check,
-``probes``, ``complete`` and indeterminate divisor.
+``enumerate_divisors`` reads every number of a step off root valuation
+rows: the residue order from the root matrix, the extras' exposures and
+exact flags from the rows' origin entries, and a from scaled integers. So
+its own cross-route checks compare the row formulas with themselves. The
+reference here walks the charts of ``oracles.blow_up`` instead, which
+transport the symbol matrix and the extra vectors chart by chart by
+generic substitution products, and reads a (as Fractions), the degree and
+the one-step value off each chart. It has no state reuse, no scaled
+integers and no child pruning, and it checks on every repeated divisor
+that a and the monomial order agree between routes. The two must give the
+same canonical dump: every report, side check, ``probes``, ``complete``
+and indeterminate divisor.
 """
 
 import random
 from collections import deque
+from fractions import Fraction
+from itertools import combinations
 
-from brauer_terminal.charts import strata
-from brauer_terminal.discrepancy import (DiscrepancyReport, WitnessStep,
-                                         _base_abar, _boundary_table, _report,
-                                         _step)
+from brauer_terminal.discrepancy import DiscrepancyReport, WitnessStep
 from brauer_terminal.model import (CoverDegree, IndeterminateDegreeError,
                                    Model)
 from brauer_terminal.enumeration import (EnumerationResult, SideCheck,
                                          enumerate_divisors)
 from brauer_terminal.resolution import level_one_fixup
 
+from .oracles import blow_up, cover_on, root_chart
 from .test_golden_enumeration import canonical_dump
 
 
-def merge(seen, step):
+def merge(seen, a, degree):
     """Another route's step to a reported divisor: a and the monomial order
     must agree, and the candidate lists are intersected."""
-    assert step.a == seen.a, seen.divisor_id
-    assert step.degree.monomial_order == seen.degree.monomial_order, \
+    assert a == seen.a, seen.divisor_id
+    assert degree.monomial_order == seen.degree.monomial_order, \
         seen.divisor_id
     merged = tuple(sorted(set(seen.degree.candidates)
-                          & set(step.degree.candidates)))
+                          & set(degree.candidates)))
     assert merged, seen.divisor_id
     if merged == seen.degree.candidates:
         return seen
     sources = () if len(merged) == 1 else tuple(sorted(
-        set(seen.degree.sources) | set(step.degree.sources)))
+        set(seen.degree.sources) | set(degree.sources)))
     return DiscrepancyReport.from_degree(
         divisor_id=seen.divisor_id, level=seen.level, witness=seen.witness,
         a=seen.a, degree=CoverDegree(seen.degree.monomial_order, merged,
                                      sources))
 
 
+def reference_chart(chart):
+    """The reference chart at the end of an engine chart's route, which its
+    id names: the centers and pivots from the root."""
+    reference = root_chart(chart.model)
+    for part in chart.chart_id.split(".")[1:]:
+        center, pivot = part.split("p")
+        center = tuple(int(k) - 1 for k in center.split("-"))
+        reference = blow_up(reference, center)[center.index(int(pivot) - 1)]
+    return reference
+
+
+def boundary(chart):
+    """Each slot's coefficient 1 - 1/e, None where e is undetermined."""
+    degrees = [cover_on(chart, k) for k in range(chart.dim)]
+    return [Fraction(d.value - 1, d.value) if d.determinate else None
+            for d in degrees]
+
+
 def chart_walk(bases, depth, max_probes, narrowed=None):
-    """Breadth-first over ``Model`` charts, one ``_step`` per probe; counts
+    """Breadth-first over reference charts, one blow-up per probe; counts
     the merges that narrow a candidate list in ``narrowed``."""
-    queue = deque((m, _base_abar(m), ()) for m in bases if depth > 0)
+    queue = deque()
+    for base in bases if depth > 0 else ():
+        reference = reference_chart(base)
+        abar = boundary(reference)
+        blocked = [d for d, c in zip(reference.divisor_ids, abar) if c is None]
+        if blocked:
+            raise IndeterminateDegreeError(blocked)
+        queue.append((reference, abar, ()))
     reports, checks, probes, complete = {}, [], 0, True
     while queue:
         if probes >= max_probes:
             complete = False
             break
-        model, abar, witness = queue.popleft()
-        boundary = _boundary_table(model)
-        for stratum in [s for codim in range(2, model.dim + 1)
-                        for s in strata(model.chart, codim)]:
+        chart, abar, witness = queue.popleft()
+        chart_id = chart.chart_id
+        own = boundary(chart)
+        for center in [s for codim in range(2, chart.dim + 1)
+                       for s in combinations(range(chart.dim), codim)]:
             if probes >= max_probes:
                 complete = False
                 break
             probes += 1
-            step = _step(model, stratum, abar, boundary)
-            chart_id = model.chart.chart_id
-            checks.append(SideCheck(step.divisor_id, chart_id,
-                                    stratum.divisor_ids, step.one_step))
-            route = witness + (WitnessStep(chart_id, stratum.indices,
-                                           stratum.divisor_ids),)
-            seen = reports.get(step.divisor_id)
-            reports[step.divisor_id] = (_report(step, route) if seen is None
-                                        else merge(seen, step))
+            children = blow_up(chart, center)
+            first = children[0]
+            divisor_id = first.divisor_ids[first.pivot]
+            degree = cover_on(first, first.pivot)
+            a = len(center) - 1 - sum(abar[k] for k in center)
+            load = [own[k] for k in center]
+            names = tuple(chart.divisor_ids[k] for k in center)
+            checks.append(SideCheck(
+                divisor_id, chart_id, names,
+                None if None in load else len(center) - 1 - sum(load)))
+            route = witness + (WitnessStep(chart_id, center, names),)
+            seen = reports.get(divisor_id)
+            reports[divisor_id] = (DiscrepancyReport.from_degree(
+                divisor_id=divisor_id, level=len(route), witness=route, a=a,
+                degree=degree) if seen is None
+                else merge(seen, a, degree))
             if narrowed is not None and seen is not None:
-                narrowed.append(reports[step.divisor_id] is not seen)
+                narrowed.append(reports[divisor_id] is not seen)
             if len(route) < depth:
-                for child in model.blow_up(stratum).children:
-                    p = child.chart.pivot
-                    queue.append((child, abar[:p] + (-step.a,) + abar[p + 1:],
+                for child in children:
+                    p = child.pivot
+                    queue.append((child, abar[:p] + [-a] + abar[p + 1:],
                                   route))
     ordered = sorted(reports.values(), key=lambda r: (
         r.level, [(s.chart_id, s.indices) for s in r.witness], r.divisor_id))
@@ -118,10 +152,10 @@ def corpus(seed=9001, count=320):
                    for label in rng.sample(labels, k % 3)}
         model = Model.affine(r, labels, symbols, degrees)
         kind = ("root", "child", "fixed")[k // 3 % 3]
-        bases = (model,)
+        bases = (model.chart,)
         if kind == "child":
             center = tuple(sorted(rng.sample(range(dim), rng.randint(2, dim))))
-            children = model.blow_up(center).children
+            children = model.chart.children(center)
             bases = (children[rng.randrange(len(children))],)
         elif kind == "fixed":
             # symbols through one hub leave pairs of the others bad
@@ -130,7 +164,7 @@ def corpus(seed=9001, count=320):
                        if j != hub and rng.random() < 0.8]
             try:
                 bases = level_one_fixup(Model.affine(2, labels, symbols,
-                                                     degrees)).models
+                                                     degrees)).charts
             except IndeterminateDegreeError:
                 kind = "root"
         depth = DEPTHS[dim] - rng.randint(0, 1)
@@ -151,7 +185,7 @@ def test_row_walk_matches_the_chart_walk_on_a_seeded_corpus():
         expected = outcome(chart_walk, bases, depth, max_probes,
                            narrowed=merges)
         got = outcome(enumerate_divisors, bases, depth, max_probes)
-        assert got == expected, (kind, bases[0].chart.chart_id, depth,
+        assert got == expected, (kind, bases[0].chart_id, depth,
                                  max_probes)
         kinds[kind] = kinds.get(kind, 0) + 1
         fixups += len(bases) > 1

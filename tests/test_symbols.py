@@ -1,20 +1,22 @@
-"""Symbol matrices, residues, and the pushforward through blow-ups.
+"""Symbol matrices, residues, and the class on blown-up charts.
 
 Expected values for the two pinned transforms and the residue read were
-frozen from the naive symbol-expansion oracle in tests/oracles.py.
+frozen from the naive symbol-expansion oracle in tests/oracles.py. A
+blown-up chart keeps the root's matrix: the engine reads its entry (i, j)
+as rows[i] M rows[j] mod r and the residue order on slot i as
+r/gcd(r, rows[i] M), and both must match the reference pushforward.
 """
 
 from math import lcm
 
 import pytest
 
-from brauer_terminal.charts import Stratum, blow_up, new_affine_model
 from brauer_terminal.model import Model
 from brauer_terminal.symbols import (KummerClass, SymbolMatrix, check_complex,
-                                     ramifies_on, residue, transform)
+                                     ramifies_on, residue, residue_order)
 
-from .oracles import (naive_matrix, naive_residue, step_matrix,
-                      substitute_symbols)
+from .oracles import (blow_up, naive_matrix, naive_residue, root_chart,
+                      step_matrix, substitute_symbols, transform)
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -129,48 +131,60 @@ class TestCheckComplex:
         assert verdict.violations == ((0,),)
 
 
+def chart_matrix(chart):
+    """The engine's reading of a chart's symbol matrix, entry by entry."""
+    walk, rows = chart.model.walk, chart.rows
+    return SymbolMatrix(chart.model.torsion, tuple(
+        tuple(walk.pairing(u, v) for v in rows) for u in rows))
+
+
 class TestTransform:
-    def _pivot_chart(self, center, pick=0):
-        root = new_affine_model(3, ("x1", "x2", "x3"))
-        return blow_up(root, Stratum(root, center))[pick]
+    def _pivot_chart(self, m, center, pick=0):
+        model = Model(labels=("x1", "x2", "x3"), matrix=m)
+        return model.chart.children(center)[pick]
 
     def test_pinned_single_symbol(self):
         # (x1, x2), blow up V(x1, x2), chart x1 = t, x2 = t*y2:
         # (t, t*y2) = (t, t)(t, y2) and the result pairs t with y2 once.
-        chart = self._pivot_chart((0, 1))
         m = SymbolMatrix.from_symbols(2, 3, [(0, 1, 1)])
-        moved = transform(m, step_matrix(chart))
+        chart = self._pivot_chart(m, (0, 1))
+        moved = chart_matrix(chart)
         assert moved.entry(0, 1) == 1
         assert moved.entry(1, 0) == 1
         assert check_complex(moved).ok
+        assert moved == transform(m, chart.rows)
 
     def test_pinned_doubled_residue_cancels(self):
         # (x1, x3) + (x2, x3) mod 2 in the same chart: both symbols now run
         # through t, so the residue along t is x3^2 = trivial, and only
         # (y2, x3) survives.
-        chart = self._pivot_chart((0, 1))
         m = SymbolMatrix.from_symbols(2, 3, [(0, 2, 1), (1, 2, 1)])
-        moved = transform(m, step_matrix(chart))
+        chart = self._pivot_chart(m, (0, 1))
+        moved = chart_matrix(chart)
         assert residue(moved, 0).exponents == (0, 0)
+        assert chart.cover_on(0).monomial_order == 1
         assert moved.entry(1, 2) == 1
 
     @pytest.mark.parametrize("center,pick", [((0, 1), 0), ((0, 1), 1),
                                              ((0, 2), 0), ((0, 1, 2), 2)])
     def test_matches_substituted_oracle(self, center, pick):
         symbols = [(E1, E3, 1), (E2, E3, 2), (E1, E2, 1)]
-        chart = self._pivot_chart(center, pick)
         m = SymbolMatrix.from_symbols(5, 3, [(0, 2, 1), (1, 2, 2), (0, 1, 1)])
-        moved = transform(m, step_matrix(chart))
-        expected = naive_matrix(3, 5,
-                                substitute_symbols(symbols, step_matrix(chart)))
-        assert [list(row) for row in moved.entries] == expected
+        chart = self._pivot_chart(m, center, pick)
+        expected = naive_matrix(3, 5, substitute_symbols(symbols, chart.rows))
+        assert [list(row) for row in chart_matrix(chart).entries] == expected
+        for slot in range(3):
+            assert chart.cover_on(slot).monomial_order == residue_order(
+                5, naive_residue(3, 5, substitute_symbols(symbols, chart.rows),
+                                 slot))
 
     def test_two_steps_compose(self):
-        root = new_affine_model(3, ("a", "b", "c"))
-        first = blow_up(root, Stratum(root, (0, 1)))[0]
-        second = blow_up(first, Stratum(first, (1, 2)))[1]
         m = SymbolMatrix.from_symbols(3, 3, [(0, 1, 1), (1, 2, 2)])
-        stepwise = transform(transform(m, step_matrix(first)),
-                             step_matrix(second))
-        direct = transform(m, second.total_substitution)
-        assert stepwise.entries == direct.entries
+        model = Model(labels=("a", "b", "c"), matrix=m)
+        first = model.chart.children((0, 1))[0]
+        second = first.children((1, 2))[1]
+        reference = blow_up(blow_up(root_chart(model), (0, 1))[0], (1, 2))[1]
+        stepwise = transform(transform(m, step_matrix(reference.parent)),
+                             step_matrix(reference))
+        assert chart_matrix(second) == stepwise == reference.matrix
+        assert chart_matrix(second) == transform(m, second.rows)

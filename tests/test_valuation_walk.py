@@ -18,7 +18,7 @@ from brauer_terminal.model import Model
 from brauer_terminal.resolution import (certify, enumerate_divisors,
                                         find_bad_strata, level_one_fixup)
 
-from .oracles import monomial_order
+from .oracles import monomial_order, signed_lift
 from .test_golden_enumeration import bad_case_bases, dim4_plain
 
 
@@ -33,7 +33,7 @@ def torsion_two_model(rng, dim):
 
 
 def assert_walks_agree(bases, depth, max_probes=200000):
-    bases = (bases,) if isinstance(bases, Model) else tuple(bases)
+    bases = (bases.chart,) if isinstance(bases, Model) else tuple(bases)
     reference = enumerate_divisors(bases, depth, max_probes=max_probes)
     walked = _valuation_walk(bases, depth, max_probes)
     assert walked.reports == reference.reports
@@ -56,7 +56,7 @@ def test_matches_the_chart_walk_on_a_seeded_corpus():
     for dim, depth, raw, fixed in CORPUS:
         for fixup in [False] * raw + [True] * fixed:
             model = torsion_two_model(rng, dim)
-            bases = level_one_fixup(model).models if fixup else (model,)
+            bases = level_one_fixup(model).charts if fixup else (model.chart,)
             reported += len(assert_walks_agree(bases, depth).reports)
             models += 1
     assert models >= 60
@@ -113,7 +113,7 @@ def test_torsion_two_bound_over_the_reach_map(dim):
     zeros = degenerate = 0
     for model in models:
         halves = [2 // model.cover_on(k).value for k in range(dim)]
-        lift = model.matrix.signed_lift()
+        lift = signed_lift(model.matrix)
         bad = {s.indices for s in find_bad_strata(model)}
         degenerate += len(bad)
         for v in reach:
