@@ -294,7 +294,8 @@ _Row = Tuple[int, ...]
 
 
 class _RowStep(NamedTuple):
-    """A center's new divisor: its rows, exact flags and scaled numbers."""
+    """A center's new divisor: its id, the center's divisor ids, its root
+    row, its exact flags, its degree and its scaled numbers."""
 
     divisor_id: str
     center: Tuple[str, ...]
@@ -310,9 +311,9 @@ class _RowWalk:
 
     Degrees follow ``_combined_degree`` and are memoised per (root row,
     exact flags); a model keeps one walk (``Model.walk``), so the memos
-    serve every call on its charts. Coefficients, ``a`` and one-step values are integers
-    scaled by lcm(r, extra degrees), which every degree divides;
-    ``fraction`` turns one into a ``Fraction``.
+    serve every call on its charts. Coefficients, ``a`` and one-step
+    values are integers scaled by lcm(r, extra degrees), which every
+    degree divides; ``fraction`` turns one into a ``Fraction``.
     """
 
     def __init__(self, model: Model):

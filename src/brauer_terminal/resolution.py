@@ -91,13 +91,13 @@ def find_bad_strata(pair: PairLike) -> Tuple[Stratum, ...]:
             f"{chart.model.torsion}")
     walk = chart.model.walk
     slots = walk.slots(chart)
-    rows, ids = chart.rows, chart.divisor_ids
+    ids = chart.divisor_ids
     bad = []
     for stratum in strata(chart, 2) if chart.dim > 1 else ():
         i, j = stratum.indices
-        if walk.pairing(rows[i], rows[j]) != 0:
+        if walk.pairing(chart.rows[i], chart.rows[j]) != 0:
             continue
-        degrees = [walk.degree(rows[k], chart.exact[k])[0] for k in (i, j)]
+        degrees = [chart.cover_on(i), chart.cover_on(j)]
         for degree, slot in zip(degrees, (i, j)):
             if not degree.determinate:
                 raise IndeterminateDegreeError(
