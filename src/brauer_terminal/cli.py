@@ -26,11 +26,14 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .discrepancy import (DiscrepancyReport, boundary_divisor,
                           stratum_discrepancies)
+from .enumeration import DEFAULT_MAX_PROBES
 from .model import IndeterminateDegreeError, Model
 from .modelfile import ModelFormatError, load_model
-from .resolution import (CompositionCheck, NonterminationError, ResolutionTree,
-                         TerminalityCertificate, UnsupportedTorsionError,
-                         certify, level_one_fixup, run_remark)
+from .resolution import (DEFAULT_DEPTH, DEFAULT_MAX_ROUNDS,
+                         CompositionCheck, NonterminationError,
+                         ResolutionTree, TerminalityCertificate,
+                         UnsupportedTorsionError, certify, level_one_fixup,
+                         run_remark)
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -340,11 +343,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add("boundary", cmd_boundary)
     add("discrepancy", cmd_discrepancy)
     resolve = add("resolve", cmd_resolve)
-    resolve.add_argument("--max-rounds", type=_positive_int, default=64)
+    resolve.add_argument("--max-rounds", type=_positive_int,
+                         default=DEFAULT_MAX_ROUNDS)
     cert = add("certify", cmd_certify)
-    cert.add_argument("--depth", type=_positive_int, default=3)
-    cert.add_argument("--max-rounds", type=_positive_int, default=64)
-    cert.add_argument("--max-probes", type=_positive_int, default=200000,
+    cert.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
+    cert.add_argument("--max-rounds", type=_positive_int,
+                      default=DEFAULT_MAX_ROUNDS)
+    cert.add_argument("--max-probes", type=_positive_int,
+                      default=DEFAULT_MAX_PROBES,
                       help="blow-up budget of the enumeration")
     cert.add_argument("--no-fixup", action="store_true",
                       help="skip the level-one fixup before certification")
@@ -360,22 +366,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _EXIT_OK if exc.code == 0 else _EXIT_ERROR
     try:
         return args.handler(args)
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_ERROR
     except IndeterminateDegreeError as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return _EXIT_INDETERMINATE
-    except NonterminationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_ERROR
-    except UnsupportedTorsionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_ERROR
-    except OSError as exc:
+    except (ModelFormatError, NonterminationError, UnsupportedTorsionError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 

@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .charts import Stratum, strata
-from .model import (CenterLike, Chart, CoverDegree, IndeterminateDegreeError,
-                    PairLike, _RowWalk, as_chart)
+from .model import (CenterLike, Chart, CoverDegree, PairLike, _RowStep,
+                    _RowWalk, as_chart)
 
 
 @dataclass(frozen=True)
@@ -123,19 +123,8 @@ def boundary_divisor(pair: PairLike) -> BoundaryDivisor:
     """
     chart = as_chart(pair)
     walk = chart.model.walk
-    row = walk.boundary(chart)
-    ids = chart.divisor_ids
-    blocked = [divisor_id for divisor_id, c in zip(ids, row) if c is None]
-    if blocked:
-        raise IndeterminateDegreeError(blocked)
-    return BoundaryDivisor(coefficients=tuple(zip(ids, map(walk.fraction,
-                                                           row))))
-
-
-def _base_row(walk: _RowWalk, chart: Chart) -> Tuple[int, ...]:
-    """Coefficient row of a base chart, scaled: its boundary, slot by slot."""
-    return tuple(int(c * walk.scale)
-                 for _, c in boundary_divisor(chart).coefficients)
+    return BoundaryDivisor(coefficients=tuple(zip(
+        chart.divisor_ids, map(walk.fraction, walk.base_row(chart)))))
 
 
 def b_from_a(a: Fraction, e: int) -> Fraction:
@@ -176,17 +165,22 @@ def _one_step_reports(chart: Chart, centers: Sequence[Stratum]
                       ) -> Tuple[DiscrepancyReport, ...]:
     """The step of each center at the boundary row, as a level-1 report."""
     walk = chart.model.walk
-    row = _base_row(walk, chart)
+    row = walk.base_row(chart)
     slots = walk.slots(chart)
     reports = []
     for stratum in centers:
         step = walk.step(chart, slots, stratum.indices, row)
-        reports.append(DiscrepancyReport.from_degree(
-            divisor_id=step.divisor_id, level=1,
-            witness=(WitnessStep(chart.chart_id, stratum.indices,
-                                 step.center),),
-            a=walk.fraction(step.a), degree=step.degree))
+        reports.append(_report(walk, step, (WitnessStep(
+            chart.chart_id, stratum.indices, step.center),)))
     return tuple(reports)
+
+
+def _report(walk: _RowWalk, step: _RowStep,
+            witness: Tuple[WitnessStep, ...]) -> DiscrepancyReport:
+    """The report of a step's new divisor, reached along ``witness``."""
+    return DiscrepancyReport.from_degree(
+        divisor_id=step.divisor_id, level=len(witness), witness=witness,
+        a=walk.fraction(step.a), degree=step.degree)
 
 
 def weighted_infimum(reports: Iterable[DiscrepancyReport]) -> Fraction:

@@ -28,9 +28,11 @@ from itertools import combinations
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .discrepancy import DiscrepancyReport, WitnessStep, _base_row
+from .discrepancy import DiscrepancyReport, WitnessStep, _report
 from .model import (Chart, CoverDegree, Model, PairLike, _put, _RowStep,
-                    as_chart)
+                    _RowWalk, as_chart)
+
+DEFAULT_MAX_PROBES = 200000  # default blow-up budget of an enumeration
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ _Valuation = Tuple[int, ...]
 
 
 def _merge(seen: Tuple[int, DiscrepancyReport], step: _RowStep,
-           scale: int) -> Tuple[int, DiscrepancyReport]:
+           walk: _RowWalk) -> Tuple[int, DiscrepancyReport]:
     """Combine a divisor's scaled a and report with another route's step.
 
     The discrepancy and the monomial residue order are genuine invariants of
@@ -79,7 +81,7 @@ def _merge(seen: Tuple[int, DiscrepancyReport], step: _RowStep,
     if step.a != a:
         raise RuntimeError(f"divisor {report.divisor_id} recomputed "
                            f"inconsistently: a {report.a} vs "
-                           f"{Fraction(step.a, scale)}")
+                           f"{walk.fraction(step.a)}")
     if other is known:
         return seen
     if known.monomial_order != other.monomial_order:
@@ -111,7 +113,8 @@ def _witness_key(report: DiscrepancyReport):
 
 
 def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
-                       max_probes: int = 200000) -> EnumerationResult:
+                       max_probes: int = DEFAULT_MAX_PROBES
+                       ) -> EnumerationResult:
     """Enumerate every divisor extracted by blow-up routes of bounded length.
 
     Runs breadth-first over all charts: every coordinate stratum of every
@@ -166,7 +169,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     centers = _centers(model.dim)
     width = len(centers)
     # (chart, coefficient row, route, base number) per chart of the level
-    frontier = [(chart, _base_row(walk, chart), (), b)
+    frontier = [(chart, walk.base_row(chart), (), b)
                 for b, chart in enumerate(bases)]
     reports: Dict[str, Tuple[int, DiscrepancyReport]] = {}
     side_checks: List[SideCheck] = []
@@ -207,14 +210,10 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                     if seen is None:
                         route = witness + (WitnessStep(
                             chart.chart_id, center, step.center),)
-                        reports[step.divisor_id] = step.a, \
-                            DiscrepancyReport.from_degree(
-                                divisor_id=step.divisor_id,
-                                level=len(route), witness=route,
-                                a=walk.fraction(step.a), degree=step.degree)
+                        reports[step.divisor_id] = step.a, _report(
+                            walk, step, route)
                     else:
-                        reports[step.divisor_id] = _merge(seen, step,
-                                                          walk.scale)
+                        reports[step.divisor_id] = _merge(seen, step, walk)
                 else:
                     first = checks[n]
                     side_checks.append(SideCheck(first.divisor_id,
@@ -305,9 +304,10 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
 
     Every number of a report is then a function of the divisor's
     coordinates c on its base chart and its root valuation v = c R for the
-    base's rows R: a = sum of c_k/e_k - 1 over the base degrees, and the
-    degree is the residue order r/gcd(r, v M) for the root matrix M. The
-    divisors come from ``_reach``. The first witness in breadth-first order
+    base's rows R: a = sum of c_k/e_k - 1 over the base degrees (1/e_k is
+    one minus the base's boundary row), and the degree is the residue
+    order r/gcd(r, v M) for the root matrix M. The divisors come from
+    ``_reach``. The first witness in breadth-first order
     follows the first steps that ``_reach`` records, and the charts on it
     are built by the charts' one step, once each.
 
@@ -318,7 +318,7 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
     at least codim/2 - 1 >= 0 and the result carries no side checks.
     """
     walk = bases[0].model.walk
-    n, r = bases[0].dim, walk.torsion
+    n = bases[0].dim
     centers = {s: i for i, s in enumerate(_centers(n))}
     moves = [s for s in centers for _ in s]  # the center of each child
     first_child = {s: moves.index(s) for s in centers}
@@ -339,9 +339,7 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
             v = tuple(sum(map(mul, c, column)) for column in columns)
             if v not in first or reached.level < first[v][0]:
                 first[v] = (reached.level, b, c)
-    weights = [[r // walk.degree(row, exact)[0].value
-                for row, exact in zip(base.rows, base.exact)]
-               for base in bases]
+    weights = [[walk.scale - c for c in walk.base_row(base)] for base in bases]
     # (blow-ups, chart number) -> chart, route to it
     charts: Dict[Tuple[int, int], Tuple[Chart, Tuple[WitnessStep, ...]]] = {
         (0, b): (base, ()) for b, base in enumerate(bases)}
@@ -371,7 +369,8 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
                                 tuple(chart.divisor_ids[i] for i in last)),)
         reports.append(DiscrepancyReport.from_degree(
             divisor_id=walk.name(v), level=level,
-            witness=witness, a=Fraction(sum(map(mul, c, weights[b])) - r, r),
+            witness=witness,
+            a=walk.fraction(sum(map(mul, c, weights[b])) - walk.scale),
             degree=walk.degree(v, ())[0]))
     return EnumerationResult(
         reports=tuple(sorted(reports, key=_witness_key)), side_checks=(),

@@ -33,7 +33,7 @@ from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
 
 from .charts import (LABEL_RE, Stratum, exceptional_divisor_id,
                      identity_substitution)
-from .symbols import SymbolMatrix, residue_order
+from .symbols import SymbolMatrix, check_complex, residue_order
 
 
 class IndeterminateDegreeError(ValueError):
@@ -168,11 +168,7 @@ class Model:
             raise ValueError("divisor labels must be distinct")
         if self.matrix.dim != len(labels):
             raise ValueError("symbol matrix does not match chart dimension")
-        entries, r = self.matrix.entries, self.matrix.r
-        if any(row[i] for i, row in enumerate(entries)) or any(
-            (entries[i][j] + entries[j][i]) % r
-            for i in range(len(entries)) for j in range(i)
-        ):
+        if not check_complex(self.matrix).ok:
             raise ValueError("symbol matrix must be alternating")
         for comp in self.extras:
             if comp.origin_id not in labels:
@@ -359,6 +355,16 @@ class _RowWalk:
         is undetermined)."""
         return tuple(self.degree(row, exact)[1]
                      for row, exact in zip(chart.rows, chart.exact))
+
+    def base_row(self, chart: Chart) -> Tuple[int, ...]:
+        """``boundary`` of a base chart, where discrepancies telescope from;
+        raises ``IndeterminateDegreeError`` naming every undetermined
+        divisor."""
+        row = self.boundary(chart)
+        if None in row:
+            raise IndeterminateDegreeError(
+                [i for i, c in zip(chart.divisor_ids, row) if c is None])
+        return row
 
     def slots(self, chart: Chart) -> tuple:
         """What the steps of a chart read: the boundary row, each extra's

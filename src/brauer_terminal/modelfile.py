@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .charts import LABEL_RE
 from .model import Model
-from .symbols import check_complex
+from .symbols import SymbolMatrix
 
 _TOKEN_RE = re.compile(r"\S+")
 _KEY_RE = re.compile(r"^\s*(\w+)\s*=\s*(.*?)\s*$")
@@ -73,22 +73,24 @@ class ModelSpec:
     def create(cls, torsion: int, labels: Sequence[str],
                symbols: Iterable[Tuple[int, int, int]] = (),
                extra_degrees: Iterable[Tuple[str, int]] = ()) -> "ModelSpec":
+        """The canonical spec: symbols accumulate by ``from_symbols``, and
+        self-pairings drop. Raises ``ValueError`` on a torsion below 2, a
+        slot out of range or an extra cover on a label not in ``labels``."""
         labels = tuple(labels)
-        acc: Dict[Tuple[int, int], int] = {}
-        for i, j, m in symbols:
-            if i == j:
-                continue
-            key, sign = ((i, j), 1) if i < j else ((j, i), -1)
-            acc[key] = (acc.get(key, 0) + sign * m) % torsion
-        canon_symbols = tuple(
-            (i, j, m) for (i, j), m in sorted(acc.items()) if m != 0
-        )
-        extras = tuple(sorted(
-            (label, int(degree)) for label, degree in extra_degrees
-            if int(degree) > 1
-        ))
-        return cls(torsion=int(torsion), dimension=len(labels), labels=labels,
-                   symbols=canon_symbols, extra_degrees=extras)
+        n = len(labels)
+        # a self-pairing out of range goes on, for from_symbols to reject
+        matrix = SymbolMatrix.from_symbols(torsion, n, [
+            (i, j, m) for i, j, m in symbols if i != j or not 0 <= i < n])
+        extras = [(label, int(degree)) for label, degree in extra_degrees]
+        for label, _ in extras:
+            if label not in labels:
+                raise ValueError(f"extra cover on unknown divisor {label!r}")
+        return cls(torsion=int(torsion), dimension=n, labels=labels,
+                   symbols=tuple((i, j, m)
+                                 for i, row in enumerate(matrix.entries)
+                                 for j, m in enumerate(row[i + 1:], i + 1)
+                                 if m),
+                   extra_degrees=tuple(sorted(e for e in extras if e[1] > 1)))
 
 
 @dataclass(frozen=True)
@@ -292,21 +294,15 @@ def _int_token(token: "re.Match[str]", line_no: int) -> int:
 def build_model(spec: ModelSpec) -> Model:
     """Instantiate the root model a spec describes.
 
-    The symbol matrix is audited for alternation after construction; a
-    violation would mean the accumulation itself is broken, so it raises.
+    ``Model`` itself rejects a symbol matrix that is not alternating, so a
+    spec needs no audit of its own here.
     """
-    model = Model.affine(
+    return Model.affine(
         torsion=spec.torsion,
         labels=spec.labels,
         symbols=spec.symbols,
         extra_degrees=dict(spec.extra_degrees),
     )
-    verdict = check_complex(model.matrix)
-    if not verdict.ok:
-        raise ModelFormatError(
-            f"symbol matrix failed the alternation audit at {verdict.violations}"
-        )
-    return model
 
 
 def load_model(path: Union[str, Path]) -> LoadResult:

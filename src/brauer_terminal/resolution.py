@@ -24,11 +24,16 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .charts import Stratum, strata
-from .discrepancy import (DiscrepancyReport, WitnessStep, _base_row, b_from_a,
+from .discrepancy import (DiscrepancyReport, WitnessStep, _report, b_from_a,
                           boundary_divisor)
-from .enumeration import _valuation_walk, enumerate_divisors
+from .enumeration import (DEFAULT_MAX_PROBES, _valuation_walk,
+                          enumerate_divisors)
 from .model import (Chart, CoverDegree, IndeterminateDegreeError, Model,
                     PairLike, _put, as_chart)
+
+
+DEFAULT_DEPTH = 3  # default depth of ``certify``
+DEFAULT_MAX_ROUNDS = 64  # default round budget of the fixup
 
 
 class UnsupportedTorsionError(ValueError):
@@ -119,7 +124,8 @@ def find_bad_strata(pair: PairLike) -> Tuple[Stratum, ...]:
     return tuple(bad)
 
 
-def level_one_fixup(pair: PairLike, max_rounds: int = 64) -> FixupResult:
+def level_one_fixup(pair: PairLike,
+                    max_rounds: int = DEFAULT_MAX_ROUNDS) -> FixupResult:
     """Blow up bad strata, chart by chart, until none are left.
 
     One round is one blow-up, applied to the oldest unfinished chart at its
@@ -232,15 +238,13 @@ def check_composition(pair: PairLike,
     chart = as_chart(pair)
     walk = chart.model.walk
     witness: Tuple[WitnessStep, ...] = ()
-    abar = _base_row(walk, chart)
+    abar = walk.base_row(chart)
     reports: List[DiscrepancyReport] = []
     for step_no, (indices, pick) in enumerate(steps):
         center = chart.stratum(indices).indices
         step = walk.step(chart, walk.slots(chart), center, abar)
         witness += (WitnessStep(chart.chart_id, center, step.center),)
-        reports.append(DiscrepancyReport.from_degree(
-            divisor_id=step.divisor_id, level=len(witness), witness=witness,
-            a=walk.fraction(step.a), degree=step.degree))
+        reports.append(_report(walk, step, witness))
         if not 0 <= pick < len(center):
             raise ValueError(f"child index {pick} out of range at step {step_no}")
         chart = walk.children(chart, center, step)[pick]
@@ -336,8 +340,9 @@ class TerminalityCertificate:
                 )
 
 
-def certify(model: Model, depth: int = 3, *, fixup: bool = True,
-            max_rounds: int = 64, max_probes: int = 200000) -> TerminalityCertificate:
+def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
+            max_rounds: int = DEFAULT_MAX_ROUNDS,
+            max_probes: int = DEFAULT_MAX_PROBES) -> TerminalityCertificate:
     """Audit terminality of a pair up to a blow-up depth.
 
     For torsion 2 the level-one fixup is applied first (unless disabled), and
@@ -369,7 +374,6 @@ def certify(model: Model, depth: int = 3, *, fixup: bool = True,
     tree = None
     rounds = 0
     bases: Sequence[Chart] = (model.chart,)
-    fixup_applied = False
     if model.torsion == 2:
         bad = find_bad_strata(model)
         bad_strata = tuple(s.divisor_ids for s in bad)
@@ -378,7 +382,6 @@ def certify(model: Model, depth: int = 3, *, fixup: bool = True,
             bases = fixed.charts
             tree = fixed.tree
             rounds = fixed.rounds
-            fixup_applied = True
     walk = (_valuation_walk if model.torsion == 2 and not model.extras
             else enumerate_divisors)
     enumeration = walk(bases, depth, max_probes=max_probes)
@@ -422,9 +425,7 @@ def certify(model: Model, depth: int = 3, *, fixup: bool = True,
         one_step_a_nonnegative=one_step_ok,
         failures=tuple(failures),
     )
-    unfixed_bad = bool(bad_strata) and not fixup_applied and model.torsion == 2 \
-        and not fixup
-    if determinate_bad or unfixed_bad:
+    if determinate_bad or (bad_strata and not fixup):
         verdict = "bad-stratum-found"
     elif (not enumeration.complete or min_weighted is None
           or min_weighted.numerator <= 0):

@@ -43,6 +43,19 @@ def naive_matrix(dim: int, r: int, symbols: Sequence[Symbol]) -> List[List[int]]
     return out
 
 
+def accumulate_symbols(torsion: int, symbols: Sequence[Tuple[int, int, int]]
+                       ) -> Tuple[Tuple[int, int, int], ...]:
+    """Canonical (i, j, m) symbols, i < j and 0 < m < torsion, summed pair
+    by pair in a dict: (j, i, m) counts as (i, j, -m), self-pairs drop."""
+    acc = {}
+    for i, j, m in symbols:
+        if i == j:
+            continue
+        key, sign = ((i, j), 1) if i < j else ((j, i), -1)
+        acc[key] = (acc.get(key, 0) + sign * m) % torsion
+    return tuple((i, j, m) for (i, j), m in sorted(acc.items()) if m != 0)
+
+
 def naive_residue(dim: int, r: int, symbols: Sequence[Symbol],
                   slot: int) -> Tuple[int, ...]:
     """Residue along a coordinate divisor, expanded symbol by symbol.

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from brauer_terminal import cli, discrepancy
+from brauer_terminal import cli
 from brauer_terminal.cli import main
+from brauer_terminal.model import _RowWalk
 
 from .test_golden import GOLDEN
 
@@ -73,13 +74,13 @@ class TestDiscrepancy:
         model = tmp_path / "m.model"
         model.write_text(text)
         calls = []
-        boundary = discrepancy.boundary_divisor
+        base_row = _RowWalk.base_row
 
-        def counted(m):
-            calls.append(m)
-            return boundary(m)
+        def counted(walk, chart):
+            calls.append(chart)
+            return base_row(walk, chart)
 
-        monkeypatch.setattr(discrepancy, "boundary_divisor", counted)
+        monkeypatch.setattr(_RowWalk, "base_row", counted)
         out = tmp_path / "out.jsonl"
         main(["discrepancy", "--model", str(model), "--out", str(out)])
         assert len(calls) == 1

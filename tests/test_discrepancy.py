@@ -10,13 +10,12 @@ from math import gcd
 
 import pytest
 
-from brauer_terminal import discrepancy
 from brauer_terminal.discrepancy import (DiscrepancyReport, ReportEntry,
                                          WitnessStep, b_from_a,
                                          boundary_divisor, brauer_discrepancy,
                                          weighted_infimum)
 from brauer_terminal.model import (CoverDegree, IndeterminateDegreeError, Model,
-                                   candidate_orders)
+                                   _RowWalk, candidate_orders)
 
 from .oracles import toric_discrepancy
 
@@ -115,12 +114,13 @@ class TestBrauerDiscrepancy:
 
     def test_boundary_read_once(self, monkeypatch):
         calls = []
+        base_row = _RowWalk.base_row
 
-        def counted(model):
-            calls.append(model)
-            return boundary_divisor(model)
+        def counted(walk, chart):
+            calls.append(chart)
+            return base_row(walk, chart)
 
-        monkeypatch.setattr(discrepancy, "boundary_divisor", counted)
+        monkeypatch.setattr(_RowWalk, "base_row", counted)
         report = brauer_discrepancy(bad_case(), (0, 1, 2))
         assert len(calls) == 1
         assert report.a == Fraction(1, 2)

@@ -146,6 +146,20 @@ class TestRoundTrip:
         # (b,a,1) is (a,b,-1); with (a,b,2) the total is (a,b,1)
         assert spec.symbols == ((0, 1, 1),)
 
+    @pytest.mark.parametrize("symbols,extras", [
+        ([(-1, 0, 1)], ()),
+        ([(0, 5, 1)], ()),
+        ([(3, 3, 1)], ()),
+        ([(0, 1, 1)], [("x9", 2)]),
+        ([], [("x9", 1)]),
+    ], ids=["negative-slot", "slot-past-end", "self-pair-past-end",
+            "unknown-extra", "unknown-extra-degree-1"])
+    def test_create_rejects_what_names_no_slot(self, symbols, extras):
+        # a negative slot used to index from the end, and one past the end
+        # made format_model raise IndexError
+        with pytest.raises(ValueError):
+            ModelSpec.create(2, ("x1", "x2", "x3"), symbols, extras)
+
     def test_lf_newlines(self):
         spec = ModelSpec.create(2, ("a", "b"), [(0, 1, 1)])
         text = format_model(spec)

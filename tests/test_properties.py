@@ -12,20 +12,19 @@ from fractions import Fraction
 from itertools import chain
 
 from brauer_terminal.charts import strata
-from brauer_terminal.discrepancy import (_base_row, b_from_a,
-                                         boundary_divisor, brauer_discrepancy,
-                                         weighted_infimum)
+from brauer_terminal.discrepancy import (b_from_a, boundary_divisor,
+                                         brauer_discrepancy, weighted_infimum)
 from brauer_terminal.model import IndeterminateDegreeError, Model, _put
 from brauer_terminal.modelfile import ModelSpec, format_model, parse_model
 from brauer_terminal.enumeration import _centers, enumerate_divisors
 from brauer_terminal.resolution import (certify, find_bad_strata,
                                         level_one_fixup)
-from brauer_terminal.symbols import check_complex, residue_order
+from brauer_terminal.symbols import SymbolMatrix, check_complex, residue_order
 
-from .oracles import (blow_up, compose_substitutions, cover_on, determinant,
-                      monomial_order, naive_matrix, naive_residue, root_chart,
-                      step_matrix, substitute_symbols, toric_discrepancy,
-                      transform)
+from .oracles import (accumulate_symbols, blow_up, compose_substitutions,
+                      cover_on, determinant, monomial_order, naive_matrix,
+                      naive_residue, root_chart, step_matrix,
+                      substitute_symbols, toric_discrepancy, transform)
 from .test_symbols import chart_matrix
 
 
@@ -338,7 +337,7 @@ class TestStateKeySweeps:
             model = model_with_extras(rng, max_dim=4)
             walk = model.walk
             try:
-                level = [(model.chart, _base_row(walk, model.chart))]
+                level = [(model.chart, walk.base_row(model.chart))]
             except IndeterminateDegreeError:
                 continue  # undetermined base boundary, nothing to telescope
             for _ in range(2):
@@ -388,6 +387,48 @@ class TestModelFileSweeps:
             parsed, warnings = parse_model(format_model(spec))
             assert parsed == spec
             assert warnings == ()
+
+
+    def test_create_matches_dict_accumulation(self):
+        # self-pairs, reversed pairs, negative exponents and multiples of r
+        rng = random.Random(403)
+        for _ in range(200):
+            r = rng.choice((2, 3, 4, 6, 12))
+            dim = rng.randint(1, 5)
+            labels = tuple(f"d{k}" for k in range(dim))
+            symbols = [(rng.randrange(dim), rng.randrange(dim),
+                        rng.choice((rng.randint(-2 * r, 2 * r),
+                                    r * rng.randint(-2, 2))))
+                       for _ in range(rng.randint(0, 8))]
+            spec = ModelSpec.create(r, labels, symbols)
+            assert spec.symbols == accumulate_symbols(r, symbols), symbols
+
+
+class TestAlternationSweeps:
+    def test_model_rejects_exactly_what_check_complex_flags(self):
+        rng = random.Random(409)
+        flagged = 0
+        for _ in range(300):
+            r = rng.choice((2, 3, 4, 6))
+            dim = rng.randint(1, 4)
+            matrix = SymbolMatrix.from_symbols(
+                r, dim, [(*rng.sample(range(dim), 2), rng.randrange(r))
+                         for _ in range(rng.randint(0, 4)) if dim > 1])
+            entries = [list(row) for row in matrix.entries]
+            for _ in range(rng.choice((0, 0, 1, 2))):  # break some
+                entries[rng.randrange(dim)][rng.randrange(dim)] = \
+                    rng.randrange(r)
+            matrix = SymbolMatrix(r, tuple(map(tuple, entries)))
+            labels = tuple(f"x{k + 1}" for k in range(dim))
+            try:
+                Model(labels=labels, matrix=matrix)
+                rejected = False
+            except ValueError as exc:
+                assert "alternating" in str(exc)
+                rejected = True
+            assert rejected == (not check_complex(matrix).ok), entries
+            flagged += rejected
+        assert 50 <= flagged <= 250
 
 
 class TestBoundarySweeps:
