@@ -1,13 +1,12 @@
 """Exact terminality analysis for Brauer pairs on SNC coordinate charts."""
 
-from .charts import Stratum, strata
 from .discrepancy import (BoundaryDivisor, DiscrepancyReport, ReportEntry,
                           WitnessStep, b_from_a, boundary_divisor,
                           brauer_discrepancy, stratum_discrepancies,
                           weighted_infimum)
 from .enumeration import EnumerationResult, enumerate_divisors
 from .model import (Chart, CoverDegree, ExtraComponent,
-                    IndeterminateDegreeError, Model)
+                    IndeterminateDegreeError, Model, Stratum, strata)
 from .modelfile import (LoadResult, ModelFormatError, ModelSpec, build_model,
                         format_model, load_model, parse_model, save_model)
 from .resolution import (CompositionCheck, FixupResult, NonterminationError,

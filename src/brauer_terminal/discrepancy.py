@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from .charts import Stratum, strata
-from .model import (CenterLike, Chart, CoverDegree, PairLike, _RowStep,
-                    _RowWalk, as_chart)
+from .model import (CenterLike, Chart, CoverDegree, PairLike, _centers,
+                    _RowStep, _RowWalk, as_chart)
 
 
 @dataclass(frozen=True)
@@ -147,31 +146,31 @@ def brauer_discrepancy(pair: PairLike, center: CenterLike
             undetermined.
     """
     chart = as_chart(pair)
-    return _one_step_reports(chart, (chart.stratum(center),))[0]
+    return _one_step_reports(chart, (chart.stratum(center).indices,))[0]
 
 
 def stratum_discrepancies(pair: PairLike) -> Tuple[DiscrepancyReport, ...]:
-    """``brauer_discrepancy`` of every coordinate stratum, codimension 2 up.
+    """``brauer_discrepancy`` of every coordinate stratum, in the engine
+    order of centers (``model._centers``).
 
     The boundary is read once for all strata.
     """
     chart = as_chart(pair)
-    return _one_step_reports(chart, [stratum
-                                     for codim in range(2, chart.dim + 1)
-                                     for stratum in strata(chart, codim)])
+    return _one_step_reports(chart, _centers(chart.dim))
 
 
-def _one_step_reports(chart: Chart, centers: Sequence[Stratum]
+def _one_step_reports(chart: Chart, centers: Sequence[Tuple[int, ...]]
                       ) -> Tuple[DiscrepancyReport, ...]:
-    """The step of each center at the boundary row, as a level-1 report."""
+    """The step of each center (sorted slots) at the boundary row, as a
+    level-1 report."""
     walk = chart.model.walk
     row = walk.base_row(chart)
     slots = walk.slots(chart)
     reports = []
-    for stratum in centers:
-        step = walk.step(chart, slots, stratum.indices, row)
+    for center in centers:
+        step = walk.step(chart, slots, center, row)
         reports.append(_report(walk, step, (WitnessStep(
-            chart.chart_id, stratum.indices, step.center),)))
+            chart.chart_id, center, step.center),)))
     return tuple(reports)
 
 

@@ -24,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .discrepancy import DiscrepancyReport, WitnessStep, _report
-from .model import (Chart, CoverDegree, Model, PairLike, _put, _RowStep,
-                    _RowWalk, as_chart)
+from .model import (Chart, CoverDegree, Model, PairLike, _centers, _put,
+                    _RowStep, _RowWalk, as_chart)
 
 DEFAULT_MAX_PROBES = 200000  # default blow-up budget of an enumeration
 
@@ -252,12 +251,6 @@ class _Reached(NamedTuple):
     level: int
     child: int
     down: _Valuation
-
-
-def _centers(n: int) -> List[Tuple[int, ...]]:
-    """Blow-up centers of an n-slot chart as slot tuples, in engine order."""
-    return [s for codim in range(2, n + 1)
-            for s in combinations(range(n), codim)]
 
 
 @lru_cache(maxsize=8)

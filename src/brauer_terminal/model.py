@@ -1,4 +1,4 @@
-"""Brauer pairs, their blown-up charts, and the one blow-up step.
+"""Brauer pairs, their blown-up charts, their strata, and the one blow-up step.
 
 A ``Model`` is a Brauer pair on the root chart spec k{x1,...,xn}: the
 coordinate labels, the symbol matrix of the class, and the extra cyclic
@@ -6,6 +6,14 @@ covers attached to original divisors. A ``Chart`` of an iterated
 coordinate blow-up is its slots' valuations on the root coordinates, its
 divisor ids, one exact flag per slot and extra cover, and its chart id; it
 carries no matrix and no extra vectors of its own.
+
+A ``Stratum`` is a coordinate stratum V(x_i, ...) of a chart, named by its
+slots; ``strata`` lists those of one codimension. ``_centers`` is the one
+engine order of a chart's blow-up centers, codimension 2 up and each
+codimension lexicographic. The exceptional divisor with root row v has id
+``E(v1,...,vn)``, a pure function of the geometry, so every route to a
+divisor names it alike without a shared counter; a child chart's id is its
+parent's, the center's slots and the pivot (``_RowWalk.children``).
 
 Everything a blow-up step reads comes off those rows (``_RowWalk``): on
 the divisor with root row v the residue order is r/gcd(r, v M) for the
@@ -23,17 +31,19 @@ degrees can be listed, not the degree itself.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import combinations
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, TypeAlias, Union)
 
-from .charts import (LABEL_RE, Stratum, exceptional_divisor_id,
-                     identity_substitution)
 from .symbols import SymbolMatrix, check_complex, residue_order
+
+LABEL_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 class IndeterminateDegreeError(ValueError):
@@ -217,7 +227,9 @@ class Model:
     @cached_property
     def chart(self) -> "Chart":
         """The root chart: identity rows, and each extra exact on its origin."""
-        return Chart(self, identity_substitution(self.dim), self.labels,
+        n = self.dim
+        return Chart(self, tuple(tuple(int(i == j) for j in range(n))
+                                 for i in range(n)), self.labels,
                      tuple(tuple(label == comp.origin_id
                                  for comp in self.extras)
                            for label in self.labels), "r")
@@ -281,6 +293,50 @@ class Chart(NamedTuple):
                              walk.step(self, slots, indices, slots[0]))
 
 
+@dataclass(frozen=True)
+class Stratum:
+    """A coordinate stratum V(x_{i_1}, ..., x_{i_c}) of a chart."""
+
+    chart: Chart
+    indices: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        idx = tuple(sorted(int(i) for i in self.indices))
+        if not idx:
+            raise ValueError("a stratum needs at least one coordinate")
+        if len(set(idx)) != len(idx):
+            raise ValueError("stratum indices must be distinct")
+        if idx[0] < 0 or idx[-1] >= self.chart.dim:
+            raise ValueError("stratum indices out of range for the chart")
+        object.__setattr__(self, "indices", idx)
+
+    @property
+    def codim(self) -> int:
+        return len(self.indices)
+
+    @property
+    def divisor_ids(self) -> Tuple[str, ...]:
+        return tuple(self.chart.divisor_ids[i] for i in self.indices)
+
+
+def strata(chart: Chart, codim: int) -> List[Stratum]:
+    """All coordinate strata of the given codimension, in lexicographic order.
+
+    Raises:
+        ValueError: unless 2 <= codim <= chart.dim.
+    """
+    if codim < 2 or codim > chart.dim:
+        raise ValueError("stratum codimension must satisfy 2 <= codim <= dim")
+    return [Stratum(chart, idx) for idx in combinations(range(chart.dim), codim)]
+
+
+def _centers(n: int) -> List[Tuple[int, ...]]:
+    """Blow-up centers of an n-slot chart as slot tuples, in engine order:
+    by codimension, then lexicographically."""
+    return [s for codim in range(2, n + 1)
+            for s in combinations(range(n), codim)]
+
+
 def as_chart(pair: PairLike) -> Chart:
     """The chart a pair argument names: a chart, or a model's root chart."""
     return pair.chart if isinstance(pair, Model) else pair
@@ -324,7 +380,7 @@ class _RowWalk:
         # over scale, not self: a cache holding self would make a cycle
         self.fraction = cache(lambda v: None if v is None
                               else Fraction(v, scale))
-        self.name = cache(exceptional_divisor_id)
+        self.name = cache(lambda row: "E(" + ",".join(map(str, row)) + ")")
 
     def degree(self, row: _Row, exact: Tuple[bool, ...]
                ) -> Tuple[CoverDegree, Optional[int]]:

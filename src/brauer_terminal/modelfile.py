@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .charts import LABEL_RE
-from .model import Model
+from .model import LABEL_RE, Model
 from .symbols import SymbolMatrix
 
 _TOKEN_RE = re.compile(r"\S+")

@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .charts import Stratum, strata
 from .discrepancy import (DiscrepancyReport, WitnessStep, _report, b_from_a,
                           boundary_divisor)
 from .enumeration import (DEFAULT_MAX_PROBES, _valuation_walk,
                           enumerate_divisors)
 from .model import (Chart, CoverDegree, IndeterminateDegreeError, Model,
-                    PairLike, _put, as_chart)
+                    PairLike, Stratum, _put, as_chart, strata)
 
 
 DEFAULT_DEPTH = 3  # default depth of ``certify``

@@ -90,10 +90,6 @@ class KummerClass:
         """Order of the class, i.e. degree of the cyclic cover it defines."""
         return residue_order(self.r, self.exponents)
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
 
 @dataclass(frozen=True)
 class ComplexCheck:

@@ -13,10 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from brauer_terminal.charts import strata
 from brauer_terminal.cli import main
 from brauer_terminal.discrepancy import boundary_divisor, brauer_discrepancy
-from brauer_terminal.model import Model
+from brauer_terminal.model import Model, strata
 from brauer_terminal.resolution import (certify, check_composition,
                                         find_bad_strata, level_one_fixup,
                                         run_remark)

@@ -13,8 +13,7 @@ Core claims:
 
 import pytest
 
-from brauer_terminal.charts import Stratum, identity_substitution, strata
-from brauer_terminal.model import Model
+from brauer_terminal.model import Model, Stratum, strata
 from brauer_terminal.symbols import SymbolMatrix
 
 from .oracles import (apply_substitution, blow_up as reference_blow_up,
@@ -40,7 +39,7 @@ def _pivot(children, center):
 class TestRootChart:
     def test_identity_substitution(self):
         root = _root3()
-        assert root.rows == identity_substitution(3)
+        assert root.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert root.chart_id == "r"
         assert root.rows == root_chart(root.model).total_substitution
 
@@ -188,8 +187,8 @@ class TestMonomial:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compose_substitutions(identity_substitution(2),
-                                  identity_substitution(3))
+            compose_substitutions(((1, 0), (0, 1)),
+                                  ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_apply_substitution_shape_check(self):
         with pytest.raises(ValueError):

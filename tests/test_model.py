@@ -247,7 +247,7 @@ class TestReimport:
             model = Path(__file__).resolve().parents[1] / "models" / \
                 "bad-case.model"
             assert cli.main(["boundary", "--model", str(model)]) == 0
-            stratum = weakref.ref(sys.modules["brauer_terminal.charts"].Stratum)
+            stratum = weakref.ref(sys.modules["brauer_terminal.model"].Stratum)
             del cli
             _import_fresh()
             gc.collect()

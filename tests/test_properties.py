@@ -11,12 +11,12 @@ import random
 from fractions import Fraction
 from itertools import chain
 
-from brauer_terminal.charts import strata
 from brauer_terminal.discrepancy import (b_from_a, boundary_divisor,
                                          brauer_discrepancy, weighted_infimum)
-from brauer_terminal.model import IndeterminateDegreeError, Model, _put
+from brauer_terminal.model import (IndeterminateDegreeError, Model, _centers,
+                                   _put, strata)
 from brauer_terminal.modelfile import ModelSpec, format_model, parse_model
-from brauer_terminal.enumeration import _centers, enumerate_divisors
+from brauer_terminal.enumeration import enumerate_divisors
 from brauer_terminal.resolution import (certify, find_bad_strata,
                                         level_one_fixup)
 from brauer_terminal.symbols import SymbolMatrix, check_complex, residue_order
