@@ -48,7 +48,7 @@ class SideCheck:
 
     @property
     def ok(self) -> Optional[bool]:
-        return None if self.value is None else self.value >= 0
+        return None if self.value is None else self.value.numerator >= 0
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,18 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     Each level is one loop over its charts and, within a chart, its
     centers. Every probe is counted and gets a side check under its own
     chart id; below the last level it also builds its children. Each step
-    is computed once per chart state and level: the state is the chart's
-    base and divisor ids, which fix its rows and coefficient row, plus the
-    exact flags, the one datum that depends on the route. A later chart of
-    a state seen on its level reuses the first one's side-check values and,
-    below the last level, its steps, and skips the merge. A report is built
-    only for a new divisor or when a merge narrows its candidates.
+    is computed at most once per chart state and level: the state is the
+    chart's base and divisor ids, which fix its rows and coefficient row,
+    plus the exact flags, the one datum that depends on the route. A later
+    chart of a state seen on its level reuses the first one's side-check
+    values and, below the last level, its steps, and skips the merge. A
+    child carries its parent's steps and its pivot p, and takes the
+    parent's step for every center without p: the two charts differ only
+    in slot p, and no slot of such a center is p or an origin gone with
+    it, so the row, the center ids, ``a``, the one-step value and the exact
+    flags agree, and the degree is the same memo entry. The parent's level
+    has merged that step, so the child skips the merge too. A report is
+    built only for a new divisor or when a merge narrows its candidates.
 
     Every chart has the root's 2^n - n - 1 centers, so the probe count at
     which each child's first probe falls is known when the child would be
@@ -167,8 +173,9 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     walk = model.walk
     centers = _centers(model.dim)
     width = len(centers)
-    # (chart, coefficient row, route, base number) per chart of the level
-    frontier = [(chart, walk.base_row(chart), (), b)
+    # (chart, coefficient row, route, base number, parent's steps, pivot)
+    # per chart of the level
+    frontier = [(chart, walk.base_row(chart), (), b, None, -1)
                 for b, chart in enumerate(bases)]
     reports: Dict[str, Tuple[int, DiscrepancyReport]] = {}
     side_checks: List[SideCheck] = []
@@ -181,7 +188,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
         level_end = probes + len(frontier) * width
         next_frontier: list = []
         states: Dict[tuple, Tuple[List[SideCheck], List[_RowStep]]] = {}
-        for chart, abar, witness, b in frontier:
+        for chart, abar, witness, b, inherited, pivot in frontier:
             if probes >= max_probes:
                 complete = False
                 break
@@ -198,21 +205,25 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                     break
                 probes += 1
                 if known is None:
-                    step = walk.step(chart, slots, center, abar)
+                    if inherited is None or pivot in center:
+                        step = walk.step(chart, slots, center, abar)
+                        seen = reports.get(step.divisor_id)
+                        if seen is None:
+                            route = witness + (WitnessStep(
+                                chart.chart_id, center, step.center),)
+                            reports[step.divisor_id] = step.a, _report(
+                                walk, step, route)
+                        else:
+                            reports[step.divisor_id] = _merge(seen, step,
+                                                              walk)
+                    else:  # the parent's step, merged on its level
+                        step = inherited[n]
                     side_checks.append(SideCheck(
                         step.divisor_id, chart.chart_id, step.center,
                         walk.fraction(step.one_step)))
                     checks.append(side_checks[-1])
                     if grow:
                         steps.append(step)
-                    seen = reports.get(step.divisor_id)
-                    if seen is None:
-                        route = witness + (WitnessStep(
-                            chart.chart_id, center, step.center),)
-                        reports[step.divisor_id] = step.a, _report(
-                            walk, step, route)
-                    else:
-                        reports[step.divisor_id] = _merge(seen, step, walk)
                 else:
                     first = checks[n]
                     side_checks.append(SideCheck(first.divisor_id,
@@ -227,7 +238,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                 route = witness + (WitnessStep(chart.chart_id, center,
                                                step.center),)
                 next_frontier.extend(
-                    (child, _put(abar, p, -step.a), route, b)
+                    (child, _put(abar, p, -step.a), route, b, steps, p)
                     for p, child in zip(center,
                                         walk.children(chart, center, step)))
         frontier = next_frontier

@@ -103,6 +103,13 @@ GOLDEN = [
      "056ac7a1eeda3d3a133be71501391124b81e2d1aff7ad906c00e33197b061f9c"),
     ("x1x2+x4^3", dim4_extra, 2, 200000,
      "1c36a508720a6ff1e4f3afe4dcaab63192f9436216a7a48960e1fcc6835c6e70"),
+    # depth 3 is the depth the benchmark certifies this model at; these two
+    # digests were taken before children inherited their parent's steps
+    ("x1x2+x4^3", dim4_extra, 3, 200000,
+     "a192c3421a38f41558b2923cc6355dc4f8dbdd8d3f7f282621b6b34abe12068c"),
+    # the budget runs out part way through the third level
+    ("x1x2+x4^3", dim4_extra, 3, 3001,
+     "9646e919c7ee3cd024b64d8ee835fde9b5ce0e8930b0bba8ee5d6aafb580b5a0"),
 ]
 
 
