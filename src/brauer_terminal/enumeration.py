@@ -127,30 +127,30 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     divisor's root row is the sum of the center's, in the pivot slot of
     each child. ``a`` and the one-step values stay integers scaled by
     lcm(r, extra degrees); a ``Fraction`` is built only for a report or,
-    through a per-call cache, for a side-check value. The walk carries each
-    chart with its coefficient row, its route and its base's number.
+    through ``_RowWalk.fraction``, a cache as long-lived as the model, for
+    a side-check value. The walk carries each chart with its coefficient
+    row, its route and its base's number.
 
-    Each level is one loop over its charts and, within a chart, its
-    centers. Every probe is counted and gets a side check under its own
-    chart id; below the last level it also builds its children. Each step
-    is computed at most once per chart state and level: the state is the
-    chart's base and divisor ids, which fix its rows and coefficient row,
-    plus the exact flags, the one datum that depends on the route. A later
-    chart of a state seen on its level reuses the first one's side-check
-    values and, below the last level, its steps, and skips the merge. A
-    child carries its parent's steps and its pivot p, and takes the
-    parent's step for every center without p: the two charts differ only
-    in slot p, and no slot of such a center is p or an origin gone with
-    it, so the row, the center ids, ``a``, the one-step value and the exact
-    flags agree, and the degree is the same memo entry. The parent's level
-    has merged that step, so the child skips the merge too. A report is
-    built only for a new divisor or when a merge narrows its candidates.
+    Each level is one loop over its charts, and a chart is one block: it
+    takes its centers from the budget, gets one step list, adds one block
+    of side checks under its own chart id and, below the last level, builds
+    its children. A step list is computed once per chart state and level,
+    the state being the chart's base and divisor ids (which fix its rows
+    and coefficient row) and its exact flags (which depend on the route);
+    a later chart of the state copies the first one's side-check values.
+    A child takes its parent's step for every center without its pivot p:
+    the two charts differ only in slot p, and no slot of such a center is p
+    or an origin gone with it, so the row, the center ids, ``a``, the
+    one-step value, the exact flags and the degree's memo entry agree. Only
+    computed steps are merged; a report is built only for a new divisor or
+    when a merge narrows its candidates.
 
     Every chart has the root's 2^n - n - 1 centers, so the probe count at
     which each child's first probe falls is known when the child would be
-    built. A child beyond the budget is not built, and the result is then
-    incomplete: ``probes`` and the side checks are still those of the full
-    walk cut at ``max_probes``.
+    built. A child beyond the budget is not built, and a chart the budget
+    cuts takes only its first centers; the result is then incomplete, with
+    ``probes`` and side checks those of the full walk cut at
+    ``max_probes``. A budget of 0 cuts even a walk without centers.
 
     Args:
         base: one model or chart, or several charts of one model.
@@ -187,24 +187,21 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
         grow = level < depth - 1
         level_end = probes + len(frontier) * width
         next_frontier: list = []
-        states: Dict[tuple, Tuple[List[SideCheck], List[_RowStep]]] = {}
+        states: Dict[tuple, tuple] = {}  # state -> side checks, steps
         for chart, abar, witness, b, inherited, pivot in frontier:
             if probes >= max_probes:
                 complete = False
                 break
+            take = min(width, max_probes - probes)
+            if take < width:
+                complete = False
+            probes += take
             key = b, chart.divisor_ids, chart.exact
             known = states.get(key)
             if known is None:
                 slots = walk.slots(chart)
-                checks, steps = states[key] = [], []
-            else:
-                checks, steps = known
-            for n, center in enumerate(centers):
-                if probes >= max_probes:
-                    complete = False
-                    break
-                probes += 1
-                if known is None:
+                steps = []
+                for n, center in enumerate(centers[:take]):
                     if inherited is None or pivot in center:
                         step = walk.step(chart, slots, center, abar)
                         seen = reports.get(step.divisor_id)
@@ -218,23 +215,23 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                                                               walk)
                     else:  # the parent's step, merged on its level
                         step = inherited[n]
-                    side_checks.append(SideCheck(
-                        step.divisor_id, chart.chart_id, step.center,
-                        walk.fraction(step.one_step)))
-                    checks.append(side_checks[-1])
-                    if grow:
-                        steps.append(step)
-                else:
-                    first = checks[n]
-                    side_checks.append(SideCheck(first.divisor_id,
-                                                 chart.chart_id, first.center,
-                                                 first.value))
-                if not grow:
-                    continue
+                    steps.append(step)
+                checks = [SideCheck(step.divisor_id, chart.chart_id,
+                                    step.center, walk.fraction(step.one_step))
+                          for step in steps]
+                states[key] = checks, steps if grow else None
+                side_checks.extend(checks)
+            else:
+                checks, steps = known
+                side_checks.extend(
+                    SideCheck(first.divisor_id, chart.chart_id, first.center,
+                              first.value) for first in checks[:take])
+            if not grow:
+                continue
+            for center, step in zip(centers[:take], steps):
                 if level_end + len(next_frontier) * width >= max_probes:
                     complete = False  # the budget ends before this child
-                    continue
-                step = steps[n]
+                    break
                 route = witness + (WitnessStep(chart.chart_id, center,
                                                step.center),)
                 next_frontier.extend(

@@ -180,10 +180,12 @@ class Model:
             raise ValueError("symbol matrix does not match chart dimension")
         if not check_complex(self.matrix).ok:
             raise ValueError("symbol matrix must be alternating")
-        for comp in self.extras:
-            if comp.origin_id not in labels:
-                raise ValueError(
-                    f"extra cover on unknown divisor {comp.origin_id!r}")
+        origins = [comp.origin_id for comp in self.extras]
+        for origin in origins:
+            if origin not in labels:
+                raise ValueError(f"extra cover on unknown divisor {origin!r}")
+        if len(set(origins)) != len(origins):
+            raise ValueError("extra covers must lie on distinct divisors")
 
     @classmethod
     def affine(cls, torsion: int, labels: Sequence[str],

@@ -354,10 +354,10 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
 
     Torsion 2 without extra covers is enumerated on root valuations
     (``_valuation_walk``), which returns what ``enumerate_divisors`` would
-    for the same ``max_probes`` without building a chart. Models with
-    extras take ``enumerate_divisors``, which walks every chart as a row
-    state: their degrees and side checks depend on the route, and a failed
-    side check is listed per chart.
+    for the same ``max_probes`` without building a chart. Every other
+    model takes ``enumerate_divisors``, which walks every chart as a row
+    state: extras make degrees depend on the route, torsion above 2 allows
+    negative one-step values, and a failed side check is listed per chart.
 
     The summary is read in one pass over the reports, from the signs of
     numerators and integer cross-multiplications: the least e * b with the

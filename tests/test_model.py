@@ -19,8 +19,9 @@ from pathlib import Path
 import pytest
 
 from brauer_terminal.discrepancy import boundary_divisor
-from brauer_terminal.model import (CoverDegree, IndeterminateDegreeError,
-                                   Model, candidate_orders)
+from brauer_terminal.model import (CoverDegree, ExtraComponent,
+                                   IndeterminateDegreeError, Model,
+                                   candidate_orders)
 from brauer_terminal.symbols import SymbolMatrix
 
 from .oracles import blow_up, cover_on, root_chart
@@ -43,6 +44,14 @@ class TestAffineValidation:
     def test_degree_one_creates_no_component(self):
         model = Model.affine(2, ("x1", "x2"), extra_degrees={"x1": 1})
         assert model.extras == ()
+
+    def test_two_extras_on_one_divisor_rejected(self):
+        # the file format rejects this too ("declared twice"); let through,
+        # the root divisor x1 would read candidates (1, 2, 3, 6)
+        with pytest.raises(ValueError, match="distinct divisors"):
+            Model(("x1", "x2", "x3"),
+                  SymbolMatrix.from_symbols(2, 3, [(0, 1, 1)]),
+                  (ExtraComponent("x1", 2), ExtraComponent("x1", 3)))
 
 
 class TestCoverDegrees:

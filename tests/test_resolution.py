@@ -19,6 +19,7 @@ from brauer_terminal.discrepancy import (DiscrepancyReport, boundary_divisor,
                                          brauer_discrepancy,
                                          stratum_discrepancies,
                                          weighted_infimum)
+from brauer_terminal.enumeration import _valuation_walk
 from brauer_terminal.model import IndeterminateDegreeError, Model, _RowWalk
 from brauer_terminal.resolution import (NonterminationError,
                                         TerminalityCertificate,
@@ -29,6 +30,8 @@ from brauer_terminal.resolution import (NonterminationError,
                                         remark_model, run_remark)
 
 from .oracles import toric_discrepancy
+from .test_golden_enumeration import canonical_dump
+from .test_row_walk import chart_walk
 
 
 def bad_case():
@@ -160,6 +163,34 @@ class TestEnumerateDivisors:
         enum = enumerate_divisors(bad_case(), 3, max_probes=5)
         assert not enum.complete
         assert enum.probes == 5
+
+    @pytest.mark.parametrize("walk,torsion", [
+        (enumerate_divisors, 3),
+        (lambda base, depth, max_probes: _valuation_walk(
+            [base.chart], depth, max_probes), 2),
+    ], ids=["row-walk", "valuation-walk"])
+    def test_budget_zero_cuts_a_walk_without_centers(self, walk, torsion):
+        # a 1-slot chart has no centers, so no budget is ever spent; a
+        # budget of 0 still leaves the walk incomplete, and one of 1 does not
+        model = Model.affine(torsion, ("x1",))
+        assert [walk(model, 2, max_probes=k).complete for k in (0, 1)] == [
+            False, True]
+
+    def test_every_budget_cut_is_a_prefix_of_the_full_walk(self):
+        # remark at depth 3 probes 4, 36 and 324 centers, 4 per chart: every
+        # cut, at a chart boundary or inside a chart, keeps the full walk's
+        # first side checks, and the walk completes only with every probe;
+        # every eleventh cut also equals the reference chart walk's
+        model = remark_model()
+        full = enumerate_divisors(model, 3)
+        assert (full.probes, full.complete) == (364, True)
+        for k in range(366):
+            cut = enumerate_divisors(model, 3, max_probes=k)
+            assert cut.side_checks == full.side_checks[:k], k
+            assert (cut.probes, cut.complete) == (min(k, 364), k >= 364), k
+            if k % 11 == 0:
+                assert canonical_dump(cut) == canonical_dump(
+                    chart_walk([model.chart], 3, k)), k
 
     @pytest.mark.parametrize("depth,probes", [(1, 4), (2, 40), (3, 364)])
     def test_last_level_builds_no_children(self, monkeypatch, depth, probes):
