@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .discrepancy import DiscrepancyReport, WitnessStep, _report
 from .model import (Chart, CoverDegree, Model, PairLike, _centers, _put,
@@ -51,12 +52,85 @@ class SideCheck:
         return None if self.value is None else self.value.numerator >= 0
 
 
+class _Block(NamedTuple):
+    """The side checks of one chart state on one level, chart id aside:
+    the state's divisor ids per slot, which give each center's, its steps'
+    divisor ids and one-step values, and the indices of the checks that
+    fail."""
+
+    slots: Tuple[str, ...]
+    ids: Tuple[str, ...]
+    values: Tuple[Optional[Fraction], ...]
+    failing: Tuple[int, ...]
+
+
+class _SideChecks(Sequence):
+    """A walk's side checks, kept as one block per chart state.
+
+    Each chart, in walk order, has its chart id, its state's block and the
+    number of its probes; its checks are its block's first entries under
+    its chart id, and ``getters`` read each center's divisor ids off the
+    block's slots. The ``SideCheck``s are built on the first read of an
+    item, and then kept. Length, items, slices and equality are those of
+    the tuple of them.
+    """
+
+    def __init__(self, charts: Sequence[Tuple[str, _Block, int]] = (),
+                 getters: Sequence[Callable] = ()):
+        self.charts = charts
+        self.getters = getters
+        self._checks: Optional[Tuple[SideCheck, ...]] = None
+
+    def _all(self) -> Tuple[SideCheck, ...]:
+        if self._checks is None:
+            self._checks = tuple(
+                SideCheck(divisor_id, chart_id, get(block.slots), value)
+                for chart_id, block, take in self.charts
+                for get, divisor_id, value in zip(
+                    self.getters[:take], block.ids, block.values))
+        return self._checks
+
+    def failing(self) -> Iterator[Tuple[str, str, Fraction]]:
+        """Divisor id, chart id and value of each failing check, in order,
+        read off the blocks."""
+        for chart_id, block, take in self.charts:
+            for n in block.failing:
+                if n >= take:
+                    break
+                yield block.ids[n], chart_id, block.values[n]
+
+    def __len__(self) -> int:
+        return sum(take for _, _, take in self.charts)
+
+    def __getitem__(self, k):
+        return self._all()[k]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _SideChecks)):
+            return NotImplemented
+        return self._all() == tuple(other)
+
+    def __hash__(self):
+        return hash(self._all())
+
+    def __repr__(self):
+        return repr(self._all())
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
-    """All divisors extracted by coordinate blow-up routes up to a depth."""
+    """All divisors extracted by coordinate blow-up routes up to a depth.
+
+    ``side_checks`` is a sequence of ``SideCheck``s, one per probe in walk
+    order; the row walk's keeps one block per chart state and builds the
+    checks only when a caller reads them.
+    """
 
     reports: Tuple[DiscrepancyReport, ...]
-    side_checks: Tuple[SideCheck, ...]
+    side_checks: Sequence[SideCheck]
     indeterminate_divisors: Tuple[str, ...]
     complete: bool
     probes: int
@@ -132,12 +206,15 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     row, its route and its base's number.
 
     Each level is one loop over its charts, and a chart is one block: it
-    takes its centers from the budget, gets one step list, adds one block
-    of side checks under its own chart id and, below the last level, builds
-    its children. A step list is computed once per chart state and level,
-    the state being the chart's base and divisor ids (which fix its rows
-    and coefficient row) and its exact flags (which depend on the route);
-    a later chart of the state copies the first one's side-check values.
+    takes its centers from the budget, gets one step list and one block of
+    side checks, and, below the last level, builds its children. Both are
+    computed once per chart state and level, the state being the chart's
+    base and divisor ids (which fix its rows and coefficient row) and its
+    exact flags (which depend on the route). The block holds the state's
+    divisor ids, its steps' divisor ids and one-step values and the indices
+    of the failing checks; every chart of the state adds only its chart id,
+    the block and its number of probes, and ``SideCheck``s are built only
+    when a caller reads ``side_checks`` (``certify`` reads the blocks).
     A child takes its parent's step for every center without its pivot p:
     the two charts differ only in slot p, and no slot of such a center is p
     or an origin gone with it, so the row, the center ids, ``a``, the
@@ -178,7 +255,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     frontier = [(chart, walk.base_row(chart), (), b, None, -1)
                 for b, chart in enumerate(bases)]
     reports: Dict[str, Tuple[int, DiscrepancyReport]] = {}
-    side_checks: List[SideCheck] = []
+    side_checks: List[Tuple[str, _Block, int]] = []  # chart id, block, take
     probes = 0
     complete = True
     for level in range(depth):
@@ -187,7 +264,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
         grow = level < depth - 1
         level_end = probes + len(frontier) * width
         next_frontier: list = []
-        states: Dict[tuple, tuple] = {}  # state -> side checks, steps
+        states: Dict[tuple, tuple] = {}  # state -> block, steps
         for chart, abar, witness, b, inherited, pivot in frontier:
             if probes >= max_probes:
                 complete = False
@@ -216,16 +293,17 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                     else:  # the parent's step, merged on its level
                         step = inherited[n]
                     steps.append(step)
-                checks = [SideCheck(step.divisor_id, chart.chart_id,
-                                    step.center, walk.fraction(step.one_step))
-                          for step in steps]
-                states[key] = checks, steps if grow else None
-                side_checks.extend(checks)
+                block = _Block(
+                    chart.divisor_ids,
+                    tuple([step.divisor_id for step in steps]),
+                    tuple([walk.fraction(step.one_step) for step in steps]),
+                    tuple([n for n, step in enumerate(steps)
+                           if step.one_step is not None
+                           and step.one_step < 0]))
+                states[key] = block, steps if grow else None
             else:
-                checks, steps = known
-                side_checks.extend(
-                    SideCheck(first.divisor_id, chart.chart_id, first.center,
-                              first.value) for first in checks[:take])
+                block, steps = known
+            side_checks.append((chart.chart_id, block, take))
             if not grow:
                 continue
             for center, step in zip(centers[:take], steps):
@@ -246,7 +324,8 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     ))
     return EnumerationResult(
         reports=tuple(ordered),
-        side_checks=tuple(side_checks),
+        side_checks=_SideChecks(side_checks,
+                                [walk.getter(c) for c in centers]),
         indeterminate_divisors=offenders,
         complete=complete,
         probes=probes,
@@ -374,6 +453,7 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
             a=walk.fraction(sum(map(mul, c, weights[b])) - walk.scale),
             degree=walk.degree(v, ())[0]))
     return EnumerationResult(
-        reports=tuple(sorted(reports, key=_witness_key)), side_checks=(),
+        reports=tuple(sorted(reports, key=_witness_key)),
+        side_checks=_SideChecks(),
         indeterminate_divisors=(), complete=complete,
         probes=total if complete else max(max_probes, 0))

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, TypeAlias, Union)
 
@@ -383,6 +383,8 @@ class _RowWalk:
         self.fraction = cache(lambda v: None if v is None
                               else Fraction(v, scale))
         self.name = cache(lambda row: "E(" + ",".join(map(str, row)) + ")")
+        # a center's entries of any per-slot tuple (centers have 2+ slots)
+        self.getter = cache(lambda center: itemgetter(*center))
 
     def degree(self, row: _Row, exact: Tuple[bool, ...]
                ) -> Tuple[CoverDegree, Optional[int]]:
@@ -425,39 +427,45 @@ class _RowWalk:
         return row
 
     def slots(self, chart: Chart) -> tuple:
-        """What the steps of a chart read: the boundary row, each extra's
-        exposures mod its degree, and each extra's origin slot (-1 once
-        gone)."""
-        ids = chart.divisor_ids
-        return (self.boundary(chart),
-                [[row[slot] % d for row in chart.rows]
-                 for _, d, slot in self.extras],
-                [ids.index(o) if o in ids else -1 for o, _, _ in self.extras])
+        """What the steps of a chart read: the boundary row and, per extra,
+        its origin slot (-1 once gone) and the set of its other exposed
+        slots, those whose row is nonzero mod the degree at the origin's
+        root slot. The origin itself, with row 1 there, is always exposed.
+        """
+        ids, rows = chart.divisor_ids, chart.rows
+        exposed = []
+        for origin_id, d, slot in self.extras:
+            origin = ids.index(origin_id) if origin_id in ids else -1
+            exposed.append((origin, frozenset(
+                i for i, row in enumerate(rows) if row[slot] % d
+                and i != origin)))
+        return self.boundary(chart), tuple(exposed)
 
     def step(self, chart: Chart, slots: tuple, center: Tuple[int, ...],
              abar: Sequence[Optional[int]]) -> _RowStep:
         """The divisor a blow-up of ``center`` extracts.
 
         Its row is the sum of the center's rows. It is exact on an extra
-        when its exposure, the sum of the center's, is nonzero and only the
-        origin feeds it. ``a`` is c - 1 minus the center's coefficients in
-        ``abar``, the chart's slots telescoped against a base; ``one_step``
-        is the same against the chart's own boundary. Passing the boundary
-        row (``slots[0]``) as ``abar`` makes the two one.
+        when its exposure, the sum of the center's, is nonzero mod the
+        degree and only the origin feeds it. The origin's exposure is 1, so
+        that is: the origin is in the center and no other exposed slot is.
+        ``a`` is c - 1 minus the center's coefficients in ``abar``, the
+        chart's slots telescoped against a base; ``one_step`` is the same
+        against the chart's own boundary. Passing the boundary row
+        (``slots[0]``) as ``abar`` makes the two one. The center's entries
+        of each per-slot tuple are read through one cached getter.
         """
-        bound, entries, origins = slots
+        bound, exposed = slots
+        get = self.getter(center)
         top = (len(center) - 1) * self.scale
-        load = [bound[i] for i in center]
+        load = get(bound)
         one_step = None if None in load else top - sum(load)
-        row = tuple(map(sum, zip(*[chart.rows[i] for i in center])))
-        exact = tuple(
-            sum(entry[i] for i in center) % d != 0
-            and all(i == origin for i in center if entry[i])
-            for entry, origin, (_, d, _) in zip(entries, origins, self.extras))
+        row = tuple(map(sum, zip(*get(chart.rows))))
+        exact = tuple([origin in center and others.isdisjoint(center)
+                       for origin, others in exposed])
         return _RowStep(
-            self.name(row), tuple(chart.divisor_ids[i] for i in center),
-            row, exact,
-            one_step if abar is bound else top - sum(abar[i] for i in center),
+            self.name(row), get(chart.divisor_ids), row, exact,
+            one_step if abar is bound else top - sum(get(abar)),
             one_step, self.degree(row, exact)[0])
 
     def children(self, chart: Chart, center: Tuple[int, ...],

@@ -365,7 +365,8 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
     = route length), b >= 0 on every divisor, and whether a determinate
     degree gives e * b <= 0. ``failures`` lists ``level-1 b < 0``, then
     each divisor's negative worst b in report order, then the failed side
-    checks.
+    checks in walk order, read off the walk's blocks of side checks
+    without building a ``SideCheck``.
     """
     if depth < 1:
         raise ValueError("certification depth must be at least 1")
@@ -412,12 +413,9 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
             negative.append(f"b({report.divisor_id},X) = {worst}")
     failures = ([] if level1_b else ["level-1 b < 0"]) + negative
     one_step_ok = True
-    for check in enumeration.side_checks:
-        if check.ok is False:
-            one_step_ok = False
-            failures.append(
-                f"a({check.divisor_id},{check.chart_id},Delta) = {check.value}"
-            )
+    for divisor_id, chart_id, value in enumeration.side_checks.failing():
+        one_step_ok = False
+        failures.append(f"a({divisor_id},{chart_id},Delta) = {value}")
     summary = SideConditionSummary(
         level1_b_nonnegative=level1_b,
         exceptional_b_nonnegative=exc_b,

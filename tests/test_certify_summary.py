@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from brauer_terminal import resolution
+from brauer_terminal import enumeration, resolution
+from brauer_terminal.enumeration import SideCheck
 from brauer_terminal.model import IndeterminateDegreeError, Model
 from brauer_terminal.resolution import certify, remark_model
 
@@ -101,10 +102,27 @@ def test_bad_case(monkeypatch, fixup):
 
 
 def test_remark_depth_four(monkeypatch):
+    # certify reads the failing side checks off the walk's blocks and
+    # builds no SideCheck; a later read of the walk's checks builds them
+    made, walks = [], []
+
+    def counted(*args, **kw):
+        made.append(args)
+        return SideCheck(*args, **kw)
+
+    def walked(*args, _walk=resolution.enumerate_divisors, **kw):
+        walks.append(_walk(*args, **kw))
+        return walks[-1]
+
+    monkeypatch.setattr(enumeration, "SideCheck", counted)
+    monkeypatch.setattr(resolution, "enumerate_divisors", walked)
     cert, expected = certified(monkeypatch, remark_model(), 4)
+    assert made == []
     assert summary(cert) == expected
     side = [f for f in cert.side_conditions.failures if f.startswith("a(")]
     assert len(side) == 980
+    assert len(walks[0].side_checks) == 3280
+    assert len(list(walks[0].side_checks)) == 3280
 
 
 def test_two_extras_without_symbols(monkeypatch):
