@@ -2,8 +2,7 @@
 
 from .discrepancy import (BoundaryDivisor, DiscrepancyReport, ReportEntry,
                           WitnessStep, b_from_a, boundary_divisor,
-                          brauer_discrepancy, stratum_discrepancies,
-                          weighted_infimum)
+                          brauer_discrepancy, stratum_discrepancies)
 from .enumeration import EnumerationResult, enumerate_divisors
 from .model import (Chart, CoverDegree, ExtraComponent,
                     IndeterminateDegreeError, Model, Stratum, strata)
@@ -14,15 +13,13 @@ from .resolution import (CompositionCheck, FixupResult, NonterminationError,
                          UnsupportedTorsionError, certify, check_composition,
                          find_bad_strata, level_one_fixup, remark_model,
                          run_remark)
-from .symbols import (ComplexCheck, KummerClass, SymbolMatrix, check_complex,
-                      ramifies_on, residue, residue_order)
+from .symbols import SymbolMatrix, check_complex, residue_order
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryDivisor",
     "Chart",
-    "ComplexCheck",
     "CompositionCheck",
     "CoverDegree",
     "DiscrepancyReport",
@@ -30,7 +27,6 @@ __all__ = [
     "ExtraComponent",
     "FixupResult",
     "IndeterminateDegreeError",
-    "KummerClass",
     "LoadResult",
     "Model",
     "ModelFormatError",
@@ -57,13 +53,10 @@ __all__ = [
     "level_one_fixup",
     "load_model",
     "parse_model",
-    "ramifies_on",
     "remark_model",
-    "residue",
     "residue_order",
     "run_remark",
     "save_model",
     "strata",
     "stratum_discrepancies",
-    "weighted_infimum",
 ]

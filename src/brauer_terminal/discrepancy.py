@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .model import (CenterLike, Chart, CoverDegree, PairLike, _centers,
                     _RowStep, _RowWalk, as_chart)
@@ -181,17 +181,3 @@ def _report(walk: _RowWalk, step: _RowStep,
         divisor_id=step.divisor_id, level=len(witness), witness=witness,
         a=walk.fraction(step.a), degree=step.degree)
 
-
-def weighted_infimum(reports: Iterable[DiscrepancyReport]) -> Fraction:
-    """Infimum of e * b over all entries of all reports.
-
-    Indeterminate divisors contribute every candidate row, so the value is
-    the worst case over the possibilities.
-
-    Raises:
-        ValueError: on an empty collection.
-    """
-    values = [entry.weighted for report in reports for entry in report.entries]
-    if not values:
-        raise ValueError("no reports to take an infimum over")
-    return min(values)

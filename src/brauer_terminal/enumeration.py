@@ -47,10 +47,6 @@ class SideCheck:
     center: Tuple[str, ...]
     value: Optional[Fraction]
 
-    @property
-    def ok(self) -> Optional[bool]:
-        return None if self.value is None else self.value.numerator >= 0
-
 
 class _Block(NamedTuple):
     """The side checks of one chart state on one level, chart id aside:

@@ -178,7 +178,7 @@ class Model:
             raise ValueError("divisor labels must be distinct")
         if self.matrix.dim != len(labels):
             raise ValueError("symbol matrix does not match chart dimension")
-        if not check_complex(self.matrix).ok:
+        if check_complex(self.matrix):
             raise ValueError("symbol matrix must be alternating")
         origins = [comp.origin_id for comp in self.extras]
         for origin in origins:

@@ -73,17 +73,23 @@ class ModelSpec:
                symbols: Iterable[Tuple[int, int, int]] = (),
                extra_degrees: Iterable[Tuple[str, int]] = ()) -> "ModelSpec":
         """The canonical spec: symbols accumulate by ``from_symbols``, and
-        self-pairings drop. Raises ``ValueError`` on a torsion below 2, a
-        slot out of range or an extra cover on a label not in ``labels``."""
+        self-pairings drop. Raises ``ValueError``, with ``Model``'s messages,
+        on a torsion below 2, a slot out of range, an extra cover on a label
+        not in ``labels``, two extra covers on one label or a degree below
+        1."""
         labels = tuple(labels)
         n = len(labels)
         # a self-pairing out of range goes on, for from_symbols to reject
         matrix = SymbolMatrix.from_symbols(torsion, n, [
             (i, j, m) for i, j, m in symbols if i != j or not 0 <= i < n])
         extras = [(label, int(degree)) for label, degree in extra_degrees]
-        for label, _ in extras:
+        for label, degree in extras:
             if label not in labels:
                 raise ValueError(f"extra cover on unknown divisor {label!r}")
+            if degree < 1:
+                raise ValueError(f"extra cover degree on {label!r} must be >= 1")
+        if len({label for label, _ in extras}) != len(extras):
+            raise ValueError("extra covers must lie on distinct divisors")
         return cls(torsion=int(torsion), dimension=n, labels=labels,
                    symbols=tuple((i, j, m)
                                  for i, row in enumerate(matrix.entries)

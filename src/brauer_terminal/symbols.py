@@ -2,11 +2,12 @@
 
 A class of torsion r presented by tame symbols (x_i, x_j) is stored as an
 alternating matrix M over Z/r: M[i][j] holds the exponent with which the
-symbol pairs slot i against slot j, and M[j][i] = -M[i][j]. Residues along
-divisors and their orders, the degrees of the cyclic covers they induce,
-live here. Blown-up charts keep the root's matrix: the residue along a
-divisor with root valuation v is x^(v M), so its order is r/gcd(r, v M)
-(``residue_order``).
+symbol pairs slot i against slot j, and M[j][i] = -M[i][j]. The order of
+a residue, the degree of the cyclic cover it induces, is read here
+(``residue_order``): along slot s the residue is the class of
+prod_{j != s} x_j^{M[s][j]}, of order r/gcd(r, M[s]) since M[s][s] = 0.
+Blown-up charts keep the root's matrix: the residue along a divisor with
+root valuation v is x^(v M), of order r/gcd(r, v M).
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class SymbolMatrix:
         object.__setattr__(self, "entries", rows)
 
     @classmethod
-    def zero(cls, r: int, dim: int) -> "SymbolMatrix":
-        return cls(r, tuple((0,) * dim for _ in range(dim)))
-
-    @classmethod
     def from_symbols(cls, r: int, dim: int,
                      symbols: Iterable[Tuple[int, int, int]]) -> "SymbolMatrix":
         """Accumulate (i, j, m) terms: m symbols pairing slot i with slot j."""
@@ -58,89 +55,22 @@ class SymbolMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i]
-
 
 def residue_order(r: int, exponents: Iterable[int]) -> int:
     """Order in k*/(k*)^r of the class of a monomial with these exponents."""
     return r // gcd(r, *exponents)
 
 
-@dataclass(frozen=True)
-class KummerClass:
-    """Residue of a symbol class along a divisor: a class in k*/(k*)^r.
+def check_complex(matrix: SymbolMatrix) -> Tuple[Tuple[int, ...], ...]:
+    """Audit that the matrix is alternating: the strata where it is not.
 
-    ``exponents`` are the powers of the remaining coordinates, taken mod r.
+    A slot i is violated by a nonzero diagonal entry and a codimension-2
+    stratum {i, j} by M[i][j] + M[j][i] != 0 (mod r); diagonal slots come
+    first, then pairs i < j. Violations are returned, not raised, so callers
+    can surface exactly which strata break the residue bookkeeping; the
+    matrix is alternating when there are none.
     """
-
-    r: int
-    exponents: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "exponents", tuple(int(e) % self.r for e in self.exponents)
-        )
-
-    @property
-    def order(self) -> int:
-        """Order of the class, i.e. degree of the cyclic cover it defines."""
-        return residue_order(self.r, self.exponents)
-
-
-@dataclass(frozen=True)
-class ComplexCheck:
-    """Outcome of the alternation audit of a symbol matrix."""
-
-    ok: bool
-    verified: Tuple[Tuple[int, ...], ...]
-    violations: Tuple[Tuple[int, ...], ...]
-
-
-def residue(matrix: SymbolMatrix, slot: int) -> KummerClass:
-    """Residue of the class along the divisor bound to ``slot``.
-
-    Reads row ``slot`` of the matrix: the residue is the class of
-    prod_{j != slot} x_j^{M[slot][j]} in k*/(k*)^r on the divisor.
-    """
-    if not (0 <= slot < matrix.dim):
-        raise ValueError("residue slot out of range")
-    row = matrix.row(slot)
-    return KummerClass(matrix.r, tuple(v for j, v in enumerate(row) if j != slot))
-
-
-def ramifies_on(matrix: SymbolMatrix, i: int, j: int) -> bool:
-    """Whether the residue along slot i involves the coordinate at slot j."""
-    if i == j:
-        raise ValueError("ramification needs two distinct slots")
-    if not (0 <= i < matrix.dim and 0 <= j < matrix.dim):
-        raise ValueError("slot out of range")
-    return matrix.entry(i, j) % matrix.r != 0
-
-
-def check_complex(matrix: SymbolMatrix) -> ComplexCheck:
-    """Audit that the matrix is alternating, pair by pair.
-
-    Each codimension-2 stratum {i, j} is verified via
-    M[i][j] + M[j][i] == 0 (mod r); each slot i is verified via a zero
-    diagonal entry. Violations are reported, not raised, so callers can
-    surface exactly which strata break the residue bookkeeping.
-    """
-    verified = []
-    violations = []
-    n = matrix.dim
-    for i in range(n):
-        target = verified if matrix.entry(i, i) % matrix.r == 0 else violations
-        target.append((i,))
-    for i in range(n):
-        for j in range(i + 1, n):
-            bad = (matrix.entry(i, j) + matrix.entry(j, i)) % matrix.r != 0
-            (violations if bad else verified).append((i, j))
-    return ComplexCheck(
-        ok=not violations,
-        verified=tuple(verified),
-        violations=tuple(violations),
-    )
+    rows, r, n = matrix.entries, matrix.r, matrix.dim
+    return (tuple((i,) for i in range(n) if rows[i][i])
+            + tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                    if (rows[i][j] + rows[j][i]) % r))

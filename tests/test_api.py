@@ -16,18 +16,17 @@ from brauer_terminal import Model, Stratum, find_bad_strata, strata
 from brauer_terminal.model import _centers
 
 PUBLIC = [
-    "BoundaryDivisor", "Chart", "ComplexCheck", "CompositionCheck",
-    "CoverDegree", "DiscrepancyReport", "EnumerationResult",
-    "ExtraComponent", "FixupResult", "IndeterminateDegreeError",
-    "KummerClass", "LoadResult", "Model", "ModelFormatError", "ModelSpec",
-    "NonterminationError", "RemarkReport", "ReportEntry", "ResolutionTree",
-    "Stratum", "SymbolMatrix", "TerminalityCertificate",
-    "UnsupportedTorsionError", "WitnessStep", "b_from_a", "boundary_divisor",
-    "brauer_discrepancy", "build_model", "certify", "check_complex",
-    "check_composition", "enumerate_divisors", "find_bad_strata",
-    "format_model", "level_one_fixup", "load_model", "parse_model",
-    "ramifies_on", "remark_model", "residue", "residue_order", "run_remark",
-    "save_model", "strata", "stratum_discrepancies", "weighted_infimum",
+    "BoundaryDivisor", "Chart", "CompositionCheck", "CoverDegree",
+    "DiscrepancyReport", "EnumerationResult", "ExtraComponent",
+    "FixupResult", "IndeterminateDegreeError", "LoadResult", "Model",
+    "ModelFormatError", "ModelSpec", "NonterminationError", "RemarkReport",
+    "ReportEntry", "ResolutionTree", "Stratum", "SymbolMatrix",
+    "TerminalityCertificate", "UnsupportedTorsionError", "WitnessStep",
+    "b_from_a", "boundary_divisor", "brauer_discrepancy", "build_model",
+    "certify", "check_complex", "check_composition", "enumerate_divisors",
+    "find_bad_strata", "format_model", "level_one_fixup", "load_model",
+    "parse_model", "remark_model", "residue_order", "run_remark",
+    "save_model", "strata", "stratum_discrepancies",
 ]
 
 

@@ -53,7 +53,7 @@ class TestRootChart:
                                         ("x1", "E(1,0)", "x3")])
     def test_bad_labels_rejected(self, labels):
         with pytest.raises(ValueError):
-            Model(labels=labels, matrix=SymbolMatrix.zero(2, 3))
+            Model(labels=labels, matrix=SymbolMatrix.from_symbols(2, 3, ()))
 
 
 class TestBlowUp:
@@ -198,8 +198,9 @@ class TestMonomial:
 class TestChartValidation:
     def test_divisor_id_count(self):
         with pytest.raises(ValueError):
-            Model(labels=("x1",), matrix=SymbolMatrix.zero(2, 2))
+            Model(labels=("x1",), matrix=SymbolMatrix.from_symbols(2, 2, ()))
 
     def test_duplicate_ids(self):
         with pytest.raises(ValueError):
-            Model(labels=("x1", "x1"), matrix=SymbolMatrix.zero(2, 2))
+            Model(labels=("x1", "x1"),
+                  matrix=SymbolMatrix.from_symbols(2, 2, ()))

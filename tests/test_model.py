@@ -211,7 +211,7 @@ class TestModelBlowUp:
         model = Model.affine(2, ("x1", "x2", "x3"), [(0, 2, 1), (1, 2, 1)])
         child, reference = descend(model, [((0, 1), 0)])
         assert model.walk.pairing(child.rows[1], child.rows[2]) == 1
-        assert reference.matrix.entry(1, 2) == 1
+        assert reference.matrix.entries[1][2] == 1
         assert child.cover_on(0).monomial_order == 1
         assert child.cover_on(0) == cover_on(reference, 0)
 
@@ -223,7 +223,8 @@ class TestModelBlowUp:
     def test_dimension_mismatch_rejected(self):
         model = Model.affine(2, ("x1", "x2"))
         with pytest.raises(ValueError):
-            Model(labels=model.labels, matrix=SymbolMatrix.zero(2, 3))
+            Model(labels=model.labels,
+                  matrix=SymbolMatrix.from_symbols(2, 3, ()))
 
     def test_non_alternating_matrix_rejected(self):
         # charts read the class as rows[i] M rows[j], which needs alternation

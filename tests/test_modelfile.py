@@ -152,11 +152,16 @@ class TestRoundTrip:
         ([(3, 3, 1)], ()),
         ([(0, 1, 1)], [("x9", 2)]),
         ([], [("x9", 1)]),
+        ([], [("x1", 3), ("x1", 2)]),
+        ([], [("x1", 0)]),
     ], ids=["negative-slot", "slot-past-end", "self-pair-past-end",
-            "unknown-extra", "unknown-extra-degree-1"])
+            "unknown-extra", "unknown-extra-degree-1", "extra-twice",
+            "extra-degree-0"])
     def test_create_rejects_what_names_no_slot(self, symbols, extras):
         # a negative slot used to index from the end, and one past the end
-        # made format_model raise IndexError
+        # made format_model raise IndexError; two extras on one label
+        # formatted to text that parse_model rejects, and a degree below 1
+        # was dropped where Model.affine raises
         with pytest.raises(ValueError):
             ModelSpec.create(2, ("x1", "x2", "x3"), symbols, extras)
 
@@ -173,8 +178,8 @@ class TestBuildAndLoad:
                                 [(0, 2, 1), (1, 2, 1)])
         model = build_model(spec)
         assert model.torsion == 2
-        assert model.matrix.entry(0, 2) == 1
-        assert model.matrix.entry(2, 0) == 1
+        assert model.matrix.entries[0][2] == 1
+        assert model.matrix.entries[2][0] == 1
 
     def test_load_fixture(self):
         result = load_model(MODELS / "bad-case.model")
