@@ -13,6 +13,9 @@ by the probe budget, 1 usage or input errors.
 ``--out PATH`` additionally writes machine-readable JSON lines. The machine
 output is canonical: keys sorted, no whitespace, rationals as [num, den]
 pairs, LF line endings. Two runs on the same input produce identical bytes.
+Each command writes ``--out`` one line at a time before printing anything,
+and builds no machine output without ``--out``: a reader that closes stdout
+early still gets the whole file, and the command exits 1.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from itertools import chain
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .discrepancy import (DiscrepancyReport, boundary_divisor,
                           stratum_discrepancies)
@@ -31,7 +35,7 @@ from .model import IndeterminateDegreeError, Model
 from .modelfile import ModelFormatError, load_model
 from .resolution import (DEFAULT_DEPTH, DEFAULT_MAX_ROUNDS,
                          CompositionCheck, NonterminationError,
-                         ResolutionTree, TerminalityCertificate,
+                         RemarkReport, ResolutionTree, TerminalityCertificate,
                          UnsupportedTorsionError, certify, level_one_fixup,
                          run_remark)
 
@@ -46,6 +50,8 @@ _VERDICT_EXIT = {
     "indeterminate": _EXIT_INDETERMINATE,
 }
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _frac(value: Optional[Fraction]) -> Optional[List[int]]:
     if value is None:
@@ -53,19 +59,13 @@ def _frac(value: Optional[Fraction]) -> Optional[List[int]]:
     return [value.numerator, value.denominator]
 
 
-def _witness_json(report: DiscrepancyReport) -> List[Dict[str, Any]]:
-    return [
-        {"chart": step.chart_id, "center": list(step.center)}
-        for step in report.witness
-    ]
-
-
 def _report_json(report: DiscrepancyReport) -> Dict[str, Any]:
     return {
         "type": "report",
         "divisor": report.divisor_id,
         "level": report.level,
-        "witness": _witness_json(report),
+        "witness": [{"chart": step.chart_id, "center": list(step.center)}
+                    for step in report.witness],
         "a": _frac(report.a),
         "monomial_order": report.degree.monomial_order,
         "candidates": list(report.degree.candidates),
@@ -100,21 +100,18 @@ def _certificate_json(cert: TerminalityCertificate) -> Dict[str, Any]:
     }
 
 
-def _tree_json(tree: ResolutionTree) -> List[Dict[str, Any]]:
-    lines: List[Dict[str, Any]] = [
-        {"type": "fixup", "root": tree.root, "rounds": tree.rounds}
-    ]
+def _tree_json(tree: ResolutionTree) -> Iterator[Dict[str, Any]]:
+    yield {"type": "fixup", "root": tree.root, "rounds": tree.rounds}
     for edge in tree.edges:
-        lines.append({
+        yield {
             "type": "edge",
             "parent": edge.parent,
             "child": edge.child,
             "center": list(edge.center),
             "exceptional": edge.exceptional,
             "kind": edge.kind,
-        })
-    lines.append({"type": "leaves", "charts": list(tree.leaves)})
-    return lines
+        }
+    yield {"type": "leaves", "charts": list(tree.leaves)}
 
 
 def _composition_json(check: CompositionCheck) -> Dict[str, Any]:
@@ -136,13 +133,35 @@ def _composition_json(check: CompositionCheck) -> Dict[str, Any]:
     }
 
 
-def _write_machine(path: Optional[str], lines: Sequence[Dict[str, Any]]) -> None:
+def _remark_json(report: RemarkReport) -> Iterator[Dict[str, Any]]:
+    yield {
+        "type": "remark",
+        "boundary": [
+            {"divisor": divisor, "coefficient": _frac(coeff)}
+            for divisor, coeff in report.boundary
+        ],
+        "b_e": _frac(report.b_e),
+        "a_f_on_x": _frac(report.a_f_on_x),
+        "a_f_on_y": _frac(report.a_f_on_y),
+        "monomial_order": report.monomial_e_f,
+        "candidates": [
+            {"e": c.e_f, "b_on_y": _frac(c.b_f_on_y),
+             "b_on_x": _frac(c.b_f_on_x), "weighted": _frac(c.weighted),
+             "additive": c.additivity_ok, "obstruction": c.obstruction}
+            for c in report.candidates
+        ],
+        "verdict": report.verdict,
+    }
+    yield _report_json(report.first_report)
+    yield _composition_json(report.composition)
+
+
+def _write_machine(path: Optional[str], lines: Iterable[Dict[str, Any]]) -> None:
     if path is None:
         return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in lines:
-            handle.write(json.dumps(line, sort_keys=True,
-                                    separators=(",", ":")))
+            handle.write(_ENCODER.encode(line))
             handle.write("\n")
 
 
@@ -166,30 +185,29 @@ def _load(args: argparse.Namespace) -> Model:
 
 def cmd_boundary(args: argparse.Namespace) -> int:
     model = _load(args)
-    boundary = boundary_divisor(model)
-    rows = []
-    lines = []
-    # every divisor of a loaded root chart is original
     extra_degrees = {comp.origin_id: comp.degree for comp in model.extras}
-    for slot, (divisor_id, coeff) in enumerate(boundary.coefficients):
-        extra = extra_degrees.get(divisor_id, 1)
-        e = model.cover_on(slot).value
-        rows.append((divisor_id, "original", str(extra), str(e), str(coeff)))
-        lines.append({
-            "type": "boundary",
-            "divisor": divisor_id,
-            "kind": "original",
-            "extra_degree": extra,
-            "e": e,
-            "coefficient": _frac(coeff),
-        })
-    print(_table(("divisor", "kind", "extra", "e", "coefficient"), rows))
-    _write_machine(args.out, lines)
+    divisors = [
+        (divisor_id, extra_degrees.get(divisor_id, 1),
+         model.cover_on(slot).value, coeff)
+        for slot, (divisor_id, coeff)
+        in enumerate(boundary_divisor(model).coefficients)
+    ]
+    # every divisor of a loaded root chart is original
+    _write_machine(args.out, (
+        {"type": "boundary", "divisor": divisor_id, "kind": "original",
+         "extra_degree": extra, "e": e, "coefficient": _frac(coeff)}
+        for divisor_id, extra, e, coeff in divisors
+    ))
+    print(_table(("divisor", "kind", "extra", "e", "coefficient"), [
+        (divisor_id, "original", str(extra), str(e), str(coeff))
+        for divisor_id, extra, e, coeff in divisors
+    ]))
     return _EXIT_OK
 
 
 def cmd_discrepancy(args: argparse.Namespace) -> int:
     reports = stratum_discrepancies(_load(args))
+    _write_machine(args.out, map(_report_json, reports))
     rows = []
     for report in reports:
         center = ",".join(report.witness[0].center)
@@ -197,7 +215,6 @@ def cmd_discrepancy(args: argparse.Namespace) -> int:
             rows.append((center, report.divisor_id, str(report.a),
                          str(entry.e), str(entry.b), str(entry.weighted)))
     print(_table(("center", "divisor", "a", "e", "b", "e*b"), rows))
-    _write_machine(args.out, [_report_json(r) for r in reports])
     if any(r.determinate and r.worst_weighted() <= 0 for r in reports):
         return _EXIT_BAD_STRATUM
     if any(not r.determinate for r in reports):
@@ -209,6 +226,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     model = _load(args)
     result = level_one_fixup(model, max_rounds=args.max_rounds)
     tree = result.tree
+    _write_machine(args.out, _tree_json(tree))
     print(f"fixup rounds: {result.rounds}")
     if tree.edges:
         rows = [
@@ -217,7 +235,6 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         ]
         print(_table(("parent", "child", "center", "exceptional"), rows))
     print("leaves: " + " ".join(tree.leaves))
-    _write_machine(args.out, _tree_json(tree))
     return _EXIT_OK
 
 
@@ -225,6 +242,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
     model = _load(args)
     cert = certify(model, depth=args.depth, fixup=not args.no_fixup,
                    max_rounds=args.max_rounds, max_probes=args.max_probes)
+    _write_machine(args.out, chain(
+        map(_certificate_json, [cert]),
+        map(_report_json, cert.reports),
+        () if cert.tree is None else _tree_json(cert.tree),
+    ))
     print(f"verdict: {cert.verdict}")
     print(f"levels checked: {cert.level_checked}")
     if not cert.complete:
@@ -253,16 +275,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
             rows.append((report.divisor_id, str(report.level), str(report.a),
                          str(entry.e), str(entry.b), str(entry.weighted)))
     print(_table(("divisor", "level", "a", "e", "b", "e*b"), rows))
-    lines = [_certificate_json(cert)]
-    lines.extend(_report_json(r) for r in cert.reports)
-    if cert.tree is not None:
-        lines.extend(_tree_json(cert.tree))
-    _write_machine(args.out, lines)
     return _VERDICT_EXIT[cert.verdict]
 
 
 def cmd_remark(args: argparse.Namespace) -> int:
     report = run_remark()
+    _write_machine(args.out, _remark_json(report))
     print("boundary: " + "  ".join(
         f"{divisor}={coeff}" for divisor, coeff in report.boundary
     ))
@@ -285,27 +303,6 @@ def cmd_remark(args: argparse.Namespace) -> int:
             print(f"side condition failed: {condition.name} "
                   f"= {condition.value}")
     print(f"verdict: {report.verdict}")
-    lines: List[Dict[str, Any]] = [{
-        "type": "remark",
-        "boundary": [
-            {"divisor": divisor, "coefficient": _frac(coeff)}
-            for divisor, coeff in report.boundary
-        ],
-        "b_e": _frac(report.b_e),
-        "a_f_on_x": _frac(report.a_f_on_x),
-        "a_f_on_y": _frac(report.a_f_on_y),
-        "monomial_order": report.monomial_e_f,
-        "candidates": [
-            {"e": c.e_f, "b_on_y": _frac(c.b_f_on_y),
-             "b_on_x": _frac(c.b_f_on_x), "weighted": _frac(c.weighted),
-             "additive": c.additivity_ok, "obstruction": c.obstruction}
-            for c in report.candidates
-        ],
-        "verdict": report.verdict,
-    }]
-    lines.append(_report_json(report.first_report))
-    lines.append(_composition_json(report.composition))
-    _write_machine(args.out, lines)
     return _VERDICT_EXIT[report.verdict]
 
 

@@ -113,6 +113,8 @@ def _strip_comment(raw: str) -> str:
 def parse_model(text: str) -> Tuple[ModelSpec, Tuple[str, ...]]:
     """Parse model-file text into a canonical spec plus warnings.
 
+    A leading byte-order mark is ignored.
+
     Raises:
         ModelFormatError: on structural problems, with line and column.
     """
@@ -124,7 +126,7 @@ def parse_model(text: str) -> Tuple[ModelSpec, Tuple[str, ...]]:
     labels: Tuple[str, ...] = ()
     warnings: List[str] = []
 
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
     for line_no, raw in enumerate(lines, start=1):
         content = _strip_comment(raw)
         if not content.strip():

@@ -2,8 +2,10 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,10 @@ import pytest
 from brauer_terminal import cli
 from brauer_terminal.cli import main
 from brauer_terminal.model import _RowWalk
+from brauer_terminal.modelfile import load_model
+from brauer_terminal.resolution import certify
 
-from .test_golden import GOLDEN
+from .test_golden import GOLDEN, GOLDEN_IDS, golden_argv
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 BAD = str(MODELS / "bad-case.model")
@@ -238,6 +242,14 @@ class TestErrors:
         assert "byte offset 25" in err
         assert "Traceback" not in err
 
+    def test_byte_order_mark_file(self, tmp_path, capsys):
+        path = tmp_path / "bom.model"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(BAD).read_bytes())
+        out = tmp_path / "out.jsonl"
+        assert main(["certify", "--model", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            golden_digest("bad-case", ("certify",))
+
     def test_usage_error(self, capsys):
         assert main(["certify"]) == 1
 
@@ -337,3 +349,61 @@ class TestParserReuse:
         assert first[0].startswith("usage: brauer-terminal")
         assert "brauer-terminal certify: error:" in first[1]
         assert texts() == first
+
+
+TWO_SLOT = ("[model]\ntorsion = 2\ndimension = 2\nlabels = x1,x2\n"
+            "[symbols]\nx1 x2 1\n")
+
+
+class TestOutputPath:
+    """Machine output is built line by line, and only for ``--out``."""
+
+    BUILDERS = ("_report_json", "_certificate_json", "_tree_json",
+                "_composition_json")
+
+    @pytest.mark.parametrize("model,command,code",
+                             [case[:3] for case in GOLDEN], ids=GOLDEN_IDS)
+    def test_no_json_without_out(self, monkeypatch, tmp_path, capsys, model,
+                                 command, code):
+        calls = []
+        for name in self.BUILDERS:
+            build = getattr(cli, name)
+            if inspect.isgeneratorfunction(build):
+                # a generator builds its first line when asked for it
+                def counted(*args, _name=name, _build=build):
+                    calls.append(_name)
+                    yield from _build(*args)
+            else:
+                def counted(*args, _name=name, _build=build):
+                    calls.append(_name)
+                    return _build(*args)
+            monkeypatch.setattr(cli, name, counted)
+        argv = golden_argv(model, command)
+        assert main(argv) == code
+        assert calls == []
+        if code != 1 and command != ("boundary",):
+            # the counters see the builders when there is an --out
+            assert main([*argv, "--out", str(tmp_path / "o.jsonl")]) == code
+            assert calls
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_no_list_of_line_dicts(self, tmp_path, capsys, with_out):
+        path = tmp_path / "two.model"
+        path.write_text(TWO_SLOT)
+        argv = ["certify", "--model", str(path), "--depth", "10"]
+        if with_out:
+            argv += ["--out", str(tmp_path / "o.jsonl")]
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert main(argv) == 0  # warm-up: parser and caches
+        capsys.readouterr()
+        library = peak(lambda: certify(load_model(path).model, depth=10))
+        command = peak(lambda: main(argv))
+        assert command <= 1.5 * library

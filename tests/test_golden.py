@@ -8,7 +8,9 @@ pinned to ``None`` writes no file. Re-pin only for an intended change of the
 machine output, and say so in the change log.
 """
 
+import errno
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -47,18 +49,43 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize(
-    "model,command,code,digest", GOLDEN,
-    ids=[f"{m or 'builtin'}-{'-'.join(c)}" for m, c, _, _ in GOLDEN])
-def test_out_bytes_pinned(tmp_path, capsys, model, command, code, digest):
-    out = tmp_path / "out.jsonl"
+GOLDEN_IDS = [f"{m or 'builtin'}-{'-'.join(c)}" for m, c, _, _ in GOLDEN]
+
+
+def golden_argv(model, command):
+    """The command line of a GOLDEN case, without ``--out``."""
     model_args = [] if model is None else [
         "--model", str(MODELS / f"{model}.model")]
-    argv = [command[0], *model_args, *command[1:], "--out", str(out)]
-    assert main(argv) == code
-    written = hashlib.sha256(out.read_bytes()).hexdigest() \
-        if out.exists() else None
-    assert written == digest
+    return [command[0], *model_args, *command[1:]]
+
+
+def digest_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest() \
+        if path.exists() else None
+
+
+@pytest.mark.parametrize("model,command,code,digest", GOLDEN, ids=GOLDEN_IDS)
+def test_out_bytes_pinned(tmp_path, capsys, model, command, code, digest):
+    out = tmp_path / "out.jsonl"
+    assert main([*golden_argv(model, command), "--out", str(out)]) == code
+    assert digest_of(out) == digest
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as under ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("model,command,code,digest", GOLDEN, ids=GOLDEN_IDS)
+def test_out_written_when_stdout_closed(tmp_path, monkeypatch, capsys, model,
+                                        command, code, digest):
+    out = tmp_path / "out.jsonl"
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main([*golden_argv(model, command), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert digest_of(out) == digest
 
 
 # one interpreter per call, as a shell user runs the command

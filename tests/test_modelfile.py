@@ -192,6 +192,16 @@ class TestBuildAndLoad:
         assert result.spec.extra_degrees == (("x3", 3),)
         assert result.model.extras[0].degree == 3
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in
+                                            MODELS.glob("*.model")))
+    def test_byte_order_mark_ignored(self, tmp_path, name):
+        original = load_model(MODELS / name)
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + (MODELS / name).read_bytes())
+        result = load_model(marked)
+        assert result.spec == original.spec
+        assert result.warnings == original.warnings
+
     def test_save_round_trip(self, tmp_path):
         spec = ModelSpec.create(3, ("u", "v", "w"), [(0, 1, 2)], [("w", 3)])
         target = tmp_path / "case.model"
