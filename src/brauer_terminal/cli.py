@@ -307,7 +307,10 @@ def cmd_remark(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value

@@ -11,19 +11,24 @@ which telescopes ``a`` through a coefficient row aligned with the chart's
 slots; on a base chart that row is the boundary itself, so
 ``brauer_discrepancy`` is the step at the boundary row, and the
 composition audit and the walks run the same step along their routes.
-A report builds each number once, on integers: with a = p/q, each
-candidate e gets b = ((p + q)e - q)/(qe) and e*b = ((p + q)e - q)/q, one
-normalising ``Fraction`` constructor each. Construction checks b = a + 1 -
-1/e and e*b = e * b on every entry, also when the constructors are called
-directly, by cross-multiplying numerators and denominators. The
-independent checks of the numbers are the oracles of the test suite (toric
-discrepancy, residue order) and the gate of ``perfbench``.
+A report's entries are built on integers: with a = p/q, each candidate e
+gets b = ((p + q)e - q)/(qe) and e*b = ((p + q)e - q)/q, one normalising
+``Fraction`` constructor each. They depend only on a and the candidates,
+so ``from_degree`` takes them from one bounded process-wide memo keyed by
+(p, q, candidates), and every report with that key shares one immutable
+tuple. An entry checks e*b = e * b once, when it is built; a report checks
+b = a + 1 - 1/e and the candidate order on every construction, also when
+the constructors are called directly, by cross-multiplying numerators and
+denominators. The independent checks of the numbers are the oracles of the
+test suite (toric discrepancy, residue order) and the gate of
+``perfbench``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .model import (CenterLike, Chart, CoverDegree, PairLike, _centers,
@@ -97,11 +102,7 @@ class DiscrepancyReport:
                     degree: CoverDegree) -> "DiscrepancyReport":
         if not isinstance(a, Fraction):
             a = Fraction(a)
-        p, q = a.numerator, a.denominator
-        entries = tuple(
-            ReportEntry(e, Fraction(top, q * e), Fraction(top, q))
-            for e, top in ((e, (p + q) * e - q) for e in degree.candidates)
-        )
+        entries = _entries(a.numerator, a.denominator, degree.candidates)
         return cls(divisor_id=divisor_id, level=level, witness=witness,
                    a=a, degree=degree, entries=entries)
 
@@ -111,6 +112,15 @@ class DiscrepancyReport:
 
     def worst_weighted(self) -> Fraction:
         return min(entry.weighted for entry in self.entries)
+
+
+@lru_cache(maxsize=4096)
+def _entries(p: int, q: int, candidates: Tuple[int, ...]
+             ) -> Tuple[ReportEntry, ...]:
+    """The entries of a = p/q for the candidate degrees, shared by every
+    report with that a and those candidates."""
+    return tuple(ReportEntry(e, Fraction(top, q * e), Fraction(top, q))
+                 for e, top in ((e, (p + q) * e - q) for e in candidates))
 
 
 def boundary_divisor(pair: PairLike) -> BoundaryDivisor:

@@ -273,6 +273,16 @@ class TestErrors:
     def test_bad_depth_rejected(self, depth, capsys):
         assert main(["certify", "--model", BAD, "--depth", depth]) == 1
 
+    @pytest.mark.parametrize("option,text", [
+        ("--depth", "x"), ("--max-probes", "1e3"), ("--max-rounds", ""),
+        ("--depth", "0"),
+    ])
+    def test_bad_count_names_the_rule(self, option, text, capsys):
+        assert main(["certify", "--model", BAD, option, text]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be a positive integer" in err
+        assert "_positive_int" not in err
+
     @pytest.mark.parametrize("command,model", [
         (["boundary"],
          "[model]\ntorsion = 10000000000000061\ndimension = 3\n"

@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 
 from brauer_terminal.discrepancy import (DiscrepancyReport, ReportEntry,
-                                         WitnessStep, b_from_a,
+                                         WitnessStep, _entries, b_from_a,
                                          boundary_divisor, brauer_discrepancy)
 from brauer_terminal.model import (CoverDegree, IndeterminateDegreeError, Model,
                                    _RowWalk, candidate_orders)
@@ -248,6 +248,55 @@ class TestReportArithmetic:
                                 self.report(a, candidates, shifted)
                     assert self.report(a, candidates, entries).entries \
                         == entries
+
+
+class TestEntryMemo:
+    """A report's entries come from one bounded memo keyed by a's numerator,
+    a's denominator and the candidates, and are shared between reports."""
+
+    CANDIDATES = sorted({candidate_orders(m, g) for m in range(1, 13)
+                         for g in (1, 4, 6, 12)})
+    STEP = WitnessStep("r", (0, 1), ("x1", "x2"))
+
+    def report(self, a, candidates):
+        return DiscrepancyReport.from_degree(
+            divisor_id="E", level=1, witness=(self.STEP,), a=a,
+            degree=CoverDegree(candidates[-1], candidates))
+
+    def test_equal_a_shares_entries(self):
+        for a, same in ((-2, Fraction(-2)), (Fraction(3, 4), Fraction(6, 8))):
+            first = self.report(a, (1, 3))
+            assert self.report(same, (1, 3)).entries is first.entries
+            assert self.report(a, (1, 2)).entries is not first.entries
+
+    def test_sweep_cold_and_warm(self):
+        keys = [(Fraction(p, q), candidates)
+                for q in (1, 2, 3, 4, 6, 12, 60) for p in range(-40, 41)
+                for candidates in self.CANDIDATES]
+        distinct = {(a.numerator, a.denominator, c) for a, c in keys}
+        assert len(distinct) > 2 * _entries.cache_info().maxsize
+        _entries.cache_clear()
+        # the warm pass runs backwards, so it starts on the keys the cold
+        # pass left in the memo and then runs into evicted ones
+        for sweep in (keys, keys[::-1]):
+            for a, candidates in sweep:
+                got = tuple((x.e, x.b, x.weighted)
+                            for x in self.report(a, candidates).entries)
+                want = tuple((e, a + 1 - Fraction(1, e),
+                              e * (a + 1 - Fraction(1, e)))
+                             for e in candidates)
+                assert got == want, (a, candidates)
+        info = _entries.cache_info()
+        assert info.hits > 0 and info.misses > len(distinct)
+        assert info.currsize == info.maxsize
+
+    def test_entries_of_another_a_rejected(self):
+        entries = self.report(Fraction(1, 3), (1, 3)).entries
+        with pytest.raises(ValueError, match="breaks b = a \\+ 1 - 1/e"):
+            DiscrepancyReport(
+                divisor_id="E", level=1, witness=(self.STEP,),
+                a=Fraction(2, 3), degree=CoverDegree(3, (1, 3)),
+                entries=entries)
 
 
 class TestWeightedInfimum:

@@ -402,6 +402,17 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify(bad_case(), depth=0)
 
+    @pytest.mark.parametrize("model,depth", [
+        (lambda: Model.affine(2, ("x1", "x2"), [(0, 1, 1)]), 12),
+        (remark_model, 4),
+    ], ids=["two-slot-valuation-walk", "remark-row-walk"])
+    def test_reports_share_entries(self, model, depth):
+        # one entries tuple per distinct (a, candidates), on both walks
+        reports = certify(model(), depth).reports
+        keys = {(r.a, r.degree.candidates) for r in reports}
+        assert len(reports) > len(keys)
+        assert len({id(r.entries) for r in reports}) == len(keys)
+
 
 class TestRunRemark:
     def test_boundary(self):
