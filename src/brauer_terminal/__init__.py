@@ -6,8 +6,8 @@ from .discrepancy import (BoundaryDivisor, DiscrepancyReport, ReportEntry,
 from .enumeration import EnumerationResult, enumerate_divisors
 from .model import (Chart, CoverDegree, ExtraComponent,
                     IndeterminateDegreeError, Model, Stratum, strata)
-from .modelfile import (LoadResult, ModelFormatError, ModelSpec, build_model,
-                        format_model, load_model, parse_model, save_model)
+from .modelfile import (LoadResult, ModelFormatError, format_model, load_model,
+                        parse_model, save_model)
 from .resolution import (CompositionCheck, FixupResult, NonterminationError,
                          RemarkReport, ResolutionTree, TerminalityCertificate,
                          UnsupportedTorsionError, certify, check_composition,
@@ -30,7 +30,6 @@ __all__ = [
     "LoadResult",
     "Model",
     "ModelFormatError",
-    "ModelSpec",
     "NonterminationError",
     "RemarkReport",
     "ReportEntry",
@@ -43,7 +42,6 @@ __all__ = [
     "b_from_a",
     "boundary_divisor",
     "brauer_discrepancy",
-    "build_model",
     "certify",
     "check_complex",
     "check_composition",

@@ -1,4 +1,4 @@
-"""Plain-text model files: parse, validate, build, and write back.
+"""Plain-text model files: parse into a ``Model``, validate, write back.
 
 The format has three sections. ``[model]`` declares ``torsion``,
 ``dimension`` and the comma-separated ``labels``. ``[symbols]`` lists one
@@ -24,10 +24,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple, Union
 
 from .model import LABEL_RE, Model
-from .symbols import SymbolMatrix
 
 _TOKEN_RE = re.compile(r"\S+")
 _KEY_RE = re.compile(r"^\s*(\w+)\s*=\s*(.*?)\s*$")
@@ -54,53 +54,7 @@ class ModelFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """Canonical content of a model file.
-
-    Symbols are stored with slot i < j and exponent in [1, torsion);
-    extra covers keep only degrees above 1. Equal specs therefore describe
-    equal models, and formatting a spec then parsing it round-trips.
-    """
-
-    torsion: int
-    dimension: int
-    labels: Tuple[str, ...]
-    symbols: Tuple[Tuple[int, int, int], ...]
-    extra_degrees: Tuple[Tuple[str, int], ...]
-
-    @classmethod
-    def create(cls, torsion: int, labels: Sequence[str],
-               symbols: Iterable[Tuple[int, int, int]] = (),
-               extra_degrees: Iterable[Tuple[str, int]] = ()) -> "ModelSpec":
-        """The canonical spec: symbols accumulate by ``from_symbols``, and
-        self-pairings drop. Raises ``ValueError``, with ``Model``'s messages,
-        on a torsion below 2, a slot out of range, an extra cover on a label
-        not in ``labels``, two extra covers on one label or a degree below
-        1."""
-        labels = tuple(labels)
-        n = len(labels)
-        # a self-pairing out of range goes on, for from_symbols to reject
-        matrix = SymbolMatrix.from_symbols(torsion, n, [
-            (i, j, m) for i, j, m in symbols if i != j or not 0 <= i < n])
-        extras = [(label, int(degree)) for label, degree in extra_degrees]
-        for label, degree in extras:
-            if label not in labels:
-                raise ValueError(f"extra cover on unknown divisor {label!r}")
-            if degree < 1:
-                raise ValueError(f"extra cover degree on {label!r} must be >= 1")
-        if len({label for label, _ in extras}) != len(extras):
-            raise ValueError("extra covers must lie on distinct divisors")
-        return cls(torsion=int(torsion), dimension=n, labels=labels,
-                   symbols=tuple((i, j, m)
-                                 for i, row in enumerate(matrix.entries)
-                                 for j, m in enumerate(row[i + 1:], i + 1)
-                                 if m),
-                   extra_degrees=tuple(sorted(e for e in extras if e[1] > 1)))
-
-
-@dataclass(frozen=True)
 class LoadResult:
-    spec: ModelSpec
     model: Model
     warnings: Tuple[str, ...]
 
@@ -110,10 +64,11 @@ def _strip_comment(raw: str) -> str:
     return raw if cut < 0 else raw[:cut]
 
 
-def parse_model(text: str) -> Tuple[ModelSpec, Tuple[str, ...]]:
-    """Parse model-file text into a canonical spec plus warnings.
+def parse_model(text: str) -> Tuple[Model, Tuple[str, ...]]:
+    """Parse model-file text into a root model plus warnings.
 
-    A leading byte-order mark is ignored.
+    A leading byte-order mark is ignored. The checks here leave ``Model``
+    nothing to reject, so every error carries a position.
 
     Raises:
         ModelFormatError: on structural problems, with line and column.
@@ -122,7 +77,7 @@ def parse_model(text: str) -> Tuple[ModelSpec, Tuple[str, ...]]:
     fields: Dict[str, str] = {}
     field_lines: Dict[str, int] = {}
     raw_symbols: List[Tuple[int, int, int, int]] = []
-    raw_extras: List[Tuple[str, int, int]] = []
+    extra_degrees: Dict[str, int] = {}
     labels: Tuple[str, ...] = ()
     warnings: List[str] = []
 
@@ -198,35 +153,31 @@ def parse_model(text: str) -> Tuple[ModelSpec, Tuple[str, ...]]:
                     line_no, tokens[1].start() + 1,
                 )
             label = labels[slot]
-            if any(existing == label for existing, _, _ in raw_extras):
+            if label in extra_degrees:
                 raise ModelFormatError(
                     f"extra cover on {label!r} declared twice", line_no,
                     tokens[0].start() + 1,
                 )
-            raw_extras.append((label, degree, line_no))
+            extra_degrees[label] = degree
 
     torsion = _parse_torsion(fields, field_lines)
     if not labels:
         labels = _parse_labels(fields, field_lines)
-    dimension = _parse_dimension(fields, field_lines, labels)
-    spec = ModelSpec.create(
-        torsion=torsion,
-        labels=labels,
-        symbols=[(i, j, m) for i, j, m, _ in raw_symbols],
-        extra_degrees=[(label, degree) for label, degree, _ in raw_extras],
-    )
-    surviving = {(i, j) for i, j, _ in spec.symbols}
+    _check_dimension(fields, field_lines, labels)
+    model = Model.affine(torsion, labels,
+                         [(i, j, m) for i, j, m, _ in raw_symbols],
+                         extra_degrees)
+    entries = model.matrix.entries
     reported = set()
     for i, j, m, line_no in raw_symbols:
-        key = (i, j) if i < j else (j, i)
-        if m % torsion != 0 and key not in surviving and key not in reported:
-            reported.add(key)
+        i, j = min(i, j), max(i, j)
+        if m % torsion != 0 and not entries[i][j] and (i, j) not in reported:
+            reported.add((i, j))
             warnings.append(
-                f"line {line_no}: symbols on {labels[key[0]]},{labels[key[1]]} "
+                f"line {line_no}: symbols on {labels[i]},{labels[j]} "
                 "accumulate to zero"
             )
-    assert dimension == spec.dimension
-    return spec, tuple(warnings)
+    return model, tuple(warnings)
 
 
 def _parse_torsion(fields: Dict[str, str], field_lines: Dict[str, int]) -> int:
@@ -260,8 +211,8 @@ def _parse_labels(fields: Dict[str, str],
     return labels
 
 
-def _parse_dimension(fields: Dict[str, str], field_lines: Dict[str, int],
-                     labels: Tuple[str, ...]) -> int:
+def _check_dimension(fields: Dict[str, str], field_lines: Dict[str, int],
+                     labels: Tuple[str, ...]) -> None:
     if "dimension" not in fields:
         raise ModelFormatError("missing dimension in [model]")
     try:
@@ -277,7 +228,6 @@ def _parse_dimension(fields: Dict[str, str], field_lines: Dict[str, int],
             f"dimension {dimension} does not match {len(labels)} labels",
             field_lines["dimension"],
         )
-    return dimension
 
 
 def _label_slot(token: "re.Match[str]", labels: Tuple[str, ...],
@@ -298,22 +248,8 @@ def _int_token(token: "re.Match[str]", line_no: int) -> int:
                                line_no, token.start() + 1) from None
 
 
-def build_model(spec: ModelSpec) -> Model:
-    """Instantiate the root model a spec describes.
-
-    ``Model`` itself rejects a symbol matrix that is not alternating, so a
-    spec needs no audit of its own here.
-    """
-    return Model.affine(
-        torsion=spec.torsion,
-        labels=spec.labels,
-        symbols=spec.symbols,
-        extra_degrees=dict(spec.extra_degrees),
-    )
-
-
 def load_model(path: Union[str, Path]) -> LoadResult:
-    """Read, parse, and build a model file.
+    """Read and parse a model file.
 
     Raises:
         ModelFormatError: on a file that is not UTF-8 or breaks the format.
@@ -323,30 +259,32 @@ def load_model(path: Union[str, Path]) -> LoadResult:
     except UnicodeDecodeError as exc:
         raise ModelFormatError(
             f"not UTF-8 at byte offset {exc.start}: {exc.reason}") from None
-    spec, warnings = parse_model(text)
-    return LoadResult(spec=spec, model=build_model(spec), warnings=warnings)
+    model, warnings = parse_model(text)
+    return LoadResult(model=model, warnings=warnings)
 
 
-def format_model(spec: ModelSpec) -> str:
-    """Render a spec in the file format; parsing the result round-trips."""
+def format_model(model: Model) -> str:
+    """Render a model in the file format: the nonzero symbols of the upper
+    triangle row by row, then the extra covers sorted by label. Parsing the
+    result and formatting it again gives the same text."""
+    labels = model.labels
     lines = [
         "[model]",
-        f"torsion = {spec.torsion}",
-        f"dimension = {spec.dimension}",
-        "labels = " + ",".join(spec.labels),
+        f"torsion = {model.torsion}",
+        f"dimension = {model.dim}",
+        "labels = " + ",".join(labels),
     ]
-    if spec.symbols:
-        lines.append("")
-        lines.append("[symbols]")
-        for i, j, m in spec.symbols:
-            lines.append(f"{spec.labels[i]} {spec.labels[j]} {m}")
-    if spec.extra_degrees:
-        lines.append("")
-        lines.append("[extra]")
-        for label, degree in spec.extra_degrees:
-            lines.append(f"{label} {degree}")
+    symbols = [f"{labels[i]} {labels[j]} {m}"
+               for i, row in enumerate(model.matrix.entries)
+               for j, m in enumerate(row[i + 1:], i + 1) if m]
+    if symbols:
+        lines += ["", "[symbols]", *symbols]
+    if model.extras:
+        lines += ["", "[extra]"]
+        lines += [f"{comp.origin_id} {comp.degree}" for comp in
+                  sorted(model.extras, key=attrgetter("origin_id"))]
     return "\n".join(lines) + "\n"
 
 
-def save_model(spec: ModelSpec, path: Union[str, Path]) -> None:
-    Path(path).write_text(format_model(spec), encoding="utf-8", newline="\n")
+def save_model(model: Model, path: Union[str, Path]) -> None:
+    Path(path).write_text(format_model(model), encoding="utf-8", newline="\n")

@@ -19,10 +19,10 @@ PUBLIC = [
     "BoundaryDivisor", "Chart", "CompositionCheck", "CoverDegree",
     "DiscrepancyReport", "EnumerationResult", "ExtraComponent",
     "FixupResult", "IndeterminateDegreeError", "LoadResult", "Model",
-    "ModelFormatError", "ModelSpec", "NonterminationError", "RemarkReport",
+    "ModelFormatError", "NonterminationError", "RemarkReport",
     "ReportEntry", "ResolutionTree", "Stratum", "SymbolMatrix",
     "TerminalityCertificate", "UnsupportedTorsionError", "WitnessStep",
-    "b_from_a", "boundary_divisor", "brauer_discrepancy", "build_model",
+    "b_from_a", "boundary_divisor", "brauer_discrepancy",
     "certify", "check_complex", "check_composition", "enumerate_divisors",
     "find_bad_strata", "format_model", "level_one_fixup", "load_model",
     "parse_model", "remark_model", "residue_order", "run_remark",

@@ -187,6 +187,29 @@ class TestCertify:
         assert written[0]["complete"] is (code == 0)
         assert sum(line["type"] == "report" for line in written) == reports
 
+    @pytest.mark.parametrize("torsion,symbols,failures", [
+        (3, "x2 x1 2\nx3 x1 1\n", 5),
+        (4, "x3 x2 3\nx1 x2 1\n", 6),
+    ], ids=["five", "six"])
+    def test_at_most_five_failures_listed(self, tmp_path, capsys, torsion,
+                                          symbols, failures):
+        model = tmp_path / "m.model"
+        model.write_text(f"[model]\ntorsion = {torsion}\ndimension = 3\n"
+                         f"labels = x1,x2,x3\n[symbols]\n{symbols}")
+        out = tmp_path / "c.jsonl"
+        assert main(["certify", "--model", str(model), "--depth", "1",
+                     "--out", str(out)]) == 2
+        cert = read_lines(out)[0]
+        assert len(cert["side_conditions"]["failures"]) == failures
+        lines = capsys.readouterr().out.splitlines()
+        listed = [line for line in lines
+                  if line.startswith("side condition failed: ")]
+        assert listed == [f"side condition failed: {failure}" for failure
+                          in cert["side_conditions"]["failures"][:5]]
+        assert [line for line in lines if line.startswith("... and ")] == (
+            [] if failures == 5
+            else ["... and 1 more side condition failures"])
+
     def test_deterministic_machine_output(self, tmp_path, capsys):
         first = tmp_path / "one.jsonl"
         second = tmp_path / "two.jsonl"

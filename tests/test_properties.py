@@ -13,9 +13,9 @@ from itertools import chain
 
 from brauer_terminal.discrepancy import (b_from_a, boundary_divisor,
                                          brauer_discrepancy)
-from brauer_terminal.model import (IndeterminateDegreeError, Model, _centers,
-                                   _put, strata)
-from brauer_terminal.modelfile import ModelSpec, format_model, parse_model
+from brauer_terminal.model import (ExtraComponent, IndeterminateDegreeError,
+                                   Model, _centers, _put, strata)
+from brauer_terminal.modelfile import format_model, parse_model
 from brauer_terminal.enumeration import enumerate_divisors
 from brauer_terminal.resolution import (certify, find_bad_strata,
                                         level_one_fixup)
@@ -25,6 +25,7 @@ from .oracles import (accumulate_symbols, blow_up, compose_substitutions,
                       cover_on, determinant, monomial_order, naive_matrix,
                       naive_residue, root_chart, step_matrix,
                       substitute_symbols, toric_discrepancy, transform)
+from .test_modelfile import upper_triangle
 from .test_symbols import chart_matrix
 
 
@@ -379,13 +380,18 @@ class TestModelFileSweeps:
                 (*rng.sample(range(dim), 2), rng.randrange(1, r))
                 for _ in range(rng.randint(0, 5))
             ]
-            extras = [
-                (labels[slot], rng.randint(2, 4))
+            extras = {
+                labels[slot]: rng.randint(2, 4)
                 for slot in rng.sample(range(dim), rng.randint(0, dim))
-            ]
-            spec = ModelSpec.create(r, labels, symbols, extras)
-            parsed, warnings = parse_model(format_model(spec))
-            assert parsed == spec
+            }
+            # Model compares by identity, so models are compared by text
+            text = format_model(Model.affine(r, labels, symbols, extras))
+            parsed, warnings = parse_model(text)
+            assert format_model(parsed) == text
+            assert (parsed.matrix, parsed.extras) == (
+                SymbolMatrix.from_symbols(r, dim, symbols),
+                tuple(ExtraComponent(label, extras[label])
+                      for label in labels if label in extras))
             assert warnings == ()
 
 
@@ -395,13 +401,15 @@ class TestModelFileSweeps:
         for _ in range(200):
             r = rng.choice((2, 3, 4, 6, 12))
             dim = rng.randint(1, 5)
-            labels = tuple(f"d{k}" for k in range(dim))
             symbols = [(rng.randrange(dim), rng.randrange(dim),
                         rng.choice((rng.randint(-2 * r, 2 * r),
                                     r * rng.randint(-2, 2))))
                        for _ in range(rng.randint(0, 8))]
-            spec = ModelSpec.create(r, labels, symbols)
-            assert spec.symbols == accumulate_symbols(r, symbols), symbols
+            # the parser drops self-pairs before it builds the matrix
+            matrix = SymbolMatrix.from_symbols(
+                r, dim, [(i, j, m) for i, j, m in symbols if i != j])
+            assert upper_triangle(matrix) == accumulate_symbols(r, symbols), \
+                symbols
 
 
 class TestAlternationSweeps:
