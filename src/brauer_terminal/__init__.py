@@ -5,7 +5,8 @@ from .discrepancy import (BoundaryDivisor, DiscrepancyReport, ReportEntry,
                           brauer_discrepancy, stratum_discrepancies)
 from .enumeration import EnumerationResult, enumerate_divisors
 from .model import (Chart, CoverDegree, ExtraComponent,
-                    IndeterminateDegreeError, Model, Stratum, strata)
+                    IndeterminateDegreeError, Model, Stratum, residue_order,
+                    strata)
 from .modelfile import (LoadResult, ModelFormatError, format_model, load_model,
                         parse_model, save_model)
 from .resolution import (CompositionCheck, FixupResult, NonterminationError,
@@ -13,7 +14,6 @@ from .resolution import (CompositionCheck, FixupResult, NonterminationError,
                          UnsupportedTorsionError, certify, check_composition,
                          find_bad_strata, level_one_fixup, remark_model,
                          run_remark)
-from .symbols import SymbolMatrix, check_complex, residue_order
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "ReportEntry",
     "ResolutionTree",
     "Stratum",
-    "SymbolMatrix",
     "TerminalityCertificate",
     "UnsupportedTorsionError",
     "WitnessStep",
@@ -43,7 +42,6 @@ __all__ = [
     "boundary_divisor",
     "brauer_discrepancy",
     "certify",
-    "check_complex",
     "check_composition",
     "enumerate_divisors",
     "find_bad_strata",

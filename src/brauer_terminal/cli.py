@@ -109,7 +109,7 @@ def _tree_json(tree: ResolutionTree) -> Iterator[Dict[str, Any]]:
             "child": edge.child,
             "center": list(edge.center),
             "exceptional": edge.exceptional,
-            "kind": edge.kind,
+            "kind": "fixup",
         }
     yield {"type": "leaves", "charts": list(tree.leaves)}
 
@@ -227,7 +227,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     result = level_one_fixup(model, max_rounds=args.max_rounds)
     tree = result.tree
     _write_machine(args.out, _tree_json(tree))
-    print(f"fixup rounds: {result.rounds}")
+    print(f"fixup rounds: {tree.rounds}")
     if tree.edges:
         rows = [
             (edge.parent, edge.child, ",".join(edge.center), edge.exceptional)

@@ -1,11 +1,15 @@
 """Brauer pairs, their blown-up charts, their strata, and the one blow-up step.
 
 A ``Model`` is a Brauer pair on the root chart spec k{x1,...,xn}: the
-coordinate labels, the symbol matrix of the class, and the extra cyclic
-covers attached to original divisors. A ``Chart`` of an iterated
-coordinate blow-up is its slots' valuations on the root coordinates, its
-divisor ids, one exact flag per slot and extra cover, and its chart id; it
-carries no matrix and no extra vectors of its own.
+coordinate labels, the class, and the extra cyclic covers attached to
+original divisors. A class of torsion r presented by tame symbols
+(x_i, x_j) is an alternating matrix M over Z/r: M[i][j] holds the exponent
+with which the symbol pairs slot i against slot j, and M[j][i] = -M[i][j].
+Along slot s the residue is the class of prod_{j != s} x_j^{M[s][j]}, of
+order r/gcd(r, M[s]) (``residue_order``) since M[s][s] = 0. A ``Chart``
+of an iterated coordinate blow-up is its slots' valuations on the root
+coordinates, its divisor ids, one exact flag per slot and extra cover, and
+its chart id; it carries no matrix and no extra vectors of its own.
 
 A ``Stratum`` is a coordinate stratum V(x_i, ...) of a chart, named by its
 slots; ``strata`` lists those of one codimension. ``_centers`` is the one
@@ -41,8 +45,6 @@ from operator import itemgetter, mul
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, TypeAlias, Union)
 
-from .symbols import SymbolMatrix, check_complex, residue_order
-
 LABEL_RE = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -54,6 +56,11 @@ class IndeterminateDegreeError(ValueError):
         if not message:
             message = "indeterminate cover degree on " + ", ".join(self.divisor_ids)
         super().__init__(message)
+
+
+def residue_order(r: int, exponents: Iterable[int]) -> int:
+    """Order in k*/(k*)^r of the class of a monomial with these exponents."""
+    return r // gcd(r, *exponents)
 
 
 def _is_prime(n: int) -> bool:
@@ -160,13 +167,19 @@ PairLike: TypeAlias = "Union[Model, Chart]"
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A Brauer pair on the root chart: labels, symbol matrix, extra covers."""
+    """A Brauer pair on the root chart: labels, the torsion r, the class
+    as its matrix's rows over Z/r, and extra covers. Construction reduces
+    the entries into [0, r) and checks that the matrix is alternating."""
 
     labels: Tuple[str, ...]
-    matrix: SymbolMatrix
+    torsion: int
+    matrix: Tuple[Tuple[int, ...], ...]
     extras: Tuple[ExtraComponent, ...] = ()
 
     def __post_init__(self) -> None:
+        r = self.torsion
+        if r < 2:
+            raise ValueError("torsion must be at least 2")
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         if not labels:
@@ -176,10 +189,21 @@ class Model:
                 raise ValueError(f"divisor label {label!r} is not an identifier")
         if len(set(labels)) != len(labels):
             raise ValueError("divisor labels must be distinct")
-        if self.matrix.dim != len(labels):
-            raise ValueError("symbol matrix does not match chart dimension")
-        if check_complex(self.matrix):
-            raise ValueError("symbol matrix must be alternating")
+        n = len(labels)
+        rows = tuple(tuple(int(v) % r for v in row) for row in self.matrix)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"symbol matrix must be {n}x{n}, one row and "
+                             "column per label")
+        object.__setattr__(self, "matrix", rows)
+        # a slot breaks alternation by its diagonal entry, a stratum {i, j}
+        # by M[i][j] + M[j][i] != 0 (mod r): slots first, then pairs i < j
+        broken = ([(i,) for i in range(n) if rows[i][i]]
+                  + [(i, j) for i, j in combinations(range(n), 2)
+                     if (rows[i][j] + rows[j][i]) % r])
+        if broken:
+            raise ValueError("symbol matrix must be alternating, broken on "
+                             + " ".join("{" + ",".join(labels[k] for k in s)
+                                        + "}" for s in broken))
         origins = [comp.origin_id for comp in self.extras]
         for origin in origins:
             if origin not in labels:
@@ -201,10 +225,18 @@ class Model:
                 covers; degree 1 entries are ignored.
 
         Raises:
-            ValueError: on bad labels, slots, degrees, or unknown extra keys.
+            ValueError: on a bad torsion, label, slot, degree or extra key.
         """
         labels = tuple(labels)
-        matrix = SymbolMatrix.from_symbols(torsion, len(labels), symbols)
+        n = len(labels)
+        rows = [[0] * n for _ in range(n)]
+        for i, j, m in symbols:
+            if i == j:
+                raise ValueError("a symbol needs two distinct slots")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError("symbol slot out of range")
+            rows[i][j] += m
+            rows[j][i] -= m
         extra_degrees = dict(extra_degrees or {})
         for label in extra_degrees:
             if label not in labels:
@@ -216,11 +248,8 @@ class Model:
                 raise ValueError(f"extra cover degree on {label!r} must be >= 1")
             if degree > 1:
                 components.append(ExtraComponent(label, degree))
-        return cls(labels=labels, matrix=matrix, extras=tuple(components))
-
-    @property
-    def torsion(self) -> int:
-        return self.matrix.r
+        return cls(labels, torsion, tuple(map(tuple, rows)),
+                   tuple(components))
 
     @property
     def dim(self) -> int:
@@ -374,7 +403,7 @@ class _RowWalk:
         self.torsion = model.torsion
         self.scale = scale = lcm(model.torsion,
                                  *(c.degree for c in model.extras))
-        self.columns = tuple(zip(*model.matrix.entries))
+        self.columns = tuple(zip(*model.matrix))
         self.extras = tuple((c.origin_id, c.degree,
                              model.labels.index(c.origin_id))
                             for c in model.extras)

@@ -22,10 +22,9 @@ them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .model import LABEL_RE, Model
 
@@ -53,8 +52,9 @@ class ModelFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class LoadResult:
+class LoadResult(NamedTuple):
+    """A parsed model and the parser's warnings, in file order."""
+
     model: Model
     warnings: Tuple[str, ...]
 
@@ -64,14 +64,15 @@ def _strip_comment(raw: str) -> str:
     return raw if cut < 0 else raw[:cut]
 
 
-def parse_model(text: str) -> Tuple[Model, Tuple[str, ...]]:
+def parse_model(text: str) -> LoadResult:
     """Parse model-file text into a root model plus warnings.
 
     A leading byte-order mark is ignored. The checks here leave ``Model``
-    nothing to reject, so every error carries a position.
+    nothing to reject. Every error carries its line, and its column where
+    one token is at fault, except a missing key of ``[model]``.
 
     Raises:
-        ModelFormatError: on structural problems, with line and column.
+        ModelFormatError: on structural problems.
     """
     section: Optional[str] = None
     fields: Dict[str, str] = {}
@@ -161,13 +162,17 @@ def parse_model(text: str) -> Tuple[Model, Tuple[str, ...]]:
             extra_degrees[label] = degree
 
     torsion = _parse_torsion(fields, field_lines)
+    dimension = _parse_dimension(fields, field_lines)
     if not labels:
         labels = _parse_labels(fields, field_lines)
-    _check_dimension(fields, field_lines, labels)
+    if dimension != len(labels):
+        raise ModelFormatError(
+            f"dimension {dimension} does not match {len(labels)} labels",
+            field_lines["dimension"])
     model = Model.affine(torsion, labels,
                          [(i, j, m) for i, j, m, _ in raw_symbols],
                          extra_degrees)
-    entries = model.matrix.entries
+    entries = model.matrix
     reported = set()
     for i, j, m, line_no in raw_symbols:
         i, j = min(i, j), max(i, j)
@@ -177,7 +182,7 @@ def parse_model(text: str) -> Tuple[Model, Tuple[str, ...]]:
                 f"line {line_no}: symbols on {labels[i]},{labels[j]} "
                 "accumulate to zero"
             )
-    return model, tuple(warnings)
+    return LoadResult(model, tuple(warnings))
 
 
 def _parse_torsion(fields: Dict[str, str], field_lines: Dict[str, int]) -> int:
@@ -203,6 +208,11 @@ def _parse_labels(fields: Dict[str, str],
         raise ModelFormatError("missing labels in [model]")
     line_no = field_lines["labels"]
     labels = tuple(part.strip() for part in fields["labels"].split(","))
+    # before any symbol is read: each one looks its labels up by a scan
+    if len(labels) > MAX_DIMENSION:
+        raise ModelFormatError(
+            f"at most {MAX_DIMENSION} divisor labels, got {len(labels)}",
+            line_no)
     for label in labels:
         if not LABEL_RE.fullmatch(label):
             raise ModelFormatError(f"bad divisor label {label!r}", line_no)
@@ -211,8 +221,8 @@ def _parse_labels(fields: Dict[str, str],
     return labels
 
 
-def _check_dimension(fields: Dict[str, str], field_lines: Dict[str, int],
-                     labels: Tuple[str, ...]) -> None:
+def _parse_dimension(fields: Dict[str, str],
+                     field_lines: Dict[str, int]) -> int:
     if "dimension" not in fields:
         raise ModelFormatError("missing dimension in [model]")
     try:
@@ -223,11 +233,7 @@ def _check_dimension(fields: Dict[str, str], field_lines: Dict[str, int],
     if dimension > MAX_DIMENSION:
         raise ModelFormatError(f"dimension must be at most {MAX_DIMENSION}",
                                field_lines["dimension"])
-    if dimension != len(labels):
-        raise ModelFormatError(
-            f"dimension {dimension} does not match {len(labels)} labels",
-            field_lines["dimension"],
-        )
+    return dimension
 
 
 def _label_slot(token: "re.Match[str]", labels: Tuple[str, ...],
@@ -259,8 +265,7 @@ def load_model(path: Union[str, Path]) -> LoadResult:
     except UnicodeDecodeError as exc:
         raise ModelFormatError(
             f"not UTF-8 at byte offset {exc.start}: {exc.reason}") from None
-    model, warnings = parse_model(text)
-    return LoadResult(model=model, warnings=warnings)
+    return parse_model(text)
 
 
 def format_model(model: Model) -> str:
@@ -275,7 +280,7 @@ def format_model(model: Model) -> str:
         "labels = " + ",".join(labels),
     ]
     symbols = [f"{labels[i]} {labels[j]} {m}"
-               for i, row in enumerate(model.matrix.entries)
+               for i, row in enumerate(model.matrix)
                for j, m in enumerate(row[i + 1:], i + 1) if m]
     if symbols:
         lines += ["", "[symbols]", *symbols]

@@ -53,7 +53,6 @@ class TreeEdge:
     child: str
     center: Tuple[str, ...]
     exceptional: str
-    kind: str = "fixup"
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,6 @@ class FixupResult:
 
     tree: ResolutionTree
     charts: Tuple[Chart, ...]
-    rounds: int
 
 
 def find_bad_strata(pair: PairLike) -> Tuple[Stratum, ...]:
@@ -171,7 +169,7 @@ def level_one_fixup(pair: PairLike,
             )
             pending.append(child)
     tree = ResolutionTree(root.chart_id, tuple(edges), tuple(leaves), rounds)
-    return FixupResult(tree=tree, charts=tuple(clean), rounds=rounds)
+    return FixupResult(tree=tree, charts=tuple(clean))
 
 
 @dataclass(frozen=True)
@@ -381,7 +379,7 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
             fixed = level_one_fixup(model, max_rounds=max_rounds)
             bases = fixed.charts
             tree = fixed.tree
-            rounds = fixed.rounds
+            rounds = tree.rounds
     walk = (_valuation_walk if model.torsion == 2 and not model.extras
             else enumerate_divisors)
     enumeration = walk(bases, depth, max_probes=max_probes)

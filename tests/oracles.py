@@ -15,7 +15,9 @@ total substitution, the class pushed through it (``transform``, A M A^T
 by generic matrix products) and each extra cover's vector pushed through
 it (``apply_substitution``), and reads residues and exposures off those.
 Tests compare the engine's row reading with these; the two sides share no
-code paths.
+code paths. A moved class is the reference's own record (``SymbolClass``,
+the torsion and the reduced entries), so nothing here runs ``Model``'s
+checks on it.
 """
 
 from __future__ import annotations
@@ -23,14 +25,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from brauer_terminal.model import CoverDegree, _combined_degree
-from brauer_terminal.symbols import SymbolMatrix
 
 Vec = Tuple[int, ...]
 Matrix = Tuple[Vec, ...]
 Symbol = Tuple[Vec, Vec, int]
+
+
+class SymbolClass(NamedTuple):
+    """A class of torsion ``r`` as its matrix over Z/r, entries in [0, r)."""
+
+    r: int
+    entries: Matrix
+
+    @classmethod
+    def of(cls, model) -> "SymbolClass":
+        """The root class of an engine model, from its plain data."""
+        return cls(model.torsion, model.matrix)
 
 
 def naive_matrix(dim: int, r: int, symbols: Sequence[Symbol]) -> List[List[int]]:
@@ -136,9 +149,9 @@ def transpose(matrix: Sequence[Sequence[int]]) -> Matrix:
     return tuple(zip(*[tuple(row) for row in matrix])) if matrix else ()
 
 
-def signed_lift(matrix: SymbolMatrix) -> Matrix:
+def signed_lift(matrix: SymbolClass) -> Matrix:
     """Antisymmetric integer lift: upper triangle in [0, r), lower negated."""
-    n = matrix.dim
+    n = len(matrix.entries)
     lift = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -147,8 +160,8 @@ def signed_lift(matrix: SymbolMatrix) -> Matrix:
     return tuple(tuple(row) for row in lift)
 
 
-def transform(matrix: SymbolMatrix,
-              substitution: Sequence[Sequence[int]]) -> SymbolMatrix:
+def transform(matrix: SymbolClass,
+              substitution: Sequence[Sequence[int]]) -> SymbolClass:
     """Push a symbol matrix through a substitution.
 
     Symbols are bilinear in the exponent vectors of their arguments, and
@@ -160,7 +173,8 @@ def transform(matrix: SymbolMatrix,
                  for col in transpose(signed_lift(matrix)))
     moved = tuple(apply_substitution(substitution, row)
                   for row in transpose(half))
-    return SymbolMatrix(matrix.r, moved)
+    return SymbolClass(matrix.r, tuple(tuple(v % matrix.r for v in row)
+                                       for row in moved))
 
 
 @dataclass(frozen=True)
@@ -213,7 +227,7 @@ class RefChart:
 
     divisor_ids: Tuple[str, ...]
     total_substitution: Matrix
-    matrix: SymbolMatrix
+    matrix: SymbolClass
     extras: Tuple[Extra, ...]
     chart_id: str = "r"
     parent: Optional["RefChart"] = None
@@ -234,7 +248,7 @@ def root_chart(model) -> RefChart:
     n, ids = model.dim, tuple(model.labels)
     return RefChart(ids, tuple(tuple(int(i == j) for j in range(n))
                             for i in range(n)),
-                 model.matrix,
+                 SymbolClass.of(model),
                  tuple(Extra.at_origin(c.origin_id, c.degree,
                                        ids.index(c.origin_id), n,
                                        model.torsion)

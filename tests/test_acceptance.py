@@ -19,9 +19,9 @@ from brauer_terminal.model import Model, strata
 from brauer_terminal.resolution import (certify, check_composition,
                                         find_bad_strata, level_one_fixup,
                                         run_remark)
-from brauer_terminal.symbols import SymbolMatrix, check_complex
 
-from .oracles import toric_discrepancy
+from .oracles import SymbolClass, toric_discrepancy
+from .test_symbols import as_model, chart_matrix
 
 SEED = 20260814
 CORPUS_SIZE = 200
@@ -102,7 +102,7 @@ def test_criterion_4_bad_case_lifecycle():
         assert [s.divisor_ids for s in find_bad_strata(model)] == [("x1", "x2")]
 
         fixup = level_one_fixup(model)
-        assert fixup.rounds == 1
+        assert fixup.tree.rounds == 1
         assert len({edge.exceptional for edge in fixup.tree.edges}) == 1
 
         cert = certify(model, depth=3)
@@ -157,25 +157,24 @@ def test_criterion_7_complex_cancellation(corpus):
         rng = random.Random(SEED + 7)
 
         def mutated(matrix):
-            i, j = rng.sample(range(matrix.dim), 2)
+            i, j = rng.sample(range(len(matrix.entries)), 2)
             entries = [list(row) for row in matrix.entries]
             entries[i][j] = (entries[i][j] + 1) % matrix.r
-            broken = SymbolMatrix(matrix.r, tuple(map(tuple, entries)))
-            violations = check_complex(broken)
+            with pytest.raises(ValueError) as err:
+                as_model(SymbolClass(matrix.r, entries))
             key = (i, j) if i < j else (j, i)
-            assert violations
-            assert key in violations
+            assert "{" + ",".join(f"y{k + 1}" for k in key) + "}" \
+                in str(err.value)
 
         for model in corpus:
-            assert not check_complex(model.matrix)
-            mutated(model.matrix)
+            root = chart_matrix(model.chart)
+            assert root == SymbolClass.of(model)
+            mutated(root)
             codim = rng.randint(2, model.dim)
             center = tuple(sorted(rng.sample(range(model.dim), codim)))
             for child in model.chart.children(center):
-                walk, rows = model.walk, child.rows
-                matrix = SymbolMatrix(model.torsion, tuple(
-                    tuple(walk.pairing(u, v) for v in rows) for u in rows))
-                assert not check_complex(matrix)
+                matrix = chart_matrix(child)
+                assert as_model(matrix).matrix == matrix.entries
                 mutated(matrix)
 
 

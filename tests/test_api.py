@@ -20,10 +20,10 @@ PUBLIC = [
     "DiscrepancyReport", "EnumerationResult", "ExtraComponent",
     "FixupResult", "IndeterminateDegreeError", "LoadResult", "Model",
     "ModelFormatError", "NonterminationError", "RemarkReport",
-    "ReportEntry", "ResolutionTree", "Stratum", "SymbolMatrix",
-    "TerminalityCertificate", "UnsupportedTorsionError", "WitnessStep",
+    "ReportEntry", "ResolutionTree", "Stratum", "TerminalityCertificate",
+    "UnsupportedTorsionError", "WitnessStep",
     "b_from_a", "boundary_divisor", "brauer_discrepancy",
-    "certify", "check_complex", "check_composition", "enumerate_divisors",
+    "certify", "check_composition", "enumerate_divisors",
     "find_bad_strata", "format_model", "level_one_fixup", "load_model",
     "parse_model", "remark_model", "residue_order", "run_remark",
     "save_model", "strata", "stratum_discrepancies",

@@ -14,7 +14,6 @@ Core claims:
 import pytest
 
 from brauer_terminal.model import Model, Stratum, strata
-from brauer_terminal.symbols import SymbolMatrix
 
 from .oracles import (apply_substitution, blow_up as reference_blow_up,
                       compose_substitutions, determinant, root_chart,
@@ -53,7 +52,7 @@ class TestRootChart:
                                         ("x1", "E(1,0)", "x3")])
     def test_bad_labels_rejected(self, labels):
         with pytest.raises(ValueError):
-            Model(labels=labels, matrix=SymbolMatrix.from_symbols(2, 3, ()))
+            Model(labels=labels, torsion=2, matrix=((0,) * 3,) * 3)
 
 
 class TestBlowUp:
@@ -198,9 +197,8 @@ class TestMonomial:
 class TestChartValidation:
     def test_divisor_id_count(self):
         with pytest.raises(ValueError):
-            Model(labels=("x1",), matrix=SymbolMatrix.from_symbols(2, 2, ()))
+            Model(labels=("x1",), torsion=2, matrix=((0,) * 2,) * 2)
 
     def test_duplicate_ids(self):
         with pytest.raises(ValueError):
-            Model(labels=("x1", "x1"),
-                  matrix=SymbolMatrix.from_symbols(2, 2, ()))
+            Model(labels=("x1", "x1"), torsion=2, matrix=((0,) * 2,) * 2)

@@ -85,7 +85,7 @@ def tree_dump(tree):
     return {"root": tree.root, "rounds": tree.rounds,
             "leaves": list(tree.leaves),
             "edges": [[e.parent, e.child, list(e.center), e.exceptional,
-                       e.kind] for e in tree.edges]}
+                       "fixup"] for e in tree.edges]}
 
 
 def fixup_dump(chart, max_rounds):
@@ -95,7 +95,6 @@ def fixup_dump(chart, max_rounds):
         return {"undetermined": list(exc.divisor_ids)}
     except NonterminationError as exc:
         return {"nonterminating": tree_dump(exc.tree)}
-    assert result.rounds == result.tree.rounds
     return {"tree": tree_dump(result.tree)}
 
 

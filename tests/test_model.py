@@ -22,7 +22,6 @@ from brauer_terminal.discrepancy import boundary_divisor
 from brauer_terminal.model import (CoverDegree, ExtraComponent,
                                    IndeterminateDegreeError, Model,
                                    candidate_orders)
-from brauer_terminal.symbols import SymbolMatrix
 
 from .oracles import blow_up, cover_on, root_chart
 
@@ -49,8 +48,7 @@ class TestAffineValidation:
         # the file format rejects this too ("declared twice"); let through,
         # the root divisor x1 would read candidates (1, 2, 3, 6)
         with pytest.raises(ValueError, match="distinct divisors"):
-            Model(("x1", "x2", "x3"),
-                  SymbolMatrix.from_symbols(2, 3, [(0, 1, 1)]),
+            Model(("x1", "x2", "x3"), 2, ((0, 1, 0), (1, 0, 0), (0, 0, 0)),
                   (ExtraComponent("x1", 2), ExtraComponent("x1", 3)))
 
 
@@ -223,16 +221,15 @@ class TestModelBlowUp:
     def test_dimension_mismatch_rejected(self):
         model = Model.affine(2, ("x1", "x2"))
         with pytest.raises(ValueError):
-            Model(labels=model.labels,
-                  matrix=SymbolMatrix.from_symbols(2, 3, ()))
+            Model(labels=model.labels, torsion=2, matrix=((0,) * 3,) * 3)
 
     def test_non_alternating_matrix_rejected(self):
         # charts read the class as rows[i] M rows[j], which needs alternation
         model = Model.affine(3, ("x1", "x2"))
         with pytest.raises(ValueError, match="alternating"):
-            Model(labels=model.labels, matrix=SymbolMatrix(3, ((0, 1), (1, 0))))
+            Model(labels=model.labels, torsion=3, matrix=((0, 1), (1, 0)))
         with pytest.raises(ValueError, match="alternating"):
-            Model(labels=model.labels, matrix=SymbolMatrix(3, ((1, 0), (0, 0))))
+            Model(labels=model.labels, torsion=3, matrix=((1, 0), (0, 0)))
 
 
 def _engine_modules():

@@ -9,17 +9,17 @@ import pytest
 
 from brauer_terminal.model import ExtraComponent, Model
 from brauer_terminal.modelfile import (MAX_DIMENSION, MAX_EXTRA_DEGREE,
-                                       MAX_TORSION, ModelFormatError,
+                                       MAX_TORSION, LoadResult,
+                                       ModelFormatError,
                                        format_model, load_model, parse_model,
                                        save_model)
-from brauer_terminal.symbols import SymbolMatrix
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def upper_triangle(matrix):
     """The nonzero entries above the diagonal, as (i, j, m) row by row."""
-    return tuple((i, j, m) for i, row in enumerate(matrix.entries)
+    return tuple((i, j, m) for i, row in enumerate(matrix)
                  for j, m in enumerate(row[i + 1:], i + 1) if m)
 
 
@@ -61,7 +61,7 @@ class TestParse:
 
     def test_multiple_of_torsion_warned(self):
         model, warnings = parse_model(GOOD + "x1 x2 2\n")
-        assert model.matrix.entries[0][1] == 0
+        assert model.matrix[0][1] == 0
         assert any("multiple of the torsion" in w for w in warnings)
 
     def test_self_symbol_warned_and_dropped(self):
@@ -142,6 +142,19 @@ class TestCaps:
         assert err.value.line == 3
         assert f"at most {MAX_DIMENSION}" in str(err.value)
 
+    def test_label_count_capped_at_the_labels_line(self):
+        # the dimension line (3) and the labels line (4) differ: the error
+        # names the labels line, so it came before any symbol was read
+        labels = [f"x{k + 1}" for k in range(2000)]
+        text = ("[model]\ntorsion = 2\ndimension = 2\n"
+                f"labels = {','.join(labels)}\n[symbols]\n"
+                + "x1 x2000 1\n" * 2000)
+        with pytest.raises(ModelFormatError) as err:
+            parse_model(text)
+        assert err.value.line == 4
+        assert str(err.value) == (
+            f"line 4: at most {MAX_DIMENSION} divisor labels, got 2000")
+
 
 class TestRoundTrip:
     # Model compares by identity, so models are compared by their text
@@ -182,7 +195,7 @@ class TestRoundTrip:
         labels = ("x1", "x2", "x3")
         with pytest.raises(ValueError):
             if extras is None:
-                Model(labels, SymbolMatrix.from_symbols(2, 3, symbols),
+                Model(labels, 2, ((0,) * 3,) * 3,
                       (ExtraComponent("x1", 3), ExtraComponent("x1", 2)))
             else:
                 Model.affine(2, labels, symbols, extras)
@@ -198,8 +211,17 @@ class TestBuildAndLoad:
     def test_build(self):
         model, _ = parse_model(GOOD)
         assert model.torsion == 2
-        assert model.matrix.entries[0][2] == 1
-        assert model.matrix.entries[2][0] == 1
+        assert model.matrix[0][2] == 1
+        assert model.matrix[2][0] == 1
+
+    def test_parse_and_load_share_one_shape(self, tmp_path):
+        path = tmp_path / "good.model"
+        path.write_text(GOOD, encoding="utf-8")
+        parsed, loaded = parse_model(GOOD), load_model(path)
+        assert type(parsed) is type(loaded) is LoadResult
+        model, warnings = loaded
+        assert format_model(model) == format_model(parsed.model)
+        assert warnings == parsed.warnings == ()
 
     def test_load_fixture(self):
         result = load_model(MODELS / "bad-case.model")

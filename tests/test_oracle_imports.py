@@ -14,7 +14,6 @@ ORACLES = Path(__file__).with_name("oracles.py")
 
 ALLOWED = {
     "brauer_terminal.model": {"CoverDegree", "_combined_degree"},
-    "brauer_terminal.symbols": {"SymbolMatrix"},
     "brauer_terminal.discrepancy": {"BoundaryDivisor", "DiscrepancyReport",
                                     "ReportEntry", "WitnessStep"},
 }

@@ -14,19 +14,20 @@ from itertools import chain
 from brauer_terminal.discrepancy import (b_from_a, boundary_divisor,
                                          brauer_discrepancy)
 from brauer_terminal.model import (ExtraComponent, IndeterminateDegreeError,
-                                   Model, _centers, _put, strata)
+                                   Model, _centers, _put, residue_order,
+                                   strata)
 from brauer_terminal.modelfile import format_model, parse_model
 from brauer_terminal.enumeration import enumerate_divisors
 from brauer_terminal.resolution import (certify, find_bad_strata,
                                         level_one_fixup)
-from brauer_terminal.symbols import SymbolMatrix, check_complex, residue_order
 
-from .oracles import (accumulate_symbols, blow_up, compose_substitutions,
+from .oracles import (SymbolClass, accumulate_symbols, blow_up,
+                      compose_substitutions,
                       cover_on, determinant, monomial_order, naive_matrix,
                       naive_residue, root_chart, step_matrix,
                       substitute_symbols, toric_discrepancy, transform)
 from .test_modelfile import upper_triangle
-from .test_symbols import chart_matrix
+from .test_symbols import as_model, broken_message, chart_matrix
 
 
 def unit(dim, slot):
@@ -98,7 +99,7 @@ def vector_symbols(model):
     out = []
     for i in range(dim):
         for j in range(i + 1, dim):
-            m = model.matrix.entries[i][j]
+            m = model.matrix[i][j]
             if m:
                 out.append((unit(dim, i), unit(dim, j), m))
     return out
@@ -110,8 +111,8 @@ class TestTransformSweeps:
         for _ in range(40):
             model = random_model(rng, extras=True)
             for step in random_walk(rng, model, 3):
-                violations = check_complex(chart_matrix(step))
-                assert not violations, (step.chart_id, violations)
+                moved = chart_matrix(step)
+                assert as_model(moved).matrix == moved.entries, step.chart_id
 
     def test_matches_naive_oracle_along_walks(self):
         rng = random.Random(102)
@@ -128,7 +129,7 @@ class TestTransformSweeps:
         rng = random.Random(103)
         for _ in range(40):
             model = random_model(rng)
-            root_matrix = model.matrix
+            root_matrix = SymbolClass.of(model)
             for step in random_walk(rng, model, 3):
                 direct = transform(root_matrix, step.rows)
                 assert direct == chart_matrix(step)
@@ -389,7 +390,7 @@ class TestModelFileSweeps:
             parsed, warnings = parse_model(text)
             assert format_model(parsed) == text
             assert (parsed.matrix, parsed.extras) == (
-                SymbolMatrix.from_symbols(r, dim, symbols),
+                Model.affine(r, labels, symbols).matrix,
                 tuple(ExtraComponent(label, extras[label])
                       for label in labels if label in extras))
             assert warnings == ()
@@ -406,35 +407,41 @@ class TestModelFileSweeps:
                                     r * rng.randint(-2, 2))))
                        for _ in range(rng.randint(0, 8))]
             # the parser drops self-pairs before it builds the matrix
-            matrix = SymbolMatrix.from_symbols(
-                r, dim, [(i, j, m) for i, j, m in symbols if i != j])
+            matrix = Model.affine(
+                r, tuple(f"x{k + 1}" for k in range(dim)),
+                [(i, j, m) for i, j, m in symbols if i != j]).matrix
             assert upper_triangle(matrix) == accumulate_symbols(r, symbols), \
                 symbols
 
 
 class TestAlternationSweeps:
-    def test_model_rejects_exactly_what_check_complex_flags(self):
+    def test_model_rejects_exactly_the_non_alternating(self):
+        # against the definition: a nonzero diagonal entry breaks its slot,
+        # M[i][j] + M[j][i] != 0 mod r the stratum {i, j}
         rng = random.Random(409)
         flagged = 0
         for _ in range(300):
             r = rng.choice((2, 3, 4, 6))
             dim = rng.randint(1, 4)
-            matrix = SymbolMatrix.from_symbols(
-                r, dim, [(*rng.sample(range(dim), 2), rng.randrange(r))
-                         for _ in range(rng.randint(0, 4)) if dim > 1])
-            entries = [list(row) for row in matrix.entries]
+            labels = tuple(f"x{k + 1}" for k in range(dim))
+            matrix = Model.affine(
+                r, labels, [(*rng.sample(range(dim), 2), rng.randrange(r))
+                            for _ in range(rng.randint(0, 4)) if dim > 1]
+            ).matrix
+            entries = [list(row) for row in matrix]
             for _ in range(rng.choice((0, 0, 1, 2))):  # break some
                 entries[rng.randrange(dim)][rng.randrange(dim)] = \
                     rng.randrange(r)
-            matrix = SymbolMatrix(r, tuple(map(tuple, entries)))
-            labels = tuple(f"x{k + 1}" for k in range(dim))
+            broken = ([(i,) for i in range(dim) if entries[i][i]]
+                      + [(i, j) for i in range(dim) for j in range(i + 1, dim)
+                         if (entries[i][j] + entries[j][i]) % r])
             try:
-                Model(labels=labels, matrix=matrix)
+                Model(labels, r, entries)
                 rejected = False
             except ValueError as exc:
-                assert "alternating" in str(exc)
+                assert str(exc) == broken_message(labels, broken), entries
                 rejected = True
-            assert rejected == bool(check_complex(matrix)), entries
+            assert rejected == bool(broken), entries
             flagged += rejected
         assert 50 <= flagged <= 250
 

@@ -94,7 +94,7 @@ class TestFindBadStrata:
 class TestLevelOneFixup:
     def test_single_round_repairs(self):
         result = level_one_fixup(bad_case())
-        assert result.rounds == 1
+        assert result.tree.rounds == 1
         assert len(result.charts) == 2
         for leaf in result.charts:
             assert find_bad_strata(leaf) == ()
@@ -106,13 +106,12 @@ class TestLevelOneFixup:
         assert len(tree.edges) == 2
         assert {e.exceptional for e in tree.edges} == {"E(1,1,0)"}
         assert all(e.center == ("x1", "x2") for e in tree.edges)
-        assert all(e.kind == "fixup" for e in tree.edges)
         assert set(tree.leaves) == {"r.1-2p1", "r.1-2p2"}
 
     def test_clean_model_passes_through(self):
         model = Model.affine(2, ("x1", "x2", "x3"), [(0, 1, 1)])
         result = level_one_fixup(model)
-        assert result.rounds == 0
+        assert result.tree.rounds == 0
         assert result.charts == (model.chart,)
 
     def test_round_budget(self):

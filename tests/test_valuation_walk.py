@@ -18,7 +18,7 @@ from brauer_terminal.model import Model
 from brauer_terminal.resolution import (certify, enumerate_divisors,
                                         find_bad_strata, level_one_fixup)
 
-from .oracles import monomial_order, signed_lift
+from .oracles import SymbolClass, monomial_order, signed_lift
 from .test_golden_enumeration import bad_case_bases, dim4_plain
 
 
@@ -114,7 +114,7 @@ def test_torsion_two_bound_over_the_reach_map(dim):
     zeros = degenerate = 0
     for model in models:
         halves = [2 // model.cover_on(k).value for k in range(dim)]
-        lift = signed_lift(model.matrix)
+        lift = signed_lift(SymbolClass.of(model))
         bad = {s.indices for s in find_bad_strata(model)}
         degenerate += len(bad)
         for v in reach:
