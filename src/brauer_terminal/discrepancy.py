@@ -42,7 +42,7 @@ class BoundaryDivisor:
     coefficients: Tuple[Tuple[str, Fraction], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportEntry:
     """One candidate degree with its discrepancy and weighted discrepancy."""
 
@@ -59,7 +59,7 @@ class ReportEntry:
             raise ValueError("weighted discrepancy must equal e * b")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessStep:
     """One blow-up along a route: which chart, which stratum."""
 
@@ -68,7 +68,7 @@ class WitnessStep:
     center: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscrepancyReport:
     """Discrepancy data of one extracted divisor against a base pair.
 

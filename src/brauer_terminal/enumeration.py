@@ -16,7 +16,8 @@ as candidate lists on the affected divisors.
 For torsion 2 without extra covers every number of a report is a function
 of the divisor's valuation, so ``_valuation_walk`` reads them off the
 valuations that routes reach and builds only the charts of first routes;
-``certify`` takes it there.
+``certify`` takes it there. ``_reach`` keeps each first route as its probe
+and its witness-order rank, so a report's bookkeeping is O(1) at any depth.
 """
 
 from __future__ import annotations
@@ -329,11 +330,11 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
 
 
 class _Reached(NamedTuple):
-    """Least level of a valuation and the first step of its first route."""
+    """Least level of a valuation; its first route's probe and sort rank."""
 
     level: int
-    child: int
-    down: _Valuation
+    route: int
+    rank: int
 
 
 @lru_cache(maxsize=8)
@@ -343,34 +344,48 @@ def _reach(n: int, depth: int) -> Dict[_Valuation, _Reached]:
     A key c gives ord_E of each coordinate of the chart the routes start
     from. Blowing up a center S keeps E in the child with pivot p exactly
     when c_p = min over S of c, and there E has c_k - c_p in place of c_k
-    for k in S minus p. Every chart has the same centers, so the least
-    level of c depends on c alone: the map grows backwards from the
-    indicators 1_S of the centers, which one blow-up extracts. Each value
-    also names the first child, in engine order, that keeps c one level
-    closer, and c's coordinates there; chained, they give the first route.
+    for k in S minus p. Every chart has the same C centers and K children,
+    so the least level of c depends on c alone: the map grows backwards
+    from the indicators 1_S of the centers, which one blow-up extracts.
+
+    A route of level l, l - 1 children and a last center, is one number in
+    the mixed radix K, ..., K, C. ``route`` takes the children and the last
+    center in engine order: it is the route's probe among its base's
+    level-l probes, and the first route has the least. ``rank`` takes them
+    in the order of ``_witness_key``: a child by its center's slots, then
+    its pivot's chart-id text (pivot 10 before pivot 2), a last center by
+    its slots. An entry is the one a level down behind its first child.
     """
     if depth < 1:
         return {}
-    moves = [(p, [k for k in s if k != p]) for s in _centers(n) for p in s]
-    reach = {tuple(int(k in s) for k in range(n)): _Reached(1, -1, ())
-             for s in _centers(n)}
+    centers = _centers(n)
+    moves = [(p, [k for k in s if k != p]) for s in centers for p in s]
+    keys = [(s, str(p + 1)) for s in centers for p in s]
+    child_rank = [sorted(keys).index(key) for key in keys]
+    reach = {tuple(int(k in s) for k in range(n)):
+             _Reached(1, i, sorted(centers).index(s))
+             for i, s in enumerate(centers)}
     frontier = list(reach)
+    span = len(centers)  # K^(level - 2) C, the weight of the first child
     for level in range(2, depth + 1):
         fresh = []
         for c in frontier:
+            _, route, rank = reach[c]
             for child, (p, others) in enumerate(moves):
                 if c[p]:
                     up = list(c)
                     for k in others:
                         up[k] += c[p]
-                    up = tuple(up)
+                    up, up_route = tuple(up), child * span + route
                     seen = reach.get(up)
                     if seen is None:
                         fresh.append(up)
-                    elif seen.level < level or seen.child < child:
+                    elif seen.level < level or seen.route < up_route:
                         continue
-                    reach[up] = _Reached(level, child, c)
+                    reach[up] = _Reached(level, up_route,
+                                         child_rank[child] * span + rank)
         frontier = fresh
+        span *= len(moves)
     return reach
 
 
@@ -383,22 +398,25 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
     base's rows R: a = sum of c_k/e_k - 1 over the base degrees (1/e_k is
     one minus the base's boundary row), and the degree is the residue
     order r/gcd(r, v M) for the root matrix M. The divisors come from
-    ``_reach``. The first witness in breadth-first order
-    follows the first steps that ``_reach`` records, and the charts on it
-    are built by the charts' one step, once each.
+    ``_reach``, whose first route of c is the first witness in
+    breadth-first order.
 
     Every chart has the same C centers and K children, so the probe number
     of a route is a mixed-radix number and the budget needs no walk: a
-    divisor is reported iff its first route's probe is below
-    ``max_probes``. Boundary degrees are 1 or 2, so every one-step value is
-    at least codim/2 - 1 >= 0 and the result carries no side checks.
+    divisor of level l from base b is reported iff the probe
+    b K^(l-1) C + ``route`` of its level is below ``max_probes``. The
+    charts on a route are built by the charts' one step, a blow-up's
+    together and once, when a report first needs the last one. One number
+    per report, of its level, base chart id and ``rank``, sorts the
+    reports in ``_witness_key``'s order, as distinct charts have distinct
+    ids. Boundary degrees are 1 or 2, so every one-step value is at least
+    codim/2 - 1 >= 0 and the result carries no side checks.
     """
     walk = bases[0].model.walk
-    n = bases[0].dim
-    centers = {s: i for i, s in enumerate(_centers(n))}
+    centers = _centers(bases[0].dim)
     moves = [s for s in centers for _ in s]  # the center of each child
-    first_child = {s: moves.index(s) for s in centers}
     width, fan = len(centers), len(moves)
+    pivot = [k for s in centers for k in range(len(s))]  # its index in s
     starts: List[int] = []  # first probe of each level the budget reaches
     total, size = 0, len(bases) * width
     while size and len(starts) < depth and total < max_probes:
@@ -407,49 +425,60 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
     # as in the row walk, a budget of 0 cuts even a walk with no centers
     complete = max_probes > 0 and (
         not size or (len(starts) == depth and total <= max_probes))
-    reach = _reach(n, len(starts))
-    first: Dict[_Valuation, Tuple[int, int, _Valuation]] = {}
+    reach = _reach(bases[0].dim, len(starts))
+    first: Dict[_Valuation, Tuple[int, _Valuation, _Reached]] = {}
     for b, base in enumerate(bases):
         columns = tuple(zip(*base.rows))
         for c, reached in reach.items():
-            v = tuple(sum(map(mul, c, column)) for column in columns)
-            if v not in first or reached.level < first[v][0]:
-                first[v] = (reached.level, b, c)
+            v = tuple([sum(map(mul, c, column)) for column in columns])
+            seen = first.get(v)
+            if seen is None or reached.level < seen[2].level:
+                first[v] = b, c, reached
     weights = [[walk.scale - c for c in walk.base_row(base)] for base in bases]
-    # (blow-ups, chart number) -> chart, route to it
-    charts: Dict[Tuple[int, int], Tuple[Chart, Tuple[WitnessStep, ...]]] = {
-        (0, b): (base, ()) for b, base in enumerate(bases)}
-    reports = []
-    for v, (level, b, c) in first.items():
-        route, number, here = [], b, c  # (chart number, child) per step
-        for _ in range(level - 1):
-            _, child, here = reach[here]
-            number = number * fan + child
-            route.append((number, child))
-        last = tuple(i for i, x in enumerate(here) if x)
-        if starts[level - 1] + number * width + centers[last] >= max_probes:
+    spans = [fan ** steps for steps in range(len(starts))]  # charts per base
+    # a report sorts by level, base chart id and rank, as one number
+    ids = sorted({base.chart_id for base in bases})
+    block = width * fan ** len(starts)  # above every rank
+    base_rank = [ids.index(base.chart_id) for base in bases]
+    # chart key -> chart, route to it; chart k of base b after s blow-ups
+    # has key (B + b) K^s + k for B bases, so that its parent has key // K
+    charts: Dict[int, Tuple[Chart, Tuple[WitnessStep, ...]]] = {
+        len(bases) + b: (base, ()) for b, base in enumerate(bases)}
+    reports, order = [], []
+    for v, (b, c, (level, route, rank)) in first.items():
+        span = spans[level - 1]
+        if starts[level - 1] + b * span * width + route >= max_probes:
             continue
-        for steps, (number, child) in enumerate(route, 1):
-            if (steps, number) not in charts:
-                parent, witness = charts[steps - 1, number // fan]
+        key = (len(bases) + b) * span + route // width
+        known = charts.get(key)
+        if known is None:
+            missing, node = [], key  # the route's charts not built yet
+            while node not in charts:
+                missing.append(node)
+                node //= fan
+            for node in reversed(missing):
+                parent, witness = charts[node // fan]
+                child = node % fan
                 s = moves[child]
                 slots = walk.slots(parent)
                 step = walk.step(parent, slots, s, slots[0])
                 witness += (WitnessStep(parent.chart_id, s, step.center),)
-                # the blow-up's charts are the children first_child[s] on
-                start = number - child + first_child[s]
+                start = node - pivot[child]  # the blow-up's first chart
                 for k, chart in enumerate(walk.children(parent, s, step)):
-                    charts[steps, start + k] = chart, witness
-        chart, witness = charts[level - 1, number]
+                    charts[start + k] = chart, witness
+            known = charts[key]
+        chart, witness = known
+        last = centers[route % width]
         witness += (WitnessStep(chart.chart_id, last,
-                                tuple(chart.divisor_ids[i] for i in last)),)
+                                walk.getter(last)(chart.divisor_ids)),)
         reports.append(DiscrepancyReport.from_degree(
-            divisor_id=walk.name(v), level=level,
-            witness=witness,
+            divisor_id=walk.name(v), level=level, witness=witness,
             a=walk.fraction(sum(map(mul, c, weights[b])) - walk.scale),
             degree=walk.degree(v, ())[0]))
+        order.append((level * len(ids) + base_rank[b]) * block + rank)
     return EnumerationResult(
-        reports=tuple(sorted(reports, key=_witness_key)),
+        reports=tuple([reports[k] for k in
+                       sorted(range(len(order)), key=order.__getitem__)]),
         side_checks=_SideChecks(),
         indeterminate_divisors=(), complete=complete,
         probes=total if complete else max(max_probes, 0))

@@ -87,7 +87,7 @@ def candidate_orders(monomial_order: int, loose_order: int) -> Tuple[int, ...]:
     return tuple(e for e in divisors if lcm(e, loose_order) % monomial_order == 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverDegree:
     """Degree of the cyclic cover over one divisor, possibly indeterminate.
 

@@ -4,17 +4,22 @@
 and budget the walk must return the same reports (ids, levels, witnesses,
 a, degrees, entries) and the same ``complete``. The chart walk's side
 checks must all pass there too, since the valuation walk produces none.
+The walk sorts its reports by one number each, which must give the order
+of ``_witness_key``, the chart walk's sort key.
 """
 
+import gc
 import random
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, pairwise
 from operator import mul
 
 import pytest
 
 from brauer_terminal import resolution
-from brauer_terminal.enumeration import _reach, _valuation_walk
-from brauer_terminal.model import Model
+from brauer_terminal.enumeration import (DEFAULT_MAX_PROBES, _reach,
+                                         _valuation_walk, _witness_key)
+from brauer_terminal.model import Model, _centers
 from brauer_terminal.resolution import (certify, enumerate_divisors,
                                         find_bad_strata, level_one_fixup)
 
@@ -127,3 +132,82 @@ def test_torsion_two_bound_over_the_reach_map(dim):
                 assert tuple(k for k, x in enumerate(v) if x) in bad, v
     assert len(reach) == {2: 31, 3: 844, 4: 19049}[dim]
     assert zeros == degenerate and (dim == 2 or zeros > 0)
+
+
+def assert_witness_order(result):
+    # the walk sorts by one rank per report; _witness_key is the reference
+    assert list(result.reports) == sorted(result.reports, key=_witness_key)
+    return result
+
+
+def test_rank_order_on_the_two_slot_model_with_budget_cuts():
+    model = Model.affine(2, ("x1", "x2"), [(0, 1, 1)])
+    cut = 0
+    # the root, and the two charts of its blow-up as two bases
+    for bases in [(model.chart,), tuple(model.chart.children((0, 1)))]:
+        for depth in range(1, 15):
+            walked = assert_witness_order(
+                _valuation_walk(bases, depth, DEFAULT_MAX_PROBES))
+            assert walked.complete
+        for max_probes in (0, 1, 2, 3, 1000, 4097, 8191, 12345):
+            walked = assert_witness_order(
+                _valuation_walk(bases, 14, max_probes))
+            cut += not walked.complete
+    assert cut == 16
+
+
+def engine_route(report, centers):
+    """A report's route in engine order: each blow-up as its center's index
+    in ``centers`` and its pivot, then the last center's index."""
+    steps = report.witness
+    pivots = [int(step.chart_id.rsplit("p", 1)[1]) for step in steps[1:]]
+    return [(centers.index(step.indices), pivot)
+            for step, pivot in zip(steps, pivots)] + [
+        centers.index(steps[-1].indices)]
+
+
+def test_rank_order_where_chart_ids_and_engine_order_disagree():
+    # every slot has degree 2, so blowing up two slots is crepant and the
+    # leaves of such blow-ups are bases of one pair; these are in leaf
+    # order, which is not chart-id order
+    model = Model.affine(2, ("x1", "x2", "x3"), [(0, 1, 1), (1, 2, 1)])
+    root = model.chart
+    first, second = root.children((0, 1))
+    leaves = (second, *first.children((0, 1)))
+    ids = [chart.chart_id for chart in leaves]
+    assert ids != sorted(ids)
+    centers = _centers(3)
+    engine = strings = 0
+    for bases in [(root,), leaves]:
+        for depth in (1, 2, 3, 4):
+            walked = assert_walks_agree(bases, depth)
+            assert_witness_order(walked)
+            for one, two in pairwise(walked.reports):
+                if (one.level, one.witness[0].chart_id) != (
+                        two.level, two.witness[0].chart_id):
+                    continue
+                # an engine-order rank would put two first
+                engine += (engine_route(one, centers)
+                           > engine_route(two, centers))
+                # so would chart-id order: only centers (0, 1) then
+                # (0, 1, 2) do that, as "...1-2-3p1" < "...1-2p1"
+                strings += (one.witness[-1].chart_id
+                            > two.witness[-1].chart_id)
+    assert engine > 0 and strings > 0
+
+
+def test_warm_certify_peak_over_retained_memory():
+    # a warm certify of the 2-slot model at depth 14 (16 383 reports) should
+    # hold at its peak little beyond the certificate it returns: per
+    # report O(1) bookkeeping, no O(depth) sort key
+    model = Model.affine(2, ("x1", "x2"), [(0, 1, 1)])
+    certify(model, depth=14)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cert = certify(model, depth=14)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cert.reports) == 16383
+    assert peak / retained < 2.5, (peak, retained)
