@@ -175,10 +175,10 @@ def _one_step_reports(chart: Chart, centers: Sequence[Tuple[int, ...]]
     level-1 report."""
     walk = chart.model.walk
     row = walk.base_row(chart)
-    slots = walk.slots(chart)
+    exposure = walk.exposure(chart)
     reports = []
     for center in centers:
-        step = walk.step(chart, slots, center, row)
+        step = walk.step(chart, exposure, center, row)
         reports.append(_report(walk, step, (WitnessStep(
             chart.chart_id, center, step.center),)))
     return tuple(reports)

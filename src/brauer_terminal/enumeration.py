@@ -30,8 +30,8 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 from .discrepancy import DiscrepancyReport, WitnessStep, _report
-from .model import (Chart, CoverDegree, Model, PairLike, _centers, _put,
-                    _RowStep, _RowWalk, as_chart)
+from .model import (Chart, CoverDegree, Model, PairLike, _centers, _plan,
+                    _put, _RowStep, _RowWalk, as_chart)
 
 DEFAULT_MAX_PROBES = 200000  # default blow-up budget of an enumeration
 
@@ -52,8 +52,9 @@ class SideCheck:
 class _Block(NamedTuple):
     """The side checks of one chart state on one level, chart id aside:
     the state's divisor ids per slot, which give each center's, its steps'
-    divisor ids and one-step values, and the indices of the checks that
-    fail."""
+    divisor ids, and the one-step value of every center and the indices of
+    the failing ones, which its boundary row fixes; a chart reads its first
+    entries."""
 
     slots: Tuple[str, ...]
     ids: Tuple[str, ...]
@@ -194,12 +195,14 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     reached along several routes is reported once, with the first witness in
     breadth-first order; agreement of the duplicate computations is enforced.
 
-    Each probe is the charts' one step (``_RowWalk.step``): the new
-    divisor's root row is the sum of the center's, in the pivot slot of
-    each child. ``a`` and the one-step values stay integers scaled by
+    A chart's probes are the charts' one step (``_RowWalk.steps``), run
+    once over its centers in engine order: the new divisor's root row is
+    the sum of the center's, in the pivot slot of each child, and a center
+    of codimension 3 or more adds its last slot's row and coefficient to
+    the step of the center without it. ``a`` stays an integer scaled by
     lcm(r, extra degrees); a ``Fraction`` is built only for a report or,
     through ``_RowWalk.fraction``, a cache as long-lived as the model, for
-    a side-check value. The walk carries each chart with its coefficient
+    a one-step value. The walk carries each chart with its coefficient
     row, its route and its base's number.
 
     Each level is one loop over its charts, and a chart is one block: it
@@ -207,17 +210,22 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     side checks, and, below the last level, builds its children. Both are
     computed once per chart state and level, the state being the chart's
     base and divisor ids (which fix its rows and coefficient row) and its
-    exact flags (which depend on the route). The block holds the state's
-    divisor ids, its steps' divisor ids and one-step values and the indices
-    of the failing checks; every chart of the state adds only its chart id,
-    the block and its number of probes, and ``SideCheck``s are built only
+    exact flags (which depend on the route). A one-step value is
+    (codim - 1) scale minus the center's boundary coefficients, so it
+    depends only on the chart's boundary row and the center; the walk
+    keeps one table per boundary row, of every center's value and the
+    failing centers, and a block takes its state's table with its steps'
+    divisor ids. Every chart of the state adds only its chart id, the
+    block and its number of probes, and ``SideCheck``s are built only
     when a caller reads ``side_checks`` (``certify`` reads the blocks).
     A child takes its parent's step for every center without its pivot p:
     the two charts differ only in slot p, and no slot of such a center is p
-    or an origin gone with it, so the row, the center ids, ``a``, the
-    one-step value, the exact flags and the degree's memo entry agree. Only
-    computed steps are merged; a report is built only for a new divisor or
-    when a merge narrows its candidates.
+    or an origin gone with it, so the row, the center ids, ``a``, the exact
+    flags and the degree's memo entry agree, and so do the one-step values,
+    as the boundaries agree off p. Only computed steps are merged, and not
+    when the report already has the step's ``a`` and degree object; a
+    report is built only for a new divisor or when a merge narrows its
+    candidates.
 
     Every chart has the root's 2^n - n - 1 centers, so the probe count at
     which each child's first probe falls is known when the child would be
@@ -245,6 +253,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     if depth < 0:
         raise ValueError("depth cannot be negative")
     walk = model.walk
+    plan = _plan(model.dim)
     centers = _centers(model.dim)
     width = len(centers)
     # (chart, coefficient row, route, base number, parent's steps, pivot)
@@ -253,6 +262,8 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                 for b, chart in enumerate(bases)]
     reports: Dict[str, Tuple[int, DiscrepancyReport]] = {}
     side_checks: List[Tuple[str, _Block, int]] = []  # chart id, block, take
+    # boundary row -> each center's one-step value, the failing centers
+    tables: Dict[tuple, tuple] = {}
     probes = 0
     complete = True
     for level in range(depth):
@@ -273,30 +284,34 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
             key = b, chart.divisor_ids, chart.exact
             known = states.get(key)
             if known is None:
-                slots = walk.slots(chart)
-                steps = []
-                for n, center in enumerate(centers[:take]):
-                    if inherited is None or pivot in center:
-                        step = walk.step(chart, slots, center, abar)
-                        seen = reports.get(step.divisor_id)
-                        if seen is None:
-                            route = witness + (WitnessStep(
-                                chart.chart_id, center, step.center),)
-                            reports[step.divisor_id] = step.a, _report(
-                                walk, step, route)
-                        else:
-                            reports[step.divisor_id] = _merge(seen, step,
-                                                              walk)
-                    else:  # the parent's step, merged on its level
-                        step = inherited[n]
-                    steps.append(step)
-                block = _Block(
-                    chart.divisor_ids,
-                    tuple([step.divisor_id for step in steps]),
-                    tuple([walk.fraction(step.one_step) for step in steps]),
-                    tuple([n for n, step in enumerate(steps)
-                           if step.one_step is not None
-                           and step.one_step < 0]))
+                if inherited is None:
+                    steps, order = [None] * take, range(take)
+                else:  # the parent's steps off the pivot, merged on its level
+                    steps = inherited[:take]
+                    order = [n for n in plan.through[pivot] if n < take]
+                walk.steps(chart, walk.exposure(chart), abar, steps, order)
+                for n in order:
+                    step = steps[n]
+                    seen = reports.get(step.divisor_id)
+                    if seen is None:
+                        route = witness + (WitnessStep(
+                            chart.chart_id, centers[n], step.center),)
+                        reports[step.divisor_id] = step.a, _report(
+                            walk, step, route)
+                    elif (step.degree is not seen[1].degree
+                          or step.a != seen[0]):
+                        reports[step.divisor_id] = _merge(seen, step, walk)
+                bound = walk.boundary(chart)
+                table = tables.get(bound)
+                if table is None:
+                    values = [walk.one_step(bound, c) for c in centers]
+                    table = tables[bound] = (
+                        tuple(map(walk.fraction, values)),
+                        tuple([n for n, v in enumerate(values)
+                               if v is not None and v < 0]))
+                block = _Block(chart.divisor_ids,
+                               tuple([step.divisor_id for step in steps]),
+                               *table)
                 states[key] = block, steps if grow else None
             else:
                 block, steps = known
@@ -322,7 +337,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     return EnumerationResult(
         reports=tuple(ordered),
         side_checks=_SideChecks(side_checks,
-                                [walk.getter(c) for c in centers]),
+                                [get for _, get, _, _ in plan.entries]),
         indeterminate_divisors=offenders,
         complete=complete,
         probes=probes,
@@ -413,6 +428,7 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
     codim/2 - 1 >= 0 and the result carries no side checks.
     """
     walk = bases[0].model.walk
+    plan = _plan(bases[0].dim)
     centers = _centers(bases[0].dim)
     moves = [s for s in centers for _ in s]  # the center of each child
     width, fan = len(centers), len(moves)
@@ -426,16 +442,23 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
     complete = max_probes > 0 and (
         not size or (len(starts) == depth and total <= max_probes))
     reach = _reach(bases[0].dim, len(starts))
+    spans = [fan ** steps for steps in range(len(starts))]  # charts per base
+    # the first entry of a v has the least level, then the lowest base, so
+    # the least probe: the budget keeps it iff it keeps any entry of that v
     first: Dict[_Valuation, Tuple[int, _Valuation, _Reached]] = {}
     for b, base in enumerate(bases):
         columns = tuple(zip(*base.rows))
+        # a route of level l is in the budget iff it is below limits[l - 1]
+        limits = [max_probes - start - b * span * width
+                  for start, span in zip(starts, spans)]
         for c, reached in reach.items():
+            if reached.route >= limits[reached.level - 1]:
+                continue
             v = tuple([sum(map(mul, c, column)) for column in columns])
             seen = first.get(v)
             if seen is None or reached.level < seen[2].level:
                 first[v] = b, c, reached
     weights = [[walk.scale - c for c in walk.base_row(base)] for base in bases]
-    spans = [fan ** steps for steps in range(len(starts))]  # charts per base
     # a report sorts by level, base chart id and rank, as one number
     ids = sorted({base.chart_id for base in bases})
     block = width * fan ** len(starts)  # above every rank
@@ -446,10 +469,7 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
         len(bases) + b: (base, ()) for b, base in enumerate(bases)}
     reports, order = [], []
     for v, (b, c, (level, route, rank)) in first.items():
-        span = spans[level - 1]
-        if starts[level - 1] + b * span * width + route >= max_probes:
-            continue
-        key = (len(bases) + b) * span + route // width
+        key = (len(bases) + b) * spans[level - 1] + route // width
         known = charts.get(key)
         if known is None:
             missing, node = [], key  # the route's charts not built yet
@@ -460,17 +480,15 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
                 parent, witness = charts[node // fan]
                 child = node % fan
                 s = moves[child]
-                slots = walk.slots(parent)
-                step = walk.step(parent, slots, s, slots[0])
+                step = walk.step(parent, walk.exposure(parent), s)
                 witness += (WitnessStep(parent.chart_id, s, step.center),)
                 start = node - pivot[child]  # the blow-up's first chart
                 for k, chart in enumerate(walk.children(parent, s, step)):
                     charts[start + k] = chart, witness
             known = charts[key]
         chart, witness = known
-        last = centers[route % width]
-        witness += (WitnessStep(chart.chart_id, last,
-                                walk.getter(last)(chart.divisor_ids)),)
+        last, get, _, _ = plan.entries[route % width]
+        witness += (WitnessStep(chart.chart_id, last, get(chart.divisor_ids)),)
         reports.append(DiscrepancyReport.from_degree(
             divisor_id=walk.name(v), level=level, witness=witness,
             a=walk.fraction(sum(map(mul, c, weights[b])) - walk.scale),

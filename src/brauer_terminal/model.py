@@ -41,9 +41,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from operator import itemgetter, mul
-from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple, TypeAlias, Union)
+from operator import add, itemgetter, mul
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple, TypeAlias, Union)
 
 LABEL_RE = re.compile(r"[A-Za-z_]\w*")
 
@@ -319,9 +319,8 @@ class Chart(NamedTuple):
         the one with pivot p holds the new divisor in slot p."""
         indices = self.stratum(center).indices
         walk = self.model.walk
-        slots = walk.slots(self)
         return walk.children(self, indices,
-                             walk.step(self, slots, indices, slots[0]))
+                             walk.step(self, walk.exposure(self), indices))
 
 
 @dataclass(frozen=True)
@@ -368,6 +367,37 @@ def _centers(n: int) -> List[Tuple[int, ...]]:
             for s in combinations(range(n), codim)]
 
 
+class _Plan(NamedTuple):
+    """The engine-order centers of an n-slot chart, as the steps read them.
+
+    ``entries[k]`` holds center k, a getter of its entries of any per-slot
+    tuple, the index of the center without its last slot (-1 for a center
+    of codimension 2) and that last slot. The center without its last slot
+    comes earlier in engine order. ``through[p]`` lists the centers that
+    hold slot p, and ``chains[center]`` the indices of the centers a step
+    of that center alone runs: its prefixes of codimension 2 up, then its
+    own.
+    """
+
+    entries: Tuple[Tuple[Tuple[int, ...], Callable, int, int], ...]
+    through: Tuple[Tuple[int, ...], ...]
+    chains: Dict[Tuple[int, ...], Tuple[int, ...]]
+
+
+@cache
+def _plan(n: int) -> _Plan:
+    centers = _centers(n)
+    index = {center: k for k, center in enumerate(centers)}
+    return _Plan(
+        tuple((center, itemgetter(*center), index.get(center[:-1], -1),
+               center[-1]) for center in centers),
+        tuple(tuple(k for k, center in enumerate(centers) if p in center)
+              for p in range(n)),
+        {center: tuple(index[center[:end]]
+                       for end in range(2, len(center) + 1))
+         for center in centers})
+
+
 def as_chart(pair: PairLike) -> Chart:
     """The chart a pair argument names: a chart, or a model's root chart."""
     return pair.chart if isinstance(pair, Model) else pair
@@ -378,14 +408,13 @@ _Row = Tuple[int, ...]
 
 class _RowStep(NamedTuple):
     """A center's new divisor: its id, the center's divisor ids, its root
-    row, its exact flags, its degree and its scaled numbers."""
+    row, its exact flags, its degree and its scaled a."""
 
     divisor_id: str
     center: Tuple[str, ...]
     row: _Row
     exact: Tuple[bool, ...]
-    a: Optional[int]
-    one_step: Optional[int]  # None when an undetermined degree blocks it
+    a: Optional[int]  # None when the step is taken without a coefficient row
     degree: CoverDegree
 
 
@@ -396,7 +425,8 @@ class _RowWalk:
     exact flags); a model keeps one walk (``Model.walk``), so the memos
     serve every call on its charts. Coefficients, ``a`` and one-step
     values are integers scaled by lcm(r, extra degrees), which every
-    degree divides; ``fraction`` turns one into a ``Fraction``.
+    degree divides; ``fraction`` turns one into a ``Fraction``. ``steps``
+    is the one step, and ``step`` its one-center case.
     """
 
     def __init__(self, model: Model):
@@ -407,18 +437,16 @@ class _RowWalk:
         self.extras = tuple((c.origin_id, c.degree,
                              model.labels.index(c.origin_id))
                             for c in model.extras)
-        self.degrees: Dict[tuple, Tuple[CoverDegree, Optional[int]]] = {}
+        self.degrees: Dict[tuple, tuple] = {}  # (row, exact) -> ``degree``
         # over scale, not self: a cache holding self would make a cycle
         self.fraction = cache(lambda v: None if v is None
                               else Fraction(v, scale))
         self.name = cache(lambda row: "E(" + ",".join(map(str, row)) + ")")
-        # a center's entries of any per-slot tuple (centers have 2+ slots)
-        self.getter = cache(lambda center: itemgetter(*center))
 
     def degree(self, row: _Row, exact: Tuple[bool, ...]
-               ) -> Tuple[CoverDegree, Optional[int]]:
-        """The degree on the divisor with root row ``row``, and its boundary
-        coefficient 1 - 1/e scaled (None when undetermined)."""
+               ) -> Tuple[CoverDegree, Optional[int], str]:
+        """The degree on the divisor with root row ``row``, its boundary
+        coefficient 1 - 1/e scaled (None when undetermined) and its id."""
         known = self.degrees.get((row, exact))
         if known is None:
             r = self.torsion
@@ -430,7 +458,7 @@ class _RowWalk:
                  if (eff := d // gcd(d, row[slot])) > 1])
             known = self.degrees[row, exact] = degree, (
                 self.scale - self.scale // degree.candidates[0]
-                if degree.determinate else None)
+                if degree.determinate else None), self.name(row)
         return known
 
     def pairing(self, u: _Row, v: _Row) -> int:
@@ -455,11 +483,20 @@ class _RowWalk:
                 [i for i, c in zip(chart.divisor_ids, row) if c is None])
         return row
 
-    def slots(self, chart: Chart) -> tuple:
-        """What the steps of a chart read: the boundary row and, per extra,
-        its origin slot (-1 once gone) and the set of its other exposed
-        slots, those whose row is nonzero mod the degree at the origin's
-        root slot. The origin itself, with row 1 there, is always exposed.
+    def one_step(self, bound: Sequence[Optional[int]],
+                 center: Tuple[int, ...]) -> Optional[int]:
+        """A center's one-step value against a chart's boundary row: its
+        codimension minus 1 minus its coefficients, scaled (None when an
+        undetermined degree blocks it)."""
+        load = [bound[k] for k in center]
+        return (None if None in load
+                else (len(center) - 1) * self.scale - sum(load))
+
+    def exposure(self, chart: Chart) -> tuple:
+        """What the steps of a chart read besides its rows: per extra, its
+        origin slot (-1 once gone) and the set of its other exposed slots,
+        those whose row is nonzero mod the degree at the origin's root
+        slot. The origin itself, with row 1 there, is always exposed.
         """
         ids, rows = chart.divisor_ids, chart.rows
         exposed = []
@@ -468,34 +505,55 @@ class _RowWalk:
             exposed.append((origin, frozenset(
                 i for i, row in enumerate(rows) if row[slot] % d
                 and i != origin)))
-        return self.boundary(chart), tuple(exposed)
+        return tuple(exposed)
 
-    def step(self, chart: Chart, slots: tuple, center: Tuple[int, ...],
-             abar: Sequence[Optional[int]]) -> _RowStep:
-        """The divisor a blow-up of ``center`` extracts.
+    def steps(self, chart: Chart, exposure: tuple,
+              abar: Optional[Sequence[int]], known, order: Iterable[int]):
+        """The divisors that blow-ups of the chart's centers extract.
 
-        Its row is the sum of the center's rows. It is exact on an extra
-        when its exposure, the sum of the center's, is nonzero mod the
-        degree and only the origin feeds it. The origin's exposure is 1, so
-        that is: the origin is in the center and no other exposed slot is.
-        ``a`` is c - 1 minus the center's coefficients in ``abar``, the
-        chart's slots telescoped against a base; ``one_step`` is the same
-        against the chart's own boundary. Passing the boundary row
-        (``slots[0]``) as ``abar`` makes the two one. The center's entries
-        of each per-slot tuple are read through one cached getter.
+        ``known`` maps the engine index of a center (``_plan``) to its
+        step, a list or a dict; this fills it at the indices of ``order``,
+        ascending, and returns it. Each center of codimension 3 or more
+        needs the step of the center without its last slot in ``known`` by
+        then: computed here, or a parent's off its pivot, whose row and
+        ``a`` agree.
+
+        The row is the sum of the center's rows. The divisor is exact on an
+        extra when its exposure, the sum of the center's, is nonzero mod
+        the degree and only the origin feeds it. The origin's exposure is
+        1, so that is: the origin is in the center and no other exposed
+        slot is. ``a`` is c - 1 minus the center's coefficients in
+        ``abar``, the chart's slots telescoped against a base; without
+        ``abar`` it is None.
         """
-        bound, exposed = slots
-        get = self.getter(center)
-        top = (len(center) - 1) * self.scale
-        load = get(bound)
-        one_step = None if None in load else top - sum(load)
-        row = tuple(map(sum, zip(*get(chart.rows))))
-        exact = tuple([origin in center and others.isdisjoint(center)
-                       for origin, others in exposed])
-        return _RowStep(
-            self.name(row), get(chart.divisor_ids), row, exact,
-            one_step if abar is bound else top - sum(get(abar)),
-            one_step, self.degree(row, exact)[0])
+        entries = _plan(len(chart.rows)).entries
+        rows, ids, scale = chart.rows, chart.divisor_ids, self.scale
+        degrees = self.degrees
+        a = None
+        for n in order:
+            center, get, prefix, last = entries[n]
+            if prefix < 0:
+                i, j = center
+                row = tuple(map(add, rows[i], rows[j]))
+                if abar is not None:
+                    a = scale - abar[i] - abar[j]
+            else:
+                before = known[prefix]
+                row = tuple(map(add, before.row, rows[last]))
+                if abar is not None:
+                    a = before.a + scale - abar[last]
+            exact = tuple([origin in center and others.isdisjoint(center)
+                           for origin, others in exposure])
+            degree = degrees.get((row, exact)) or self.degree(row, exact)
+            known[n] = _RowStep(degree[2], get(ids), row, exact, a,
+                                degree[0])
+        return known
+
+    def step(self, chart: Chart, exposure: tuple, center: Tuple[int, ...],
+             abar: Optional[Sequence[int]] = None) -> _RowStep:
+        """``steps`` of one center (sorted slots)."""
+        chain = _plan(len(chart.rows)).chains[center]
+        return self.steps(chart, exposure, abar, {}, chain)[chain[-1]]
 
     def children(self, chart: Chart, center: Tuple[int, ...],
                  step: _RowStep) -> List[Chart]:

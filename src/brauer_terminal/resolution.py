@@ -92,7 +92,7 @@ def find_bad_strata(pair: PairLike) -> Tuple[Stratum, ...]:
             "bad-stratum detection is specific to torsion 2, got "
             f"{chart.model.torsion}")
     walk = chart.model.walk
-    slots = walk.slots(chart)
+    exposure = walk.exposure(chart)
     ids = chart.divisor_ids
     bad = []
     for stratum in strata(chart, 2) if chart.dim > 1 else ():
@@ -109,7 +109,7 @@ def find_bad_strata(pair: PairLike) -> Tuple[Stratum, ...]:
                 )
         if degrees[0].value != 2 or degrees[1].value != 2:
             continue
-        step = walk.step(chart, slots, stratum.indices, slots[0])
+        step = walk.step(chart, exposure, stratum.indices)
         if not step.degree.determinate:
             raise IndeterminateDegreeError(
                 (step.divisor_id,),
@@ -155,8 +155,7 @@ def level_one_fixup(pair: PairLike,
                 f"fixup did not finish within {max_rounds} rounds", partial
             )
         stratum = bad[0]
-        slots = walk.slots(current)
-        step = walk.step(current, slots, stratum.indices, slots[0])
+        step = walk.step(current, walk.exposure(current), stratum.indices)
         rounds += 1
         for child in walk.children(current, stratum.indices, step):
             edges.append(
@@ -239,11 +238,12 @@ def check_composition(pair: PairLike,
     reports: List[DiscrepancyReport] = []
     for step_no, (indices, pick) in enumerate(steps):
         center = chart.stratum(indices).indices
-        step = walk.step(chart, walk.slots(chart), center, abar)
+        step = walk.step(chart, walk.exposure(chart), center, abar)
         witness += (WitnessStep(chart.chart_id, center, step.center),)
         reports.append(_report(walk, step, witness))
         if not 0 <= pick < len(center):
             raise ValueError(f"child index {pick} out of range at step {step_no}")
+        parent = chart
         chart = walk.children(chart, center, step)[pick]
         abar = _put(abar, center[pick], -step.a)
     # Valuations grow strictly along a route, so the ids are distinct.
@@ -266,11 +266,12 @@ def check_composition(pair: PairLike,
             Condition(name=f"b({report.divisor_id},X) >= 0", value=worst,
                       ok=worst >= 0)
         )
+    one_step = walk.one_step(walk.boundary(parent), center)
     side.append(
         Condition(
             name=f"a({final_id},Y,Delta_Y) >= 0",
-            value=walk.fraction(step.one_step),
-            ok=None if step.one_step is None else step.one_step >= 0,
+            value=walk.fraction(one_step),
+            ok=None if one_step is None else one_step >= 0,
         )
     )
     candidates = tuple(

@@ -233,8 +233,7 @@ class TestDiscrepancySweeps:
             assert degrees == {cover_on(r, r.pivot) for r in references}
             # the step reads it from the parent and builds no child
             walk = parent.model.walk
-            slots = walk.slots(parent)
-            step = walk.step(parent, slots, center, slots[0])
+            step = walk.step(parent, walk.exposure(parent), center)
             assert (step.divisor_id, step.degree) == (
                 children[0].divisor_ids[center[0]], degrees.pop())
 
@@ -321,8 +320,8 @@ class TestResolutionSweeps:
 
 def step_outcomes(walk, chart, abar):
     """Uncached step of every center of a chart."""
-    slots = walk.slots(chart)
-    return [walk.step(chart, slots, center, abar)
+    exposure = walk.exposure(chart)
+    return [walk.step(chart, exposure, center, abar)
             for center in _centers(chart.dim)]
 
 

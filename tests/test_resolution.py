@@ -19,6 +19,7 @@ from brauer_terminal.discrepancy import (DiscrepancyReport, boundary_divisor,
                                          brauer_discrepancy,
                                          stratum_discrepancies)
 from brauer_terminal.enumeration import _valuation_walk
+import brauer_terminal.model as model_module
 from brauer_terminal.model import IndeterminateDegreeError, Model, _RowWalk
 from brauer_terminal.resolution import (NonterminationError,
                                         TerminalityCertificate,
@@ -241,10 +242,11 @@ class TestEnumerateDivisors:
         # takes from its parent (the counts were 3704, 6545 and 2132 before
         # that); one report per divisor plus one per merge that narrows
         # candidates (none in the torsion-2 cases); probes still count
-        # every chart, as before steps were reused
+        # every chart, as before steps were reused. Steps are counted where
+        # the walk's kernel builds them, a chart state's at once.
         base = bases()
         calls = {"step": 0, "report": 0}
-        step = _RowWalk.step
+        step = model_module._RowStep
         from_degree = DiscrepancyReport.from_degree.__func__
 
         def counted_step(*args):
@@ -255,7 +257,7 @@ class TestEnumerateDivisors:
             calls["report"] += 1
             return from_degree(cls, **kwargs)
 
-        monkeypatch.setattr(_RowWalk, "step", counted_step)
+        monkeypatch.setattr(model_module, "_RowStep", counted_step)
         monkeypatch.setattr(DiscrepancyReport, "from_degree",
                             classmethod(counted_report))
         enum = enumerate_divisors(base, depth)

@@ -124,12 +124,16 @@ def chart_walk(bases, depth, max_probes, narrowed=None):
         complete=complete, probes=probes)
 
 
-def outcome(walk, bases, depth, max_probes, **kwargs):
+def outcome(walk, bases, depth, max_probes, values=None, **kwargs):
+    """The walk's canonical dump; appends the side-check values to
+    ``values`` when given."""
     try:
-        return canonical_dump(walk(bases, depth, max_probes=max_probes,
-                                   **kwargs))
+        result = walk(bases, depth, max_probes=max_probes, **kwargs)
     except IndeterminateDegreeError as exc:
         return "undetermined", exc.divisor_ids
+    if values is not None:
+        values.append([check.value for check in result.side_checks])
+    return canonical_dump(result)
 
 
 # depth per dimension: 15, 364 and 319 probes per base at most
@@ -181,10 +185,12 @@ def corpus(seed=9001, count=320):
 
 def test_row_walk_matches_the_chart_walk_on_a_seeded_corpus():
     kinds, cut, undetermined, merges, fixups = {}, 0, 0, [], 0
+    values = []  # per walk, the row walk's side-check values
     for kind, bases, depth, max_probes in corpus():
         expected = outcome(chart_walk, bases, depth, max_probes,
                            narrowed=merges)
-        got = outcome(enumerate_divisors, bases, depth, max_probes)
+        got = outcome(enumerate_divisors, bases, depth, max_probes,
+                      values=values)
         assert got == expected, (kind, bases[0].chart_id, depth,
                                  max_probes)
         kinds[kind] = kinds.get(kind, 0) + 1
@@ -195,3 +201,9 @@ def test_row_walk_matches_the_chart_walk_on_a_seeded_corpus():
     assert min(kinds.values()) >= 60, kinds
     assert undetermined >= 20 and cut >= 60 and fixups >= 20
     assert len(merges) >= 10000 and sum(merges) >= 10
+    # one-step values blocked by an undetermined boundary degree, in many
+    # walks, and failing ones
+    blocked = [run.count(None) for run in values]
+    assert sum(blocked) >= 4000 and sum(map(bool, blocked)) >= 75, blocked
+    assert sum(value is not None and value < 0
+               for run in values for value in run) >= 4800
