@@ -5,8 +5,7 @@ from .discrepancy import (BoundaryDivisor, DiscrepancyReport, ReportEntry,
                           brauer_discrepancy, stratum_discrepancies)
 from .enumeration import EnumerationResult, enumerate_divisors
 from .model import (Chart, CoverDegree, ExtraComponent,
-                    IndeterminateDegreeError, Model, Stratum, residue_order,
-                    strata)
+                    IndeterminateDegreeError, Model, residue_order)
 from .modelfile import (LoadResult, ModelFormatError, format_model, load_model,
                         parse_model, save_model)
 from .resolution import (CompositionCheck, FixupResult, NonterminationError,
@@ -34,7 +33,6 @@ __all__ = [
     "RemarkReport",
     "ReportEntry",
     "ResolutionTree",
-    "Stratum",
     "TerminalityCertificate",
     "UnsupportedTorsionError",
     "WitnessStep",
@@ -53,6 +51,5 @@ __all__ = [
     "residue_order",
     "run_remark",
     "save_model",
-    "strata",
     "stratum_discrepancies",
 ]

@@ -11,6 +11,9 @@ which telescopes ``a`` through a coefficient row aligned with the chart's
 slots; on a base chart that row is the boundary itself, so
 ``brauer_discrepancy`` is the step at the boundary row, and the
 composition audit and the walks run the same step along their routes.
+A center is the sorted tuple of its slots (``Chart.center``), and the
+one-step reports of any set of centers take one ``steps`` call, which
+builds each center and each of its prefixes once.
 A report's entries are built on integers: with a = p/q, each candidate e
 gets b = ((p + q)e - q)/(qe) and e*b = ((p + q)e - q)/q, one normalising
 ``Fraction`` constructor each. They depend only on a and the candidates,
@@ -29,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from .model import (CenterLike, Chart, CoverDegree, PairLike, _centers,
-                    _RowStep, _RowWalk, as_chart)
+from .model import (Chart, CoverDegree, PairLike, _centers, _plan, _RowStep,
+                    _RowWalk, as_chart)
 
 
 @dataclass(frozen=True)
@@ -146,25 +149,23 @@ def b_from_a(a: Fraction, e: int) -> Fraction:
     return Fraction((p + q) * e - q, q * e)
 
 
-def brauer_discrepancy(pair: PairLike, center: CenterLike
+def brauer_discrepancy(pair: PairLike, center: Iterable[int]
                        ) -> DiscrepancyReport:
-    """One-step cover discrepancy of the divisor extracted by one blow-up.
+    """One-step cover discrepancy of the divisor extracted by blowing up
+    the center, given by its slots in any order (``Chart.center``).
 
     Raises:
-        ValueError: if the center is no blow-up center of the chart.
+        ValueError: if the slots are no blow-up center of the chart.
         IndeterminateDegreeError: if a boundary degree of the chart is
             undetermined.
     """
     chart = as_chart(pair)
-    return _one_step_reports(chart, (chart.stratum(center).indices,))[0]
+    return _one_step_reports(chart, (chart.center(center),))[0]
 
 
 def stratum_discrepancies(pair: PairLike) -> Tuple[DiscrepancyReport, ...]:
     """``brauer_discrepancy`` of every coordinate stratum, in the engine
-    order of centers (``model._centers``).
-
-    The boundary is read once for all strata.
-    """
+    order of centers (``model._centers``), off one boundary read."""
     chart = as_chart(pair)
     return _one_step_reports(chart, _centers(chart.dim))
 
@@ -172,13 +173,16 @@ def stratum_discrepancies(pair: PairLike) -> Tuple[DiscrepancyReport, ...]:
 def _one_step_reports(chart: Chart, centers: Sequence[Tuple[int, ...]]
                       ) -> Tuple[DiscrepancyReport, ...]:
     """The step of each center (sorted slots) at the boundary row, as a
-    level-1 report."""
+    level-1 report. One ``steps`` call takes every center the reports
+    need, with their prefixes, once each."""
     walk = chart.model.walk
-    row = walk.base_row(chart)
-    exposure = walk.exposure(chart)
+    chains = _plan(chart.dim).chains
+    known = walk.steps(chart, walk.exposure(chart), walk.base_row(chart), {},
+                       sorted({n for center in centers
+                               for n in chains[center]}))
     reports = []
     for center in centers:
-        step = walk.step(chart, exposure, center, row)
+        step = known[chains[center][-1]]
         reports.append(_report(walk, step, (WitnessStep(
             chart.chart_id, center, step.center),)))
     return tuple(reports)

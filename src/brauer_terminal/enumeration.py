@@ -153,13 +153,12 @@ def _merge(seen: Tuple[int, DiscrepancyReport], step: _RowStep,
         raise RuntimeError(f"divisor {report.divisor_id} recomputed "
                            f"inconsistently: a {report.a} vs "
                            f"{walk.fraction(step.a)}")
-    if other is known:
-        return seen
     if known.monomial_order != other.monomial_order:
         raise RuntimeError(f"divisor {report.divisor_id} recomputed "
                            f"inconsistently: monomial orders "
                            f"{known.monomial_order} vs {other.monomial_order}")
-    merged = tuple(sorted(set(known.candidates) & set(other.candidates)))
+    # both lists are sorted without repeats (``CoverDegree``)
+    merged = tuple(c for c in known.candidates if c in other.candidates)
     if not merged:
         raise RuntimeError(f"divisor {report.divisor_id} recomputed "
                            f"inconsistently: degree candidates "

@@ -1,4 +1,4 @@
-"""Brauer pairs, their blown-up charts, their strata, and the one blow-up step.
+"""Brauer pairs, their blown-up charts, their centers, and the one blow-up step.
 
 A ``Model`` is a Brauer pair on the root chart spec k{x1,...,xn}: the
 coordinate labels, the class, and the extra cyclic covers attached to
@@ -11,13 +11,14 @@ of an iterated coordinate blow-up is its slots' valuations on the root
 coordinates, its divisor ids, one exact flag per slot and extra cover, and
 its chart id; it carries no matrix and no extra vectors of its own.
 
-A ``Stratum`` is a coordinate stratum V(x_i, ...) of a chart, named by its
-slots; ``strata`` lists those of one codimension. ``_centers`` is the one
-engine order of a chart's blow-up centers, codimension 2 up and each
-codimension lexicographic. The exceptional divisor with root row v has id
-``E(v1,...,vn)``, a pure function of the geometry, so every route to a
-divisor names it alike without a shared counter; a child chart's id is its
-parent's, the center's slots and the pivot (``_RowWalk.children``).
+A blow-up center is a coordinate stratum V(x_i, ...) of a chart, named by
+the sorted tuple of its slots; ``Chart.center`` checks one given from
+outside. ``_centers`` is the one engine order of a chart's centers,
+codimension 2 up and each codimension lexicographic. The exceptional
+divisor with root row v has id ``E(v1,...,vn)``, a pure function of the
+geometry, so every route to a divisor names it alike without a shared
+counter; a child chart's id is its parent's, the center's slots and the
+pivot (``_RowWalk.children``).
 
 Everything a blow-up step reads comes off those rows (``_RowWalk``): on
 the divisor with root row v the residue order is r/gcd(r, v M) for the
@@ -161,7 +162,6 @@ def _combined_degree(torsion: int, monomial: int,
 
 # A string, so that no typing subscript naming an engine class is evaluated:
 # typing caches those, which would keep this module alive after a re-import.
-CenterLike: TypeAlias = "Union[Stratum, Sequence[int]]"
 PairLike: TypeAlias = "Union[Model, Chart]"
 
 
@@ -294,19 +294,21 @@ class Chart(NamedTuple):
     def dim(self) -> int:
         return len(self.rows)
 
-    def stratum(self, center: CenterLike) -> Stratum:
-        """The center as a blow-up center of this chart.
+    def center(self, slots: Iterable[int]) -> Tuple[int, ...]:
+        """The slots as a blow-up center of this chart: sorted.
 
         Raises:
-            ValueError: for a stratum of another chart, slots out of range
-                or repeated, or a codimension below 2.
+            ValueError: for no slots, repeated slots, slots out of range,
+                or a codimension below 2.
         """
-        if isinstance(center, Stratum):
-            if center.chart is not self:
-                raise ValueError("center belongs to a different chart")
-        else:
-            center = Stratum(self, tuple(center))
-        if center.codim < 2:
+        center = tuple(sorted(int(i) for i in slots))
+        if not center:
+            raise ValueError("a stratum needs at least one coordinate")
+        if len(set(center)) != len(center):
+            raise ValueError("stratum indices must be distinct")
+        if center[0] < 0 or center[-1] >= self.dim:
+            raise ValueError("stratum indices out of range for the chart")
+        if len(center) < 2:
             raise ValueError("blow-up centers must have codimension at least 2")
         return center
 
@@ -314,50 +316,13 @@ class Chart(NamedTuple):
         """Cover degree over the slot's divisor (``_combined_degree``)."""
         return self.model.walk.degree(self.rows[slot], self.exact[slot])[0]
 
-    def children(self, center: CenterLike) -> List["Chart"]:
+    def children(self, center: Iterable[int]) -> List["Chart"]:
         """The charts of the blow-up of ``center``, in ascending pivot order:
         the one with pivot p holds the new divisor in slot p."""
-        indices = self.stratum(center).indices
+        center = self.center(center)
         walk = self.model.walk
-        return walk.children(self, indices,
-                             walk.step(self, walk.exposure(self), indices))
-
-
-@dataclass(frozen=True)
-class Stratum:
-    """A coordinate stratum V(x_{i_1}, ..., x_{i_c}) of a chart."""
-
-    chart: Chart
-    indices: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if not idx:
-            raise ValueError("a stratum needs at least one coordinate")
-        if len(set(idx)) != len(idx):
-            raise ValueError("stratum indices must be distinct")
-        if idx[0] < 0 or idx[-1] >= self.chart.dim:
-            raise ValueError("stratum indices out of range for the chart")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def codim(self) -> int:
-        return len(self.indices)
-
-    @property
-    def divisor_ids(self) -> Tuple[str, ...]:
-        return tuple(self.chart.divisor_ids[i] for i in self.indices)
-
-
-def strata(chart: Chart, codim: int) -> List[Stratum]:
-    """All coordinate strata of the given codimension, in lexicographic order.
-
-    Raises:
-        ValueError: unless 2 <= codim <= chart.dim.
-    """
-    if codim < 2 or codim > chart.dim:
-        raise ValueError("stratum codimension must satisfy 2 <= codim <= dim")
-    return [Stratum(chart, idx) for idx in combinations(range(chart.dim), codim)]
+        return walk.children(self, center,
+                             walk.step(self, walk.exposure(self), center))
 
 
 def _centers(n: int) -> List[Tuple[int, ...]]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .discrepancy import (DiscrepancyReport, WitnessStep, _report, b_from_a,
@@ -28,7 +29,7 @@ from .discrepancy import (DiscrepancyReport, WitnessStep, _report, b_from_a,
 from .enumeration import (DEFAULT_MAX_PROBES, _valuation_walk,
                           enumerate_divisors)
 from .model import (Chart, CoverDegree, IndeterminateDegreeError, Model,
-                    PairLike, Stratum, _put, as_chart, strata)
+                    PairLike, _put, as_chart)
 
 
 DEFAULT_DEPTH = 3  # default depth of ``certify``
@@ -73,8 +74,9 @@ class FixupResult:
     charts: Tuple[Chart, ...]
 
 
-def find_bad_strata(pair: PairLike) -> Tuple[Stratum, ...]:
-    """Codimension-2 strata witnessing the level-one degenerate case.
+def find_bad_strata(pair: PairLike) -> Tuple[Tuple[int, int], ...]:
+    """Codimension-2 strata witnessing the level-one degenerate case, as
+    slot pairs (i, j), i < j, in lexicographic order.
 
     A stratum {i, j} of the chart (a model: its root chart) qualifies when
     both divisors carry covers of degree exactly 2, the class does not pair
@@ -95,8 +97,7 @@ def find_bad_strata(pair: PairLike) -> Tuple[Stratum, ...]:
     exposure = walk.exposure(chart)
     ids = chart.divisor_ids
     bad = []
-    for stratum in strata(chart, 2) if chart.dim > 1 else ():
-        i, j = stratum.indices
+    for i, j in combinations(range(chart.dim), 2):
         if walk.pairing(chart.rows[i], chart.rows[j]) != 0:
             continue
         degrees = [chart.cover_on(i), chart.cover_on(j)]
@@ -109,7 +110,7 @@ def find_bad_strata(pair: PairLike) -> Tuple[Stratum, ...]:
                 )
         if degrees[0].value != 2 or degrees[1].value != 2:
             continue
-        step = walk.step(chart, exposure, stratum.indices)
+        step = walk.step(chart, exposure, (i, j))
         if not step.degree.determinate:
             raise IndeterminateDegreeError(
                 (step.divisor_id,),
@@ -117,7 +118,7 @@ def find_bad_strata(pair: PairLike) -> Tuple[Stratum, ...]:
                 f"{list(step.degree.candidates)}",
             )
         if step.degree.value == 1:
-            bad.append(stratum)
+            bad.append((i, j))
     return tuple(bad)
 
 
@@ -154,15 +155,14 @@ def level_one_fixup(pair: PairLike,
             raise NonterminationError(
                 f"fixup did not finish within {max_rounds} rounds", partial
             )
-        stratum = bad[0]
-        step = walk.step(current, walk.exposure(current), stratum.indices)
+        step = walk.step(current, walk.exposure(current), bad[0])
         rounds += 1
-        for child in walk.children(current, stratum.indices, step):
+        for child in walk.children(current, bad[0], step):
             edges.append(
                 TreeEdge(
                     parent=current.chart_id,
                     child=child.chart_id,
-                    center=stratum.divisor_ids,
+                    center=step.center,
                     exceptional=step.divisor_id,
                 )
             )
@@ -237,7 +237,7 @@ def check_composition(pair: PairLike,
     abar = walk.base_row(chart)
     reports: List[DiscrepancyReport] = []
     for step_no, (indices, pick) in enumerate(steps):
-        center = chart.stratum(indices).indices
+        center = chart.center(indices)
         step = walk.step(chart, walk.exposure(chart), center, abar)
         witness += (WitnessStep(chart.chart_id, center, step.center),)
         reports.append(_report(walk, step, witness))
@@ -375,7 +375,8 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
     bases: Sequence[Chart] = (model.chart,)
     if model.torsion == 2:
         bad = find_bad_strata(model)
-        bad_strata = tuple(s.divisor_ids for s in bad)
+        ids = model.chart.divisor_ids
+        bad_strata = tuple((ids[i], ids[j]) for i, j in bad)
         if fixup and bad:
             fixed = level_one_fixup(model, max_rounds=max_rounds)
             bases = fixed.charts

@@ -8,12 +8,15 @@ Core claims:
     - strict transforms and untouched coordinates keep their divisor ids
     - a chart's rows are the reference blow-up's total substitution, so
       they compose and stay unimodular
-    - strata enumeration behaves on the boundaries
+    - every public entry that takes a center sorts its slots and rejects
+      repeated, out-of-range or fewer than two slots with one message each
 """
 
 import pytest
 
-from brauer_terminal.model import Model, Stratum, strata
+from brauer_terminal.discrepancy import brauer_discrepancy
+from brauer_terminal.model import Model
+from brauer_terminal.resolution import check_composition
 
 from .oracles import (apply_substitution, blow_up as reference_blow_up,
                       compose_substitutions, determinant, root_chart,
@@ -67,7 +70,7 @@ class TestBlowUp:
         # Root coordinates pull back along the columns (1,0,0), (1,1,0),
         # (0,0,1), i.e. these rows, which are also the step from the root.
         root = _root3()
-        child = root.children(Stratum(root, (0, 1)))[0]
+        child = root.children((0, 1))[0]
         assert child.rows == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
         reference = reference_blow_up(root_chart(root.model), (0, 1))[0]
         assert step_matrix(reference) == [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
@@ -128,42 +131,54 @@ class TestBlowUp:
         child = root.children((0, 2))[0]
         assert child.rows[0] == (1, 0, 1)
 
-    def test_center_must_match_chart(self):
-        root = _root3()
-        other = _root3()
-        with pytest.raises(ValueError):
-            root.children(Stratum(other, (0, 1)))
-
     def test_codim_one_rejected(self):
         root = _root3()
         with pytest.raises(ValueError, match="codimension"):
-            root.children(Stratum(root, (1,)))
+            root.children((1,))
+
+
+# Each public entry that takes a center, read as the sorted slots it used.
+CENTER_ENTRIES = {
+    "center": lambda chart, slots: chart.center(slots),
+    "children": lambda chart, slots: [
+        c.chart_id.rsplit(".", 1)[1] for c in chart.children(slots)],
+    "brauer_discrepancy": lambda chart, slots: brauer_discrepancy(
+        chart, slots).witness[0].indices,
+    "check_composition": lambda chart, slots: check_composition(
+        chart, [(slots, 0)]).reports[0].witness[0].indices,
+}
 
 
 class TestStrata:
-    def test_codim_two_enumeration(self):
-        root = _root3()
-        found = [s.indices for s in strata(root, 2)]
-        assert found == [(0, 1), (0, 2), (1, 2)]
-
-    def test_codim_bounds(self):
-        root = _root3()
-        with pytest.raises(ValueError):
-            strata(root, 1)
-        with pytest.raises(ValueError):
-            strata(root, 4)
-
     def test_indices_normalized(self):
         root = _root3()
-        assert Stratum(root, (2, 0)).indices == (0, 2)
-        with pytest.raises(ValueError):
-            Stratum(root, (1, 1))
-        with pytest.raises(ValueError):
-            Stratum(root, (0, 3))
+        assert root.center((2, 0)) == (0, 2)
+        assert root.center([2, 1, 0]) == (0, 1, 2)
+
+    @pytest.mark.parametrize("entry", CENTER_ENTRIES.values(),
+                             ids=CENTER_ENTRIES.keys())
+    def test_every_entry_sorts_the_slots(self, entry):
+        root = _root3()
+        assert entry(root, (2, 0)) == entry(root, (0, 2))
+        assert entry(root, (2, 1, 0)) == entry(root, (0, 1, 2))
+
+    @pytest.mark.parametrize("entry", CENTER_ENTRIES.values(),
+                             ids=CENTER_ENTRIES.keys())
+    @pytest.mark.parametrize("slots,message", [
+        ((1, 1), "must be distinct"),
+        ((0, 3), "out of range"),
+        ((-1, 0), "out of range"),
+        ((1,), "codimension at least 2"),
+        ((), "at least one coordinate"),
+    ])
+    def test_every_entry_rejects_bad_centers(self, entry, slots, message):
+        with pytest.raises(ValueError, match=message):
+            entry(_root3(), slots)
 
     def test_divisor_ids(self):
-        root = _root3()
-        assert Stratum(root, (0, 2)).divisor_ids == ("x1", "x3")
+        # a center's divisor ids are those of its slots, in slot order
+        report = brauer_discrepancy(_model3(), (2, 0))
+        assert report.witness[0].center == ("x1", "x3")
 
 
 class TestMonomial:

@@ -10,9 +10,11 @@ from math import gcd
 
 import pytest
 
+import brauer_terminal.model as model_module
 from brauer_terminal.discrepancy import (DiscrepancyReport, ReportEntry,
                                          WitnessStep, _entries, b_from_a,
-                                         boundary_divisor, brauer_discrepancy)
+                                         boundary_divisor, brauer_discrepancy,
+                                         stratum_discrepancies)
 from brauer_terminal.model import (CoverDegree, IndeterminateDegreeError, Model,
                                    _RowWalk, candidate_orders)
 
@@ -96,6 +98,25 @@ class TestBrauerDiscrepancy:
             brauer_discrepancy(model, (0,))
         with pytest.raises(ValueError, match="codimension"):
             model.chart.children((1,))
+
+    def test_each_step_built_once(self, monkeypatch):
+        # the 26 centers of a 5-slot chart are 26 steps: each center of
+        # codimension 3 and up extends its prefix, built once for all
+        model = Model.affine(3, [f"x{k + 1}" for k in range(5)],
+                             [(0, 1, 1), (2, 3, 1)], extra_degrees={"x5": 3})
+        reports = stratum_discrepancies(model)
+        built = []
+        step = model_module._RowStep
+        monkeypatch.setattr(model_module, "_RowStep",
+                            lambda *args: built.append(args) or step(*args))
+        assert stratum_discrepancies(model) == reports
+        assert len(reports) == len(built) == 26
+        built.clear()
+        # one center builds its chain of prefixes, sorted first
+        report = brauer_discrepancy(model, (4, 0, 2, 1, 3))
+        assert len(built) == 4
+        assert report == reports[-1]
+        assert report.witness[0].indices == (0, 1, 2, 3, 4)
 
     def test_identity_with_classical_route(self):
         model = bad_case()

@@ -75,7 +75,7 @@ def _fraction(value):
 
 def bad_dump(chart):
     try:
-        return {"strata": [[list(s.indices), list(s.divisor_ids)]
+        return {"strata": [[list(s), [chart.divisor_ids[k] for k in s]]
                            for s in find_bad_strata(chart)]}
     except IndeterminateDegreeError as exc:
         return {"undetermined": list(exc.divisor_ids)}

@@ -254,11 +254,11 @@ class TestReimport:
             model = Path(__file__).resolve().parents[1] / "models" / \
                 "bad-case.model"
             assert cli.main(["boundary", "--model", str(model)]) == 0
-            stratum = weakref.ref(sys.modules["brauer_terminal.model"].Stratum)
+            chart = weakref.ref(sys.modules["brauer_terminal.model"].Chart)
             del cli
             _import_fresh()
             gc.collect()
-            assert stratum() is None
+            assert chart() is None
         finally:
             for name in _engine_modules():
                 del sys.modules[name]

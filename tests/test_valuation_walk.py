@@ -120,7 +120,7 @@ def test_torsion_two_bound_over_the_reach_map(dim):
     for model in models:
         halves = [2 // model.cover_on(k).value for k in range(dim)]
         lift = signed_lift(SymbolClass.of(model))
-        bad = {s.indices for s in find_bad_strata(model)}
+        bad = set(find_bad_strata(model))
         degenerate += len(bad)
         for v in reach:
             twice_b = sum(map(mul, v, halves)) - 2 // monomial_order(v, lift, 2)
