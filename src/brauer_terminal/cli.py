@@ -13,9 +13,14 @@ by the probe budget, 1 usage or input errors.
 ``--out PATH`` additionally writes machine-readable JSON lines. The machine
 output is canonical: keys sorted, no whitespace, rationals as [num, den]
 pairs, LF line endings. Two runs on the same input produce identical bytes.
-Each command writes ``--out`` one line at a time before printing anything,
-and builds no machine output without ``--out``: a reader that closes stdout
-early still gets the whole file, and the command exits 1.
+Every line is a dict through one ``json.JSONEncoder(sort_keys=True,
+separators=(",", ":"))``, except the ``report`` lines, which can number
+hundreds of thousands: one writer, ``_report_lines``, puts them together
+from fragments shared between reports, and its text equals that encoder's
+on the report's dict. Each command writes ``--out`` one line at a time
+before printing anything, and builds no machine output without ``--out``:
+a reader that closes stdout early still gets the whole file, and the
+command exits 1.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from itertools import chain, starmap
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
-from .discrepancy import (DiscrepancyReport, boundary_divisor,
+from .discrepancy import (DiscrepancyReport, WitnessStep, boundary_divisor,
                           stratum_discrepancies)
 from .enumeration import DEFAULT_MAX_PROBES
 from .model import IndeterminateDegreeError, Model
@@ -51,6 +57,9 @@ _VERDICT_EXIT = {
 }
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode_string = json.encoder.encode_basestring_ascii
+# table rows per write: no string of the whole table is held
+_TABLE_CHUNK = 4096
 
 
 def _frac(value: Optional[Fraction]) -> Optional[List[int]]:
@@ -59,22 +68,59 @@ def _frac(value: Optional[Fraction]) -> Optional[List[int]]:
     return [value.numerator, value.denominator]
 
 
-def _report_json(report: DiscrepancyReport) -> Dict[str, Any]:
-    return {
-        "type": "report",
-        "divisor": report.divisor_id,
-        "level": report.level,
-        "witness": [{"chart": step.chart_id, "center": list(step.center)}
-                    for step in report.witness],
-        "a": _frac(report.a),
-        "monomial_order": report.degree.monomial_order,
-        "candidates": list(report.degree.candidates),
-        "determinate": report.degree.determinate,
-        "entries": [
-            {"e": entry.e, "b": _frac(entry.b), "weighted": _frac(entry.weighted)}
-            for entry in report.entries
-        ],
-    }
+def _fraction_text(value: Fraction) -> str:
+    return f"[{value.numerator},{value.denominator}]"
+
+
+def _step_text(step: WitnessStep) -> str:
+    center = ",".join(map(_encode_string, step.center))
+    return f'{{"center":[{center}],"chart":{_encode_string(step.chart_id)}}}'
+
+
+def _report_lines(reports: Iterable[DiscrepancyReport]) -> Iterator[str]:
+    """The ``report`` line of each report, as ``_ENCODER`` writes its dict.
+
+    A line is put together from fragments, each with its keys in sorted
+    order, and every string is escaped to ASCII as the encoder does (a
+    label may hold non-ASCII word characters). The texts of the witness
+    steps that a report shares with the report before it are reused: walks
+    hand reports over in witness order, and shared steps are one object.
+    a, the candidates and ``determinate`` follow from the entries tuple,
+    which reports share, so there is one text per (monomial order, entries
+    tuple); the tuple is held, so its id stays valid. Nothing is kept per
+    report or per degree object.
+    """
+    fragments: Dict[Tuple[int, int], Tuple[Any, str, str, str]] = {}
+    witness: Tuple[WitnessStep, ...] = ()
+    steps: List[str] = []
+    for report in reports:
+        entries, order = report.entries, report.degree.monomial_order
+        held = fragments.get((order, id(entries)))
+        if held is None:
+            candidates = ",".join(str(entry.e) for entry in entries)
+            rows = ",".join(
+                f'{{"b":{_fraction_text(entry.b)},"e":{entry.e},'
+                f'"weighted":{_fraction_text(entry.weighted)}}}'
+                for entry in entries)
+            held = fragments[order, id(entries)] = (
+                entries,
+                f'{{"a":{_fraction_text(report.a)},'
+                f'"candidates":[{candidates}],'
+                f'"determinate":{"true" if len(entries) == 1 else "false"},'
+                f'"divisor":',
+                f',"entries":[{rows}],"level":',
+                f',"monomial_order":{order},"type":"report","witness":[')
+        _, head, middle, tail = held
+        route, shared = report.witness, 0
+        for step, before in zip(route, witness):
+            if step is not before:
+                break
+            shared += 1
+        del steps[shared:]
+        steps.extend(map(_step_text, route[shared:]))
+        witness = route
+        yield (f'{head}{_encode_string(report.divisor_id)}{middle}'
+               f'{report.level}{tail}{",".join(steps)}]}}')
 
 
 def _certificate_json(cert: TerminalityCertificate) -> Dict[str, Any]:
@@ -152,28 +198,55 @@ def _remark_json(report: RemarkReport) -> Iterator[Dict[str, Any]]:
         ],
         "verdict": report.verdict,
     }
-    yield _report_json(report.first_report)
+    yield from _report_lines((report.first_report,))
     yield _composition_json(report.composition)
 
 
-def _write_machine(path: Optional[str], lines: Iterable[Dict[str, Any]]) -> None:
+def _write_machine(path: Optional[str],
+                   lines: Iterable[Union[str, Dict[str, Any]]]) -> None:
+    """Write each line to ``path``: a dict through ``_ENCODER``, a str (a
+    ``report`` line) as it is."""
     if path is None:
         return
+    encode = _ENCODER.encode
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        write = handle.write
         for line in lines:
-            handle.write(_ENCODER.encode(line))
-            handle.write("\n")
+            write(line if isinstance(line, str) else encode(line))
+            write("\n")
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths[k], len(cell))
-    out = ["  ".join(h.ljust(widths[k]) for k, h in enumerate(headers))]
-    for row in rows:
-        out.append("  ".join(cell.ljust(widths[k]) for k, cell in enumerate(row)))
-    return "\n".join(out)
+def _print_table(headers: Sequence[str],
+                 rows: Sequence[Sequence[str]]) -> None:
+    """Print the rows under the headers, each cell padded to the width of
+    its column's widest cell and the cells joined by two spaces."""
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    line = "  ".join(f"{{:<{width}}}" for width in widths) + "\n"
+    write = sys.stdout.write
+    write(line.format(*headers))
+    for start in range(0, len(rows), _TABLE_CHUNK):
+        write("".join(starmap(line.format, rows[start:start + _TABLE_CHUNK])))
+
+
+def _report_rows(reports: Iterable[DiscrepancyReport],
+                 lead: Callable[[DiscrepancyReport], Tuple[str, ...]]
+                 ) -> List[Tuple[str, ...]]:
+    """One table row per entry of each report: the cells ``lead`` gives the
+    report, then a, e, b and e*b. The cells of a shared entries tuple are
+    taken once; the tuple is held, so its id stays valid."""
+    cells: Dict[int, Tuple[Any, List[Tuple[str, ...]]]] = {}
+    rows = []
+    for report in reports:
+        entries = report.entries
+        held = cells.get(id(entries))
+        if held is None:
+            a = str(report.a)
+            held = cells[id(entries)] = (entries, [
+                (a, str(entry.e), str(entry.b), str(entry.weighted))
+                for entry in entries])
+        first = lead(report)
+        rows.extend([first + tail for tail in held[1]])
+    return rows
 
 
 def _load(args: argparse.Namespace) -> Model:
@@ -198,23 +271,18 @@ def cmd_boundary(args: argparse.Namespace) -> int:
          "extra_degree": extra, "e": e, "coefficient": _frac(coeff)}
         for divisor_id, extra, e, coeff in divisors
     ))
-    print(_table(("divisor", "kind", "extra", "e", "coefficient"), [
+    _print_table(("divisor", "kind", "extra", "e", "coefficient"), [
         (divisor_id, "original", str(extra), str(e), str(coeff))
         for divisor_id, extra, e, coeff in divisors
-    ]))
+    ])
     return _EXIT_OK
 
 
 def cmd_discrepancy(args: argparse.Namespace) -> int:
     reports = stratum_discrepancies(_load(args))
-    _write_machine(args.out, map(_report_json, reports))
-    rows = []
-    for report in reports:
-        center = ",".join(report.witness[0].center)
-        for entry in report.entries:
-            rows.append((center, report.divisor_id, str(report.a),
-                         str(entry.e), str(entry.b), str(entry.weighted)))
-    print(_table(("center", "divisor", "a", "e", "b", "e*b"), rows))
+    _write_machine(args.out, _report_lines(reports))
+    _print_table(("center", "divisor", "a", "e", "b", "e*b"), _report_rows(
+        reports, lambda r: (",".join(r.witness[0].center), r.divisor_id)))
     if any(r.determinate and r.worst_weighted() <= 0 for r in reports):
         return _EXIT_BAD_STRATUM
     if any(not r.determinate for r in reports):
@@ -233,7 +301,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
             (edge.parent, edge.child, ",".join(edge.center), edge.exceptional)
             for edge in tree.edges
         ]
-        print(_table(("parent", "child", "center", "exceptional"), rows))
+        _print_table(("parent", "child", "center", "exceptional"), rows)
     print("leaves: " + " ".join(tree.leaves))
     return _EXIT_OK
 
@@ -244,7 +312,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
                    max_rounds=args.max_rounds, max_probes=args.max_probes)
     _write_machine(args.out, chain(
         map(_certificate_json, [cert]),
-        map(_report_json, cert.reports),
+        _report_lines(cert.reports),
         () if cert.tree is None else _tree_json(cert.tree),
     ))
     print(f"verdict: {cert.verdict}")
@@ -269,12 +337,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
             print(f"side condition failed: {failure}")
         if len(failures) > 5:
             print(f"... and {len(failures) - 5} more side condition failures")
-    rows = []
-    for report in cert.reports:
-        for entry in report.entries:
-            rows.append((report.divisor_id, str(report.level), str(report.a),
-                         str(entry.e), str(entry.b), str(entry.weighted)))
-    print(_table(("divisor", "level", "a", "e", "b", "e*b"), rows))
+    _print_table(("divisor", "level", "a", "e", "b", "e*b"), _report_rows(
+        cert.reports, lambda r: (r.divisor_id, str(r.level))))
     return _VERDICT_EXIT[cert.verdict]
 
 
@@ -296,8 +360,8 @@ def cmd_remark(args: argparse.Namespace) -> int:
          c.obstruction or "-")
         for c in report.candidates
     ]
-    print(_table(("e", "b on Y", "b on X", "e*b", "additive", "obstruction"),
-                 rows))
+    _print_table(("e", "b on Y", "b on X", "e*b", "additive", "obstruction"),
+                 rows)
     for condition in report.composition.side_conditions:
         if condition.ok is False:
             print(f"side condition failed: {condition.name} "

@@ -7,7 +7,9 @@ exponent-vector pairs, the toric oracle computes discrepancies straight
 from valuation vectors, the residue order oracle reads cover orders off
 valuation vectors, the step matrix of a blow-up chart is rebuilt from its
 center and pivot, the determinant is exact over Fractions, and the
-certificate summary is read pass by pass with Fraction operators.
+certificate summary is read pass by pass with Fraction operators. A
+``report`` line of ``--out`` is the generic canonical encoder applied to
+the report's dict (``report_line``).
 
 The reference blow-up (``blow_up``) keeps a chart the way the engine did
 before its charts became root-valuation rows: every chart carries its
@@ -22,6 +24,7 @@ checks on it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -396,3 +399,35 @@ def certify_summary(reports: Sequence, side_checks: Sequence, complete: bool,
         "failures": tuple(failures),
         "verdict": verdict,
     }
+
+
+CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def report_json(report) -> dict:
+    """The dict of a report's ``report`` line: every field of the report,
+    rationals as [numerator, denominator] pairs."""
+    def frac(value: Fraction) -> List[int]:
+        return [value.numerator, value.denominator]
+
+    return {
+        "type": "report",
+        "divisor": report.divisor_id,
+        "level": report.level,
+        "witness": [{"chart": stage.chart_id, "center": list(stage.center)}
+                    for stage in report.witness],
+        "a": frac(report.a),
+        "monomial_order": report.degree.monomial_order,
+        "candidates": list(report.degree.candidates),
+        "determinate": report.degree.determinate,
+        "entries": [
+            {"e": entry.e, "b": frac(entry.b),
+             "weighted": frac(entry.weighted)}
+            for entry in report.entries
+        ],
+    }
+
+
+def report_line(report) -> str:
+    """A report's ``report`` line through the generic canonical encoder."""
+    return CANONICAL.encode(report_json(report))

@@ -391,7 +391,7 @@ TWO_SLOT = ("[model]\ntorsion = 2\ndimension = 2\nlabels = x1,x2\n"
 class TestOutputPath:
     """Machine output is built line by line, and only for ``--out``."""
 
-    BUILDERS = ("_report_json", "_certificate_json", "_tree_json",
+    BUILDERS = ("_report_lines", "_certificate_json", "_tree_json",
                 "_composition_json")
 
     @pytest.mark.parametrize("model,command,code",

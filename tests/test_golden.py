@@ -46,6 +46,12 @@ GOLDEN = [
      "af475bf67ef43911a1596b92acdb3eaacd1ad35c72f1636cfaa26236eba44909"),
     (None, ("remark",), 3,
      "45e1f746f2cdb57056978d060a1e4e04b32f536fdd83a9be801f7feb7a98795e"),
+    # labels with non-ASCII word characters, escaped in the output; pinned
+    # before the report lines were put together from fragments
+    ("non-ascii", ("discrepancy",), 0,
+     "f1f6dbfabda65fc13e06f38e3df01ca42a0d9868db6450c166a95283b9a65c29"),
+    ("non-ascii", ("certify", "--depth", "2"), 0,
+     "b7593ee73fcbb8f36c718ba7f13fbe6c223851a71dbaff7336b99b068c25e928"),
 ]
 
 
