@@ -11,7 +11,10 @@ the chart goes through. The walk runs the charts' one step
 (``model._RowWalk``), and its numbers are integers (see
 ``enumerate_divisors``). Degrees, and only degrees, can be indeterminate;
 the telescoped discrepancies stay exact, so indeterminacy surfaces purely
-as candidate lists on the affected divisors.
+as candidate lists on the affected divisors. A side check's one-step value
+depends only on its chart's boundary row, so the walk keeps one table per
+boundary row of every center's value and of each failing center's failure
+text tail, and ``certify`` takes its failure texts finished.
 
 For torsion 2 without extra covers every number of a report is a function
 of the divisor's valuation, so ``_valuation_walk`` reads them off the
@@ -52,14 +55,14 @@ class SideCheck:
 class _Block(NamedTuple):
     """The side checks of one chart state on one level, chart id aside:
     the state's divisor ids per slot, which give each center's, its steps'
-    divisor ids, and the one-step value of every center and the indices of
-    the failing ones, which its boundary row fixes; a chart reads its first
-    entries."""
+    divisor ids, and the one-step value of every center and, per failing
+    one, its index and failure text tail ``,Delta) = <value>``, which its
+    boundary row fixes; a chart reads its first entries."""
 
     slots: Tuple[str, ...]
     ids: Tuple[str, ...]
     values: Tuple[Optional[Fraction], ...]
-    failing: Tuple[int, ...]
+    failing: Tuple[Tuple[int, str], ...]
 
 
 class _SideChecks(Sequence):
@@ -88,14 +91,15 @@ class _SideChecks(Sequence):
                     self.getters[:take], block.ids, block.values))
         return self._checks
 
-    def failing(self) -> Iterator[Tuple[str, str, Fraction]]:
-        """Divisor id, chart id and value of each failing check, in order,
-        read off the blocks."""
+    def failing(self) -> Iterator[str]:
+        """The failure text ``a(<divisor id>,<chart id>,Delta) = <value>``
+        of each failing check, in order, read off the blocks."""
         for chart_id, block, take in self.charts:
-            for n in block.failing:
+            ids = block.ids
+            for n, tail in block.failing:
                 if n >= take:
                     break
-                yield block.ids[n], chart_id, block.values[n]
+                yield f"a({ids[n]},{chart_id}{tail}"
 
     def __len__(self) -> int:
         return sum(take for _, _, take in self.charts)
@@ -213,10 +217,12 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     (codim - 1) scale minus the center's boundary coefficients, so it
     depends only on the chart's boundary row and the center; the walk
     keeps one table per boundary row, of every center's value and the
-    failing centers, and a block takes its state's table with its steps'
-    divisor ids. Every chart of the state adds only its chart id, the
-    block and its number of probes, and ``SideCheck``s are built only
-    when a caller reads ``side_checks`` (``certify`` reads the blocks).
+    failing centers with the value part of their failure texts, so the
+    texts of ``certify`` format no ``Fraction`` per chart; a block takes
+    its state's table with its steps' divisor ids. Every chart of the
+    state adds only its chart id, the block and its number of probes, and
+    ``SideCheck``s are built only when a caller reads ``side_checks``
+    (``certify`` reads the blocks).
     A child takes its parent's step for every center without its pivot p:
     the two charts differ only in slot p, and no slot of such a center is p
     or an origin gone with it, so the row, the center ids, ``a``, the exact
@@ -262,6 +268,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     reports: Dict[str, Tuple[int, DiscrepancyReport]] = {}
     side_checks: List[Tuple[str, _Block, int]] = []  # chart id, block, take
     # boundary row -> each center's one-step value, the failing centers
+    # with their failure text tails
     tables: Dict[tuple, tuple] = {}
     probes = 0
     complete = True
@@ -287,7 +294,9 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                     steps, order = [None] * take, range(take)
                 else:  # the parent's steps off the pivot, merged on its level
                     steps = inherited[:take]
-                    order = [n for n in plan.through[pivot] if n < take]
+                    order = plan.through[pivot]
+                    if take < width:
+                        order = [n for n in order if n < take]
                 walk.steps(chart, walk.exposure(chart), abar, steps, order)
                 for n in order:
                     step = steps[n]
@@ -303,11 +312,11 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                 bound = walk.boundary(chart)
                 table = tables.get(bound)
                 if table is None:
-                    values = [walk.one_step(bound, c) for c in centers]
-                    table = tables[bound] = (
-                        tuple(map(walk.fraction, values)),
-                        tuple([n for n, v in enumerate(values)
-                               if v is not None and v < 0]))
+                    values = tuple([walk.fraction(walk.one_step(bound, c))
+                                    for c in centers])
+                    table = tables[bound] = values, tuple([
+                        (n, f",Delta) = {v}") for n, v in enumerate(values)
+                        if v is not None and v < 0])
                 block = _Block(chart.divisor_ids,
                                tuple([step.divisor_id for step in steps]),
                                *table)

@@ -25,7 +25,10 @@ the divisor with root row v the residue order is r/gcd(r, v M) for the
 root matrix M, an extra cover on the root divisor in slot s has exposure
 v[s], and slots i and j pair by rows[i] M rows[j] mod r. The new divisor's
 row is the sum of the center's rows, in the pivot slot of each child. The
-fixup, the audits and both walks run this one step.
+exact flags of a chart's centers depend only on its exposure, each extra's
+origin slot and other exposed slots, so a step reads them from one bounded
+table per exposure (``_flags``). The fixup, the audits and both walks run
+this one step.
 
 Cover degrees along divisors are where indeterminacy enters. An extra cover
 restricts exactly to the divisor it was declared on and, by direct exposure,
@@ -39,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
 from operator import add, itemgetter, mul
@@ -341,12 +344,14 @@ class _Plan(NamedTuple):
     comes earlier in engine order. ``through[p]`` lists the centers that
     hold slot p, and ``chains[center]`` the indices of the centers a step
     of that center alone runs: its prefixes of codimension 2 up, then its
-    own.
+    own. ``labels[center]`` is the center's part of a child's chart id,
+    its slots from 1 joined by "-".
     """
 
     entries: Tuple[Tuple[Tuple[int, ...], Callable, int, int], ...]
     through: Tuple[Tuple[int, ...], ...]
     chains: Dict[Tuple[int, ...], Tuple[int, ...]]
+    labels: Dict[Tuple[int, ...], str]
 
 
 @cache
@@ -360,7 +365,20 @@ def _plan(n: int) -> _Plan:
               for p in range(n)),
         {center: tuple(index[center[:end]]
                        for end in range(2, len(center) + 1))
-         for center in centers})
+         for center in centers},
+        {center: "-".join(str(i + 1) for i in center) for center in centers})
+
+
+@lru_cache(maxsize=1024)
+def _flags(n: int, exposure: tuple) -> Tuple[Tuple[bool, ...], ...]:
+    """The exact flags of every center of an n-slot chart, in engine order,
+    for a chart's ``_RowWalk.exposure``: per extra, whether the origin is
+    in the center and no other exposed slot is. Kept process-wide like
+    ``_plan``, and bounded whatever the depth: an extra has (n + 2) 2^(n-1)
+    exposures, an origin or -1 and a set of other slots."""
+    return tuple(tuple([origin in center and others.isdisjoint(center)
+                        for origin, others in exposure])
+                 for center in _centers(n))
 
 
 def as_chart(pair: PairLike) -> Chart:
@@ -369,6 +387,7 @@ def as_chart(pair: PairLike) -> Chart:
 
 
 _Row = Tuple[int, ...]
+_new = tuple.__new__
 
 
 class _RowStep(NamedTuple):
@@ -435,8 +454,9 @@ class _RowWalk:
     def boundary(self, chart: Chart) -> Tuple[Optional[int], ...]:
         """Each slot's boundary coefficient 1 - 1/e, scaled (None where e
         is undetermined)."""
-        return tuple(self.degree(row, exact)[1]
-                     for row, exact in zip(chart.rows, chart.exact))
+        degrees = self.degrees
+        return tuple([(degrees.get(key) or self.degree(*key))[1]
+                      for key in zip(chart.rows, chart.exact)])
 
     def base_row(self, chart: Chart) -> Tuple[int, ...]:
         """``boundary`` of a base chart, where discrepancies telescope from;
@@ -467,9 +487,9 @@ class _RowWalk:
         exposed = []
         for origin_id, d, slot in self.extras:
             origin = ids.index(origin_id) if origin_id in ids else -1
-            exposed.append((origin, frozenset(
+            exposed.append((origin, frozenset([
                 i for i, row in enumerate(rows) if row[slot] % d
-                and i != origin)))
+                and i != origin])))
         return tuple(exposed)
 
     def steps(self, chart: Chart, exposure: tuple,
@@ -487,11 +507,12 @@ class _RowWalk:
         extra when its exposure, the sum of the center's, is nonzero mod
         the degree and only the origin feeds it. The origin's exposure is
         1, so that is: the origin is in the center and no other exposed
-        slot is. ``a`` is c - 1 minus the center's coefficients in
-        ``abar``, the chart's slots telescoped against a base; without
-        ``abar`` it is None.
+        slot is, and ``_flags`` holds them per exposure. ``a`` is c - 1
+        minus the center's coefficients in ``abar``, the chart's slots
+        telescoped against a base; without ``abar`` it is None.
         """
         entries = _plan(len(chart.rows)).entries
+        flags = _flags(len(chart.rows), exposure)
         rows, ids, scale = chart.rows, chart.divisor_ids, self.scale
         degrees = self.degrees
         a = None
@@ -507,8 +528,7 @@ class _RowWalk:
                 row = tuple(map(add, before.row, rows[last]))
                 if abar is not None:
                     a = before.a + scale - abar[last]
-            exact = tuple([origin in center and others.isdisjoint(center)
-                           for origin, others in exposure])
+            exact = flags[n]
             degree = degrees.get((row, exact)) or self.degree(row, exact)
             known[n] = _RowStep(degree[2], get(ids), row, exact, a,
                                 degree[0])
@@ -524,12 +544,14 @@ class _RowWalk:
                  step: _RowStep) -> List[Chart]:
         """The blow-up's charts: the one with pivot p has the new divisor in
         slot p, and chart id ``<parent>.<center slots>p<p>`` (from 1)."""
-        rows, ids, exact = chart.rows, chart.divisor_ids, chart.exact
-        stem = f"{chart.chart_id}.{'-'.join(str(i + 1) for i in center)}p"
-        return [Chart(chart.model, rows[:p] + (step.row,) + rows[p + 1:],
-                      ids[:p] + (step.divisor_id,) + ids[p + 1:],
-                      exact[:p] + (step.exact,) + exact[p + 1:],
-                      stem + str(p + 1))
+        model, rows, ids, exact, chart_id = chart
+        stem = f"{chart_id}.{_plan(len(rows)).labels[center]}p"
+        row, divisor_id, flags = (step.row,), (step.divisor_id,), (step.exact,)
+        # tuple.__new__ skips the Python-level __new__ of the named tuple
+        return [_new(Chart, (model, rows[:p] + row + rows[p + 1:],
+                             ids[:p] + divisor_id + ids[p + 1:],
+                             exact[:p] + flags + exact[p + 1:],
+                             stem + str(p + 1)))
                 for p in center]
 
 

@@ -80,6 +80,7 @@ def parse_model(text: str) -> LoadResult:
     raw_symbols: List[Tuple[int, int, int, int]] = []
     extra_degrees: Dict[str, int] = {}
     labels: Tuple[str, ...] = ()
+    torsion: Optional[int] = None  # read at the first symbol line
     warnings: List[str] = []
 
     lines = text.removeprefix("\ufeff").splitlines()
@@ -127,7 +128,8 @@ def parse_model(text: str) -> LoadResult:
             i = _label_slot(tokens[0], labels, line_no)
             j = _label_slot(tokens[1], labels, line_no)
             m = _int_token(tokens[2], line_no)
-            torsion = _parse_torsion(fields, field_lines)
+            if torsion is None:
+                torsion = _parse_torsion(fields, field_lines)
             if i == j:
                 warnings.append(
                     f"line {line_no}: symbol pairs {tokens[0].group()} with "
@@ -161,7 +163,8 @@ def parse_model(text: str) -> LoadResult:
                 )
             extra_degrees[label] = degree
 
-    torsion = _parse_torsion(fields, field_lines)
+    if torsion is None:
+        torsion = _parse_torsion(fields, field_lines)
     dimension = _parse_dimension(fields, field_lines)
     if not labels:
         labels = _parse_labels(fields, field_lines)

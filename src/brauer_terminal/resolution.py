@@ -136,6 +136,12 @@ def level_one_fixup(pair: PairLike,
         NonterminationError: if the round budget is exhausted.
     """
     root = as_chart(pair)
+    return _fixup(root, find_bad_strata(root), max_rounds)
+
+
+def _fixup(root: Chart, bad: Tuple[Tuple[int, int], ...],
+           max_rounds: int) -> FixupResult:
+    """``level_one_fixup`` of a root chart whose bad strata are ``bad``."""
     walk = root.model.walk
     pending = deque([root])
     edges: List[TreeEdge] = []
@@ -144,7 +150,8 @@ def level_one_fixup(pair: PairLike,
     rounds = 0
     while pending:
         current = pending.popleft()
-        bad = find_bad_strata(current)
+        if current is not root:
+            bad = find_bad_strata(current)
         if not bad:
             clean.append(current)
             leaves.append(current.chart_id)
@@ -364,8 +371,9 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
     = route length), b >= 0 on every divisor, and whether a determinate
     degree gives e * b <= 0. ``failures`` lists ``level-1 b < 0``, then
     each divisor's negative worst b in report order, then the failed side
-    checks in walk order, read off the walk's blocks of side checks
-    without building a ``SideCheck``.
+    checks in walk order, whose texts the walk's blocks of side checks
+    give from one value text per boundary row, without building a
+    ``SideCheck``.
     """
     if depth < 1:
         raise ValueError("certification depth must be at least 1")
@@ -378,7 +386,7 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
         ids = model.chart.divisor_ids
         bad_strata = tuple((ids[i], ids[j]) for i, j in bad)
         if fixup and bad:
-            fixed = level_one_fixup(model, max_rounds=max_rounds)
+            fixed = _fixup(model.chart, bad, max_rounds)
             bases = fixed.charts
             tree = fixed.tree
             rounds = tree.rounds
@@ -412,10 +420,9 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
                 level1_b = False
             negative.append(f"b({report.divisor_id},X) = {worst}")
     failures = ([] if level1_b else ["level-1 b < 0"]) + negative
-    one_step_ok = True
-    for divisor_id, chart_id, value in enumeration.side_checks.failing():
-        one_step_ok = False
-        failures.append(f"a({divisor_id},{chart_id},Delta) = {value}")
+    listed = len(failures)
+    failures.extend(enumeration.side_checks.failing())
+    one_step_ok = len(failures) == listed
     summary = SideConditionSummary(
         level1_b_nonnegative=level1_b,
         exceptional_b_nonnegative=exc_b,

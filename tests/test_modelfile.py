@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from brauer_terminal import modelfile
 from brauer_terminal.model import ExtraComponent, Model
 from brauer_terminal.modelfile import (MAX_DIMENSION, MAX_EXTRA_DEGREE,
                                        MAX_TORSION, LoadResult,
@@ -63,6 +64,23 @@ class TestParse:
         model, warnings = parse_model(GOOD + "x1 x2 2\n")
         assert model.matrix[0][1] == 0
         assert any("multiple of the torsion" in w for w in warnings)
+
+    @pytest.mark.parametrize("text", [
+        GOOD + "x1 x2 1\n" * 40,
+        "[model]\ntorsion = 2\ndimension = 3\nlabels = x1,x2,x3\n",
+    ], ids=["42-symbols", "no-symbols"])
+    def test_torsion_read_once(self, monkeypatch, text):
+        # at the first symbol line, not once per symbol line
+        seen = []
+        read = modelfile._parse_torsion
+
+        def counted(*args):
+            seen.append(args)
+            return read(*args)
+
+        monkeypatch.setattr(modelfile, "_parse_torsion", counted)
+        model, _ = parse_model(text)
+        assert model.torsion == 2 and len(seen) == 1
 
     def test_self_symbol_warned_and_dropped(self):
         model, warnings = parse_model(GOOD + "x1 x1 1\n")

@@ -10,11 +10,13 @@ Frozen expectations:
       b(F,X) = 1 - 1/e_F, exact additivity, and a(F,Y) = -1/3
 """
 
+import gc
 import time
 from fractions import Fraction
 
 import pytest
 
+from brauer_terminal import resolution
 from brauer_terminal.discrepancy import (DiscrepancyReport, boundary_divisor,
                                          brauer_discrepancy,
                                          stratum_discrepancies)
@@ -400,6 +402,45 @@ class TestCertify:
     def test_depth_validated(self):
         with pytest.raises(ValueError):
             certify(bad_case(), depth=0)
+
+    @pytest.mark.parametrize("fix", [
+        lambda: certify(bad_case(), depth=1),
+        lambda: level_one_fixup(bad_case()),
+    ], ids=["certify", "level_one_fixup"])
+    def test_root_scanned_once(self, monkeypatch, fix):
+        # the root, then the two charts of its one blow-up: certify hands
+        # its root scan to the fixup
+        scanned = []
+        scan = resolution.find_bad_strata
+
+        def counted(pair):
+            scanned.append(model_module.as_chart(pair).chart_id)
+            return scan(pair)
+
+        monkeypatch.setattr(resolution, "find_bad_strata", counted)
+        fix()
+        assert scanned == ["r", "r.1-2p1", "r.1-2p2"]
+
+    @pytest.mark.parametrize("model,depth", [
+        (bad_case, 3),
+        (remark_model, 3),
+        (lambda: Model.affine(3, ("x1", "x2", "x3", "x4"), [(0, 1, 1)],
+                              {"x4": 3}), 2),
+    ], ids=["bad-case", "remark", "x1x2+x4^3"])
+    def test_warm_call_leaves_no_cyclic_garbage(self, model, depth):
+        # what a warm certify allocates is freed by reference counts alone,
+        # so the cyclic collector finds nothing once the result is dropped
+        model = model()
+        certify(model, depth)
+        gc.collect()
+        gc.disable()
+        try:
+            cert = certify(model, depth)
+            assert cert.reports
+            del cert
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("model,depth", [
         (lambda: Model.affine(2, ("x1", "x2"), [(0, 1, 1)]), 12),

@@ -17,11 +17,13 @@ and indeterminate divisor.
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+
+import pytest
 
 from brauer_terminal.discrepancy import DiscrepancyReport, WitnessStep
 from brauer_terminal.model import (CoverDegree, IndeterminateDegreeError,
-                                   Model)
+                                   Model, _centers, _flags)
 from brauer_terminal.enumeration import (EnumerationResult, SideCheck,
                                          enumerate_divisors)
 from brauer_terminal.resolution import level_one_fixup
@@ -207,3 +209,31 @@ def test_row_walk_matches_the_chart_walk_on_a_seeded_corpus():
     assert sum(blocked) >= 4000 and sum(map(bool, blocked)) >= 75, blocked
     assert sum(value is not None and value < 0
                for run in values for value in run) >= 4800
+
+
+def exposures(n, extras):
+    """Every exposure of an n-slot chart with this many extras: per extra,
+    an origin slot or -1 (gone), and any set of other exposed slots."""
+    one = [(origin, frozenset(others)) for origin in range(-1, n)
+           for size in range(n + 1)
+           for others in combinations(
+               [k for k in range(n) if k != origin], size)]
+    return product(one, repeat=extras)
+
+
+@pytest.mark.parametrize("n,extras", [(2, 1), (3, 1), (4, 1), (5, 1),
+                                      (3, 2)])
+def test_flag_table_matches_the_step_rule(n, extras):
+    # a center's divisor is exact on an extra when the origin is in the
+    # center and no other exposed slot is
+    count = 0
+    for exposure in exposures(n, extras):
+        expected = tuple(
+            tuple(origin in center
+                  and not any(k in others for k in center)
+                  for origin, others in exposure)
+            for center in _centers(n))
+        assert _flags(n, exposure) == expected, exposure
+        count += 1
+    assert count == ((n + 2) * 2 ** (n - 1)) ** extras
+    assert _flags.cache_info().maxsize is not None
