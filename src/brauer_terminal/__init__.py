@@ -1,15 +1,15 @@
 """Exact terminality analysis for Brauer pairs on SNC coordinate charts."""
 
-from .discrepancy import (BoundaryDivisor, DiscrepancyReport, ReportEntry,
-                          WitnessStep, b_from_a, boundary_divisor,
-                          brauer_discrepancy, stratum_discrepancies)
+from .discrepancy import (DiscrepancyReport, ReportEntry, WitnessStep,
+                          b_from_a, boundary_divisor, brauer_discrepancy,
+                          stratum_discrepancies)
 from .enumeration import EnumerationResult, enumerate_divisors
 from .model import (Chart, CoverDegree, ExtraComponent,
                     IndeterminateDegreeError, Model, residue_order)
 from .modelfile import (LoadResult, ModelFormatError, format_model, load_model,
                         parse_model, save_model)
-from .resolution import (CompositionCheck, FixupResult, NonterminationError,
-                         RemarkReport, ResolutionTree, TerminalityCertificate,
+from .resolution import (CompositionCheck, NonterminationError, RemarkReport,
+                         ResolutionTree, TerminalityCertificate,
                          UnsupportedTorsionError, certify, check_composition,
                          find_bad_strata, level_one_fixup, remark_model,
                          run_remark)
@@ -17,14 +17,12 @@ from .resolution import (CompositionCheck, FixupResult, NonterminationError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryDivisor",
     "Chart",
     "CompositionCheck",
     "CoverDegree",
     "DiscrepancyReport",
     "EnumerationResult",
     "ExtraComponent",
-    "FixupResult",
     "IndeterminateDegreeError",
     "LoadResult",
     "Model",

@@ -171,8 +171,8 @@ def _composition_json(check: CompositionCheck) -> Dict[str, Any]:
         "premises": [condition(c) for c in check.premises],
         "side_conditions": [condition(c) for c in check.side_conditions],
         "candidates": [
-            {"e": c.e, "b": _frac(c.b_on_base), "weighted": _frac(c.weighted),
-             "ok": c.ok}
+            {"e": c.e, "b": _frac(c.b), "weighted": _frac(c.weighted),
+             "ok": c.b >= check.lam}
             for c in check.candidates
         ],
         "passed": check.passed,
@@ -263,7 +263,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
         (divisor_id, extra_degrees.get(divisor_id, 1),
          model.cover_on(slot).value, coeff)
         for slot, (divisor_id, coeff)
-        in enumerate(boundary_divisor(model).coefficients)
+        in enumerate(boundary_divisor(model))
     ]
     # every divisor of a loaded root chart is original
     _write_machine(args.out, (
@@ -292,8 +292,7 @@ def cmd_discrepancy(args: argparse.Namespace) -> int:
 
 def cmd_resolve(args: argparse.Namespace) -> int:
     model = _load(args)
-    result = level_one_fixup(model, max_rounds=args.max_rounds)
-    tree = result.tree
+    tree = level_one_fixup(model, max_rounds=args.max_rounds)
     _write_machine(args.out, _tree_json(tree))
     print(f"fixup rounds: {tree.rounds}")
     if tree.edges:

@@ -38,13 +38,6 @@ from .model import (Chart, CoverDegree, PairLike, _centers, _plan, _RowStep,
                     _RowWalk, as_chart)
 
 
-@dataclass(frozen=True)
-class BoundaryDivisor:
-    """Boundary coefficients of one chart, keyed by divisor id."""
-
-    coefficients: Tuple[Tuple[str, Fraction], ...]
-
-
 @dataclass(frozen=True, slots=True)
 class ReportEntry:
     """One candidate degree with its discrepancy and weighted discrepancy."""
@@ -126,8 +119,9 @@ def _entries(p: int, q: int, candidates: Tuple[int, ...]
                  for e, top in ((e, (p + q) * e - q) for e in candidates))
 
 
-def boundary_divisor(pair: PairLike) -> BoundaryDivisor:
-    """Boundary of the pair on a chart (a model: its root chart).
+def boundary_divisor(pair: PairLike) -> Tuple[Tuple[str, Fraction], ...]:
+    """Boundary of the pair on a chart (a model: its root chart): each
+    divisor id with its coefficient 1 - 1/e, in slot order.
 
     Raises:
         IndeterminateDegreeError: listing every divisor of the chart whose
@@ -135,8 +129,8 @@ def boundary_divisor(pair: PairLike) -> BoundaryDivisor:
     """
     chart = as_chart(pair)
     walk = chart.model.walk
-    return BoundaryDivisor(coefficients=tuple(zip(
-        chart.divisor_ids, map(walk.fraction, walk.base_row(chart)))))
+    return tuple(zip(chart.divisor_ids,
+                     map(walk.fraction, walk.base_row(chart))))
 
 
 def b_from_a(a: Fraction, e: int) -> Fraction:

@@ -384,10 +384,11 @@ def _reach(n: int, depth: int) -> Dict[_Valuation, _Reached]:
     centers = _centers(n)
     moves = [(p, [k for k in s if k != p]) for s in centers for p in s]
     keys = [(s, str(p + 1)) for s in centers for p in s]
-    child_rank = [sorted(keys).index(key) for key in keys]
+    key_rank = {key: k for k, key in enumerate(sorted(keys))}
+    child_rank = [key_rank[key] for key in keys]
+    center_rank = {s: k for k, s in enumerate(sorted(centers))}
     reach = {tuple(int(k in s) for k in range(n)):
-             _Reached(1, i, sorted(centers).index(s))
-             for i, s in enumerate(centers)}
+             _Reached(1, i, center_rank[s]) for i, s in enumerate(centers)}
     frontier = list(reach)
     span = len(centers)  # K^(level - 2) C, the weight of the first child
     for level in range(2, depth + 1):
@@ -497,10 +498,11 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
         chart, witness = known
         last, get, _, _ = plan.entries[route % width]
         witness += (WitnessStep(chart.chart_id, last, get(chart.divisor_ids)),)
+        degree, _, divisor_id = walk.degree(v, ())
         reports.append(DiscrepancyReport.from_degree(
-            divisor_id=walk.name(v), level=level, witness=witness,
+            divisor_id=divisor_id, level=level, witness=witness,
             a=walk.fraction(sum(map(mul, c, weights[b])) - walk.scale),
-            degree=walk.degree(v, ())[0]))
+            degree=degree))
         order.append((level * len(ids) + base_rank[b]) * block + rank)
     return EnumerationResult(
         reports=tuple([reports[k] for k in

@@ -425,7 +425,6 @@ class _RowWalk:
         # over scale, not self: a cache holding self would make a cycle
         self.fraction = cache(lambda v: None if v is None
                               else Fraction(v, scale))
-        self.name = cache(lambda row: "E(" + ",".join(map(str, row)) + ")")
 
     def degree(self, row: _Row, exact: Tuple[bool, ...]
                ) -> Tuple[CoverDegree, Optional[int], str]:
@@ -440,9 +439,10 @@ class _RowWalk:
                 [(origin, eff, flag) for (origin, d, slot), flag
                  in zip(self.extras, exact)
                  if (eff := d // gcd(d, row[slot])) > 1])
-            known = self.degrees[row, exact] = degree, (
-                self.scale - self.scale // degree.candidates[0]
-                if degree.determinate else None), self.name(row)
+            known = self.degrees[row, exact] = (
+                degree, self.scale - self.scale // degree.candidates[0]
+                if degree.determinate else None,
+                "E(" + ",".join(map(str, row)) + ")")
         return known
 
     def pairing(self, u: _Row, v: _Row) -> int:

@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
-from .discrepancy import (DiscrepancyReport, WitnessStep, _report, b_from_a,
-                          boundary_divisor)
+from .discrepancy import (DiscrepancyReport, ReportEntry, WitnessStep,
+                          _report, b_from_a, boundary_divisor)
 from .enumeration import (DEFAULT_MAX_PROBES, _valuation_walk,
                           enumerate_divisors)
 from .model import (Chart, CoverDegree, IndeterminateDegreeError, Model,
@@ -41,7 +41,8 @@ class UnsupportedTorsionError(ValueError):
 
 
 class NonterminationError(RuntimeError):
-    """The fixup loop exceeded its round budget. Carries the partial tree."""
+    """The fixup loop exceeded its round budget. Carries the partial tree,
+    whose charts are the leaves finished so far."""
 
     def __init__(self, message: str, tree: "ResolutionTree"):
         super().__init__(message)
@@ -58,20 +59,17 @@ class TreeEdge:
 
 @dataclass(frozen=True)
 class ResolutionTree:
-    """Chart tree of a modification, edges keyed by chart id."""
+    """Chart tree of a modification, edges keyed by chart id; ``charts``
+    are its leaf charts, free of bad strata."""
 
     root: str
     edges: Tuple[TreeEdge, ...]
-    leaves: Tuple[str, ...]
+    charts: Tuple[Chart, ...]
     rounds: int
 
-
-@dataclass(frozen=True)
-class FixupResult:
-    """The fixup's tree and its leaf charts, free of bad strata."""
-
-    tree: ResolutionTree
-    charts: Tuple[Chart, ...]
+    @property
+    def leaves(self) -> Tuple[str, ...]:
+        return tuple(chart.chart_id for chart in self.charts)
 
 
 def find_bad_strata(pair: PairLike) -> Tuple[Tuple[int, int], ...]:
@@ -123,7 +121,7 @@ def find_bad_strata(pair: PairLike) -> Tuple[Tuple[int, int], ...]:
 
 
 def level_one_fixup(pair: PairLike,
-                    max_rounds: int = DEFAULT_MAX_ROUNDS) -> FixupResult:
+                    max_rounds: int = DEFAULT_MAX_ROUNDS) -> ResolutionTree:
     """Blow up bad strata, chart by chart, until none are left.
 
     One round is one blow-up, applied to the oldest unfinished chart at its
@@ -140,13 +138,12 @@ def level_one_fixup(pair: PairLike,
 
 
 def _fixup(root: Chart, bad: Tuple[Tuple[int, int], ...],
-           max_rounds: int) -> FixupResult:
+           max_rounds: int) -> ResolutionTree:
     """``level_one_fixup`` of a root chart whose bad strata are ``bad``."""
     walk = root.model.walk
     pending = deque([root])
     edges: List[TreeEdge] = []
     clean: List[Chart] = []
-    leaves: List[str] = []
     rounds = 0
     while pending:
         current = pending.popleft()
@@ -154,11 +151,10 @@ def _fixup(root: Chart, bad: Tuple[Tuple[int, int], ...],
             bad = find_bad_strata(current)
         if not bad:
             clean.append(current)
-            leaves.append(current.chart_id)
             continue
         if rounds >= max_rounds:
             partial = ResolutionTree(root.chart_id, tuple(edges),
-                                     tuple(leaves), rounds)
+                                     tuple(clean), rounds)
             raise NonterminationError(
                 f"fixup did not finish within {max_rounds} rounds", partial
             )
@@ -174,8 +170,7 @@ def _fixup(root: Chart, bad: Tuple[Tuple[int, int], ...],
                 )
             )
             pending.append(child)
-    tree = ResolutionTree(root.chart_id, tuple(edges), tuple(leaves), rounds)
-    return FixupResult(tree=tree, charts=tuple(clean))
+    return ResolutionTree(root.chart_id, tuple(edges), tuple(clean), rounds)
 
 
 @dataclass(frozen=True)
@@ -188,19 +183,12 @@ class Condition:
 
 
 @dataclass(frozen=True)
-class CandidateConclusion:
-    e: int
-    b_on_base: Fraction
-    weighted: Fraction
-    ok: bool
-
-
-@dataclass(frozen=True)
 class CompositionCheck:
     """Outcome of pushing a discrepancy bound through a blow-up sequence.
 
-    ``passed`` reflects the conclusion alone: every candidate degree of the
-    final divisor satisfies b >= lam against the base. Premises and side
+    ``candidates`` are the entries of the final divisor's report, one per
+    candidate degree e with its b against the base. ``passed`` reflects the
+    conclusion alone: every candidate satisfies b >= lam. Premises and side
     conditions are reported as named findings and do not gate ``passed``;
     the last side condition is the one-step discrepancy of the final center.
     ``reports`` holds the report of each divisor the route extracts, in
@@ -211,7 +199,7 @@ class CompositionCheck:
     lam: Fraction
     premises: Tuple[Condition, ...]
     side_conditions: Tuple[Condition, ...]
-    candidates: Tuple[CandidateConclusion, ...]
+    candidates: Tuple[ReportEntry, ...]
     passed: bool
     reports: Tuple[DiscrepancyReport, ...]
 
@@ -281,18 +269,13 @@ def check_composition(pair: PairLike,
             ok=None if one_step is None else one_step >= 0,
         )
     )
-    candidates = tuple(
-        CandidateConclusion(e=entry.e, b_on_base=entry.b,
-                            weighted=entry.weighted, ok=entry.b >= lam)
-        for entry in final_report.entries
-    )
     return CompositionCheck(
         divisor_id=final_id,
         lam=lam,
         premises=tuple(premises),
         side_conditions=tuple(side),
-        candidates=candidates,
-        passed=all(c.ok for c in candidates),
+        candidates=final_report.entries,
+        passed=all(entry.b >= lam for entry in final_report.entries),
         reports=tuple(reports),
     )
 
@@ -386,9 +369,8 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
         ids = model.chart.divisor_ids
         bad_strata = tuple((ids[i], ids[j]) for i, j in bad)
         if fixup and bad:
-            fixed = _fixup(model.chart, bad, max_rounds)
-            bases = fixed.charts
-            tree = fixed.tree
+            tree = _fixup(model.chart, bad, max_rounds)
+            bases = tree.charts
             rounds = tree.rounds
     walk = (_valuation_walk if model.torsion == 2 and not model.extras
             else enumerate_divisors)
@@ -534,7 +516,7 @@ def run_remark() -> RemarkReport:
         else "bad-stratum-found"
     )
     return RemarkReport(
-        boundary=boundary_divisor(model).coefficients,
+        boundary=boundary_divisor(model),
         first_report=first_report,
         b_e=b_e,
         a_f_on_y=a_f_on_y,

@@ -64,7 +64,7 @@ def test_criterion_1_formula_consistency(corpus):
     with criterion(1, "b equals a + 1 - 1/e on every stratum, exactly"):
         checked = 0
         for model in corpus:
-            boundary = [c for _, c in boundary_divisor(model).coefficients]
+            boundary = [c for _, c in boundary_divisor(model)]
             for center in all_strata(model):
                 report = brauer_discrepancy(model, center)
                 a = toric_discrepancy(
@@ -102,9 +102,9 @@ def test_criterion_4_bad_case_lifecycle():
         assert report.entries[0].b == 0
         assert find_bad_strata(model) == ((0, 1),)
 
-        fixup = level_one_fixup(model)
-        assert fixup.tree.rounds == 1
-        assert len({edge.exceptional for edge in fixup.tree.edges}) == 1
+        tree = level_one_fixup(model)
+        assert tree.rounds == 1
+        assert len({edge.exceptional for edge in tree.edges}) == 1
 
         cert = certify(model, depth=3)
         assert cert.verdict == "terminal-certified"
@@ -134,7 +134,7 @@ def test_criterion_6_toric_oracle_equivalence(corpus):
         for _ in range(50):
             base = rng.choice(corpus)
             boundary = boundary_divisor(base)
-            coeffs = tuple(dict(boundary.coefficients)[label]
+            coeffs = tuple(dict(boundary)[label]
                            for label in base.chart.divisor_ids)
             sequence = []
             chart = base.chart
@@ -148,7 +148,7 @@ def test_criterion_6_toric_oracle_equivalence(corpus):
             check = check_composition(base, sequence)
             assert len(check.candidates) == 1
             cand = check.candidates[0]
-            a_engine = cand.b_on_base - 1 + Fraction(1, cand.e)
+            a_engine = cand.b - 1 + Fraction(1, cand.e)
             assert a_engine == toric_discrepancy(valuation, coeffs)
 
 

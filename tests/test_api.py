@@ -17,11 +17,10 @@ import brauer_terminal
 from brauer_terminal import Model, find_bad_strata, stratum_discrepancies
 
 PUBLIC = [
-    "BoundaryDivisor", "Chart", "CompositionCheck", "CoverDegree",
-    "DiscrepancyReport", "EnumerationResult", "ExtraComponent",
-    "FixupResult", "IndeterminateDegreeError", "LoadResult", "Model",
-    "ModelFormatError", "NonterminationError", "RemarkReport",
-    "ReportEntry", "ResolutionTree", "TerminalityCertificate",
+    "Chart", "CompositionCheck", "CoverDegree", "DiscrepancyReport",
+    "EnumerationResult", "ExtraComponent", "IndeterminateDegreeError",
+    "LoadResult", "Model", "ModelFormatError", "NonterminationError",
+    "RemarkReport", "ReportEntry", "ResolutionTree", "TerminalityCertificate",
     "UnsupportedTorsionError", "WitnessStep",
     "b_from_a", "boundary_divisor", "brauer_discrepancy",
     "certify", "check_composition", "enumerate_divisors",

@@ -325,7 +325,7 @@ class TestErrors:
 
 
 def golden_digest(model, command):
-    return next(digest for m, c, _, digest in GOLDEN
+    return next(digest for m, c, _, digest, _ in GOLDEN
                 if m == model and c == command)
 
 

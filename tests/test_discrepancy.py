@@ -28,15 +28,26 @@ def bad_case():
 class TestBoundaryDivisor:
     def test_bad_case_boundary(self):
         boundary = boundary_divisor(bad_case())
-        assert boundary.coefficients == (
+        assert boundary == (
             ("x1", Fraction(1, 2)),
             ("x2", Fraction(1, 2)),
             ("x3", Fraction(1, 2)),
         )
 
+    def test_plain_tuple_or_every_offender(self):
+        boundary = boundary_divisor(bad_case())
+        assert type(boundary) is tuple
+        assert all(type(pair) is tuple for pair in boundary)
+        model = Model.affine(3, ("x1", "x2", "x3"), [(0, 1, 1)],
+                             extra_degrees={"x3": 3})
+        chart = model.chart.children((0, 2))[0].children((0, 1))[0]
+        with pytest.raises(IndeterminateDegreeError) as err:
+            boundary_divisor(chart.children((0, 1))[1])
+        assert err.value.divisor_ids == ("E(1,1,1)", "E(1,2,1)")
+
     def test_trivial_boundary(self):
         boundary = boundary_divisor(Model.affine(2, ("x1", "x2")))
-        assert dict(boundary.coefficients) == {"x1": 0, "x2": 0}
+        assert dict(boundary) == {"x1": 0, "x2": 0}
 
     def test_indeterminate_lists_all_offenders(self):
         model = Model.affine(3, ("x1", "x2", "x3"), [(0, 1, 1)],

@@ -90,12 +90,12 @@ def tree_dump(tree):
 
 def fixup_dump(chart, max_rounds):
     try:
-        result = level_one_fixup(chart, max_rounds=max_rounds)
+        tree = level_one_fixup(chart, max_rounds=max_rounds)
     except IndeterminateDegreeError as exc:
         return {"undetermined": list(exc.divisor_ids)}
     except NonterminationError as exc:
         return {"nonterminating": tree_dump(exc.tree)}
-    return {"tree": tree_dump(result.tree)}
+    return {"tree": tree_dump(tree)}
 
 
 def condition_dump(conditions):
@@ -112,8 +112,8 @@ def composition_dump(chart, route, lam):
         "lam": _fraction(check.lam),
         "premises": condition_dump(check.premises),
         "side_conditions": condition_dump(check.side_conditions),
-        "candidates": [[c.e, _fraction(c.b_on_base), _fraction(c.weighted),
-                        c.ok] for c in check.candidates],
+        "candidates": [[c.e, _fraction(c.b), _fraction(c.weighted),
+                        c.b >= check.lam] for c in check.candidates],
         "passed": check.passed,
         "reports": report_dumps(check.reports),
     }

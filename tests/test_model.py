@@ -57,13 +57,13 @@ class TestCoverDegrees:
         model = Model.affine(2, ("x1", "x2", "x3"), [(0, 2, 1), (1, 2, 1)])
         assert model.cover_on(2).value == 2
         assert model.cover_on(0).value == 2
-        assert boundary_divisor(model).coefficients[2] == ("x3", Fraction(1, 2))
+        assert boundary_divisor(model)[2] == ("x3", Fraction(1, 2))
 
     def test_trivial_class(self):
         model = Model.affine(2, ("x1", "x2"))
         degree = model.cover_on(0)
         assert degree.value == 1
-        assert boundary_divisor(model).coefficients[0] == ("x1", 0)
+        assert boundary_divisor(model)[0] == ("x1", 0)
 
     def test_extra_exact_at_origin(self):
         model = remark_base()

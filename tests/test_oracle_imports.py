@@ -14,8 +14,8 @@ ORACLES = Path(__file__).with_name("oracles.py")
 
 ALLOWED = {
     "brauer_terminal.model": {"CoverDegree", "_combined_degree"},
-    "brauer_terminal.discrepancy": {"BoundaryDivisor", "DiscrepancyReport",
-                                    "ReportEntry", "WitnessStep"},
+    "brauer_terminal.discrepancy": {"DiscrepancyReport", "ReportEntry",
+                                    "WitnessStep"},
 }
 # what the engine's charts and walks call to build or read children
 ENGINE_STEP = {"children", "walk", "step", "slots", "pairing", "_RowWalk",

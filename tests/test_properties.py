@@ -188,7 +188,7 @@ class TestDiscrepancySweeps:
         for _ in range(25):
             model = random_model(rng, torsions=(2, 3), dims=(2, 3))
             boundary = boundary_divisor(model)
-            coeffs = tuple(dict(boundary.coefficients)[label]
+            coeffs = tuple(dict(boundary)[label]
                            for label in model.chart.divisor_ids)
             for report in enumerate_divisors(model, depth=2).reports:
                 valuation = tuple(
@@ -273,10 +273,10 @@ class TestResolutionSweeps:
         rng = random.Random(301)
         for _ in range(30):
             model = random_model(rng, torsions=(2,), dims=(3,))
-            result = level_one_fixup(model)
-            for leaf in result.charts:
+            tree = level_one_fixup(model)
+            for leaf in tree.charts:
                 assert find_bad_strata(leaf) == ()
-            reports = enumerate_divisors(result.charts, depth=1).reports
+            reports = enumerate_divisors(tree.charts, depth=1).reports
             assert min(e.weighted for r in reports for e in r.entries) > 0
 
     def test_enumeration_reports_are_internally_consistent(self):
@@ -452,7 +452,7 @@ class TestBoundarySweeps:
             model = random_model(rng, torsions=(2, 3, 5), extras=True)
             boundary = boundary_divisor(model)
             for slot, label in enumerate(model.chart.divisor_ids):
-                coeff = dict(boundary.coefficients)[label]
+                coeff = dict(boundary)[label]
                 assert 0 <= coeff < 1
                 e = model.cover_on(slot).value
                 assert coeff == Fraction(e - 1, e)

@@ -34,7 +34,8 @@ def lines(reports):
     return list(cli._report_lines(reports))
 
 
-@pytest.mark.parametrize("model,command,code,digest", GOLDEN, ids=GOLDEN_IDS)
+@pytest.mark.parametrize("model,command,code,digest",
+                         [case[:4] for case in GOLDEN], ids=GOLDEN_IDS)
 def test_golden_report_lines(monkeypatch, tmp_path, capsys, model, command,
                              code, digest):
     seen = []

@@ -23,7 +23,7 @@ from brauer_terminal.discrepancy import (DiscrepancyReport, boundary_divisor,
 from brauer_terminal.enumeration import _valuation_walk
 import brauer_terminal.model as model_module
 from brauer_terminal.model import IndeterminateDegreeError, Model, _RowWalk
-from brauer_terminal.resolution import (NonterminationError,
+from brauer_terminal.resolution import (NonterminationError, ResolutionTree,
                                         TerminalityCertificate,
                                         SideConditionSummary,
                                         UnsupportedTorsionError, certify,
@@ -94,15 +94,14 @@ class TestFindBadStrata:
 
 class TestLevelOneFixup:
     def test_single_round_repairs(self):
-        result = level_one_fixup(bad_case())
-        assert result.tree.rounds == 1
-        assert len(result.charts) == 2
-        for leaf in result.charts:
+        tree = level_one_fixup(bad_case())
+        assert tree.rounds == 1
+        assert len(tree.charts) == 2
+        for leaf in tree.charts:
             assert find_bad_strata(leaf) == ()
 
     def test_tree_records_the_blow_up(self):
-        result = level_one_fixup(bad_case())
-        tree = result.tree
+        tree = level_one_fixup(bad_case())
         assert tree.root == "r"
         assert len(tree.edges) == 2
         assert {e.exceptional for e in tree.edges} == {"E(1,1,0)"}
@@ -111,14 +110,40 @@ class TestLevelOneFixup:
 
     def test_clean_model_passes_through(self):
         model = Model.affine(2, ("x1", "x2", "x3"), [(0, 1, 1)])
-        result = level_one_fixup(model)
-        assert result.tree.rounds == 0
-        assert result.charts == (model.chart,)
+        tree = level_one_fixup(model)
+        assert tree.rounds == 0
+        assert tree.charts == (model.chart,)
 
     def test_round_budget(self):
         with pytest.raises(NonterminationError) as err:
             level_one_fixup(bad_case(), max_rounds=0)
         assert err.value.tree.rounds == 0
+
+    def test_returns_the_tree_with_its_leaf_charts(self):
+        tree = level_one_fixup(bad_case())
+        assert isinstance(tree, ResolutionTree)
+        assert tree.rounds == 1
+        assert tree.leaves == tuple(c.chart_id for c in tree.charts) == (
+            "r.1-2p1", "r.1-2p2")
+
+    def test_partial_tree_holds_the_finished_leaves(self, monkeypatch):
+        # the fixup finishes a blow-up's charts together on every torsion-2
+        # pair of 3 to 5 slots tried, so here the second chart of the
+        # bad-case blow-up reports the root's bad stratum again: a budget
+        # of one round stops there, with the first chart finished
+        real = resolution.find_bad_strata
+        monkeypatch.setattr(
+            resolution, "find_bad_strata",
+            lambda chart: ((0, 1),) if chart.chart_id == "r.1-2p2"
+            else real(chart))
+        model = bad_case()
+        with pytest.raises(NonterminationError) as err:
+            level_one_fixup(model, max_rounds=1)
+        partial = err.value.tree
+        assert partial.rounds == 1
+        assert len(partial.edges) == 2
+        assert partial.charts == (model.chart.children((0, 1))[0],)
+        assert partial.leaves == ("r.1-2p1",)
 
 
 class TestEnumerateDivisors:
@@ -303,11 +328,22 @@ class TestCheckComposition:
     def test_remark_at_third_fails_on_open_candidate(self):
         check = self._remark_route(Fraction(1, 3))
         assert not check.passed
-        by_e = {c.e: c.ok for c in check.candidates}
+        by_e = {c.e: c.b >= check.lam for c in check.candidates}
         assert by_e == {1: False, 3: True}
         premise = check.premises[0]
         assert premise.value == Fraction(1, 3)
         assert premise.ok is True
+
+    def test_candidates_are_the_final_entries(self):
+        check = self._remark_route(Fraction(0))
+        assert check.candidates is check.reports[-1].entries
+
+    def test_passed_is_every_b_at_least_lam(self):
+        least = min(c.b for c in self._remark_route(Fraction(0)).candidates)
+        for lam, passed in ((least, True), (least + Fraction(1, 10**6), False)):
+            check = self._remark_route(lam)
+            assert check.passed is passed
+            assert passed == all(c.b >= lam for c in check.candidates)
 
     def test_exceptional_premises_only(self):
         check = self._remark_route(Fraction(0))
