@@ -32,7 +32,7 @@ from operator import mul
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from .discrepancy import DiscrepancyReport, WitnessStep, _report
+from .discrepancy import DiscrepancyReport, WitnessStep, _new_step, _report
 from .model import (Chart, CoverDegree, Model, PairLike, _centers, _plan,
                     _put, _RowStep, _RowWalk, as_chart)
 
@@ -302,7 +302,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                     step = steps[n]
                     seen = reports.get(step.divisor_id)
                     if seen is None:
-                        route = witness + (WitnessStep(
+                        route = witness + (_new_step(
                             chart.chart_id, centers[n], step.center),)
                         reports[step.divisor_id] = step.a, _report(
                             walk, step, route)
@@ -330,8 +330,8 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                 if level_end + len(next_frontier) * width >= max_probes:
                     complete = False  # the budget ends before this child
                     break
-                route = witness + (WitnessStep(chart.chart_id, center,
-                                               step.center),)
+                route = witness + (_new_step(chart.chart_id, center,
+                                             step.center),)
                 next_frontier.extend(
                     (child, _put(abar, p, -step.a), route, b, steps, p)
                     for p, child in zip(center,
@@ -490,14 +490,14 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
                 child = node % fan
                 s = moves[child]
                 step = walk.step(parent, walk.exposure(parent), s)
-                witness += (WitnessStep(parent.chart_id, s, step.center),)
+                witness += (_new_step(parent.chart_id, s, step.center),)
                 start = node - pivot[child]  # the blow-up's first chart
                 for k, chart in enumerate(walk.children(parent, s, step)):
                     charts[start + k] = chart, witness
             known = charts[key]
         chart, witness = known
         last, get, _, _ = plan.entries[route % width]
-        witness += (WitnessStep(chart.chart_id, last, get(chart.divisor_ids)),)
+        witness += (_new_step(chart.chart_id, last, get(chart.divisor_ids)),)
         degree, _, divisor_id = walk.degree(v, ())
         reports.append(DiscrepancyReport.from_degree(
             divisor_id=divisor_id, level=level, witness=witness,

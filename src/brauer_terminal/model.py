@@ -107,7 +107,10 @@ class CoverDegree:
     def __post_init__(self) -> None:
         if not self.candidates:
             raise ValueError("a cover degree needs at least one candidate")
-        object.__setattr__(self, "candidates", tuple(sorted(set(self.candidates))))
+        candidates = tuple(sorted(set(self.candidates)))
+        if candidates[0] < 1 or self.monomial_order < 1:
+            raise ValueError("cover degrees and monomial orders are positive")
+        object.__setattr__(self, "candidates", candidates)
 
     @property
     def determinate(self) -> bool:

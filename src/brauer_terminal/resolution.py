@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .discrepancy import (DiscrepancyReport, ReportEntry, WitnessStep,
-                          _report, b_from_a, boundary_divisor)
+                          _new_step, _report, b_from_a, boundary_divisor)
 from .enumeration import (DEFAULT_MAX_PROBES, _valuation_walk,
                           enumerate_divisors)
 from .model import (Chart, CoverDegree, IndeterminateDegreeError, Model,
@@ -234,7 +234,7 @@ def check_composition(pair: PairLike,
     for step_no, (indices, pick) in enumerate(steps):
         center = chart.center(indices)
         step = walk.step(chart, walk.exposure(chart), center, abar)
-        witness += (WitnessStep(chart.chart_id, center, step.center),)
+        witness += (_new_step(chart.chart_id, center, step.center),)
         reports.append(_report(walk, step, witness))
         if not 0 <= pick < len(center):
             raise ValueError(f"child index {pick} out of range at step {step_no}")

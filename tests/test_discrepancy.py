@@ -5,11 +5,15 @@ for a boundary with coefficients d_k, the divisor with valuation v has
 a = sum v_k (1 - d_k) - 1, and b = a + 1 - 1/e.
 """
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from brauer_terminal import discrepancy
 import brauer_terminal.model as model_module
 from brauer_terminal.discrepancy import (DiscrepancyReport, ReportEntry,
                                          WitnessStep, _entries, b_from_a,
@@ -17,6 +21,7 @@ from brauer_terminal.discrepancy import (DiscrepancyReport, ReportEntry,
                                          stratum_discrepancies)
 from brauer_terminal.model import (CoverDegree, IndeterminateDegreeError, Model,
                                    _RowWalk, candidate_orders)
+from brauer_terminal.resolution import certify, remark_model
 
 from .oracles import toric_discrepancy
 
@@ -179,6 +184,11 @@ class TestBFromA:
         with pytest.raises(ValueError):
             b_from_a(Fraction(0), 0)
 
+    @pytest.mark.parametrize("a", [0.1, 1.0, "1/2"])
+    def test_only_rationals(self, a):
+        with pytest.raises(TypeError):
+            b_from_a(a, 2)
+
 
 class TestReportInvariants:
     def test_entries_must_satisfy_identity(self):
@@ -258,6 +268,12 @@ class TestReportArithmetic:
         assert type(report.a) is Fraction and report.a == -2
         assert [x.b for x in report.entries] == [-2, Fraction(-4, 3)]
 
+    @pytest.mark.parametrize("a", [0.1, 1.0, "1/2"])
+    def test_only_rationals(self, a):
+        # 0.1 would be stored as 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            self.report(a, (1, 3))
+
     def test_one_unit_changes_rejected(self):
         for q in range(1, 25, 5):
             for p in range(-40, 41, 7):
@@ -322,6 +338,28 @@ class TestEntryMemo:
         assert info.hits > 0 and info.misses > len(distinct)
         assert info.currsize == info.maxsize
 
+    def test_checked_once_per_memo_miss(self, monkeypatch):
+        checked = []
+        check = discrepancy._check_entries
+
+        def counted(p, q, candidates, entries):
+            checked.append((p, q, candidates))
+            return check(p, q, candidates, entries)
+
+        monkeypatch.setattr(discrepancy, "_check_entries", counted)
+        _entries.cache_clear()
+        keys = [(Fraction(p, q), candidates) for q in (1, 2, 3, 4, 6)
+                for p in range(-6, 7) for candidates in self.CANDIDATES[:8]]
+        distinct = list(dict.fromkeys(
+            (a.numerator, a.denominator, c) for a, c in keys))
+        assert len(distinct) < _entries.cache_info().maxsize
+        for a, candidates in keys + keys:
+            self.report(a, candidates)
+        info = _entries.cache_info()
+        assert checked == distinct
+        assert info.misses == len(distinct)
+        assert info.hits == 2 * len(keys) - len(distinct)
+
     def test_entries_of_another_a_rejected(self):
         entries = self.report(Fraction(1, 3), (1, 3)).entries
         with pytest.raises(ValueError, match="breaks b = a \\+ 1 - 1/e"):
@@ -329,6 +367,54 @@ class TestEntryMemo:
                 divisor_id="E", level=1, witness=(self.STEP,),
                 a=Fraction(2, 3), degree=CoverDegree(3, (1, 3)),
                 entries=entries)
+
+
+def check_built_as_constructed(obj):
+    """A report or witness step as the engine built it agrees with one the
+    constructor builds from its fields, and copies and pickles like it."""
+    cls = type(obj)
+    values = {field.name: getattr(obj, field.name)
+              for field in dataclasses.fields(cls)}
+    made = cls(**values)
+    for other in (made, dataclasses.replace(obj), copy.deepcopy(obj),
+                  pickle.loads(pickle.dumps(obj))):
+        assert type(other) is cls
+        assert other == obj and obj == other
+        assert hash(other) == hash(obj)
+        assert repr(other) == repr(obj)
+    name = dataclasses.fields(cls)[-1].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, values[name])
+
+
+class TestBuiltReports:
+    """``from_degree`` and the walks build reports and witness steps
+    without their constructors; the objects must not tell."""
+
+    def test_arithmetic_sweep(self):
+        sweep = TestReportArithmetic()
+        for q in range(1, 25):
+            for p in range(-40, 41, 7):
+                a = Fraction(p, q)
+                for candidates in sweep.CANDIDATES:
+                    report = sweep.report(a, candidates)
+                    check_built_as_constructed(report)
+                    # ``replace`` runs the constructor's check
+                    with pytest.raises(ValueError, match="breaks"):
+                        dataclasses.replace(report, a=a + 1)
+
+    @pytest.mark.parametrize("model,depth", [
+        (bad_case, 4), (remark_model, 4),
+        (lambda: Model.affine(3, ("x1", "x2", "x3", "x4"), [(0, 1, 1)],
+                              extra_degrees={"x4": 3}), 3),
+    ], ids=["bad-case-depth4", "remark-depth4", "x1x2+x4^3-depth3"])
+    def test_certify_reports(self, model, depth):
+        reports = certify(model(), depth).reports
+        assert reports
+        for report in reports:
+            check_built_as_constructed(report)
+            for step in report.witness:
+                check_built_as_constructed(step)
 
 
 class TestWeightedInfimum:

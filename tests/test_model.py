@@ -92,6 +92,13 @@ class TestCoverDegrees:
         with pytest.raises(ValueError):
             CoverDegree(1, ())
 
+    @pytest.mark.parametrize("order,candidates", [
+        (1, (0,)), (1, (-1, 2)), (0, (1,)), (-2, (2,))])
+    def test_nonpositive_rejected(self, order, candidates):
+        # a zero candidate would reach Fraction(-1, 0) in a report's entries
+        with pytest.raises(ValueError, match="positive"):
+            CoverDegree(order, candidates)
+
 
 class TestCandidateOrders:
     @pytest.mark.parametrize("m,g,expected", [
