@@ -8,11 +8,10 @@ from .model import (Chart, CoverDegree, ExtraComponent,
                     IndeterminateDegreeError, Model, residue_order)
 from .modelfile import (LoadResult, ModelFormatError, format_model, load_model,
                         parse_model, save_model)
-from .resolution import (CompositionCheck, NonterminationError, RemarkReport,
-                         ResolutionTree, TerminalityCertificate,
-                         UnsupportedTorsionError, certify, check_composition,
-                         find_bad_strata, level_one_fixup, remark_model,
-                         run_remark)
+from .resolution import (CompositionCheck, NonterminationError, ResolutionTree,
+                         TerminalityCertificate, UnsupportedTorsionError,
+                         certify, check_composition, find_bad_strata,
+                         level_one_fixup, remark_model, run_remark)
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,6 @@ __all__ = [
     "Model",
     "ModelFormatError",
     "NonterminationError",
-    "RemarkReport",
     "ReportEntry",
     "ResolutionTree",
     "TerminalityCertificate",

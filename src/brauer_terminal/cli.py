@@ -34,16 +34,15 @@ from itertools import chain, starmap
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
-from .discrepancy import (DiscrepancyReport, WitnessStep, boundary_divisor,
-                          stratum_discrepancies)
+from .discrepancy import (DiscrepancyReport, WitnessStep, b_from_a,
+                          boundary_divisor, stratum_discrepancies)
 from .enumeration import DEFAULT_MAX_PROBES
 from .model import IndeterminateDegreeError, Model
 from .modelfile import ModelFormatError, load_model
 from .resolution import (DEFAULT_DEPTH, DEFAULT_MAX_ROUNDS,
-                         CompositionCheck, NonterminationError,
-                         RemarkReport, ResolutionTree, TerminalityCertificate,
-                         UnsupportedTorsionError, certify, level_one_fixup,
-                         run_remark)
+                         CompositionCheck, NonterminationError, ResolutionTree,
+                         TerminalityCertificate, UnsupportedTorsionError,
+                         certify, level_one_fixup, remark_model, run_remark)
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -164,42 +163,46 @@ def _composition_json(check: CompositionCheck) -> Dict[str, Any]:
     def condition(cond) -> Dict[str, Any]:
         return {"name": cond.name, "value": _frac(cond.value), "ok": cond.ok}
 
+    final = check.reports[-1]
     return {
         "type": "composition",
-        "divisor": check.divisor_id,
+        "divisor": final.divisor_id,
         "lambda": _frac(check.lam),
         "premises": [condition(c) for c in check.premises],
         "side_conditions": [condition(c) for c in check.side_conditions],
         "candidates": [
             {"e": c.e, "b": _frac(c.b), "weighted": _frac(c.weighted),
              "ok": c.b >= check.lam}
-            for c in check.candidates
+            for c in final.entries
         ],
         "passed": check.passed,
     }
 
 
-def _remark_json(report: RemarkReport) -> Iterator[Dict[str, Any]]:
+def _remark_json(check: CompositionCheck,
+                 boundary: Sequence[Tuple[str, Fraction]], rows: List[tuple],
+                 verdict: str) -> Iterator[Union[str, Dict[str, Any]]]:
+    first, final = check.reports[0], check.reports[-1]
     yield {
         "type": "remark",
         "boundary": [
             {"divisor": divisor, "coefficient": _frac(coeff)}
-            for divisor, coeff in report.boundary
+            for divisor, coeff in boundary
         ],
-        "b_e": _frac(report.b_e),
-        "a_f_on_x": _frac(report.a_f_on_x),
-        "a_f_on_y": _frac(report.a_f_on_y),
-        "monomial_order": report.monomial_e_f,
+        "b_e": _frac(first.entries[0].b),
+        "a_f_on_x": _frac(final.a),
+        "a_f_on_y": _frac(check.side_conditions[-1].value),
+        "monomial_order": final.degree.monomial_order,
         "candidates": [
-            {"e": c.e_f, "b_on_y": _frac(c.b_f_on_y),
-             "b_on_x": _frac(c.b_f_on_x), "weighted": _frac(c.weighted),
-             "additive": c.additivity_ok, "obstruction": c.obstruction}
-            for c in report.candidates
+            {"e": entry.e, "b_on_y": _frac(b_on_y), "b_on_x": _frac(entry.b),
+             "weighted": _frac(entry.weighted), "additive": additive,
+             "obstruction": obstruction}
+            for entry, b_on_y, additive, obstruction in rows
         ],
-        "verdict": report.verdict,
+        "verdict": verdict,
     }
-    yield from _report_lines((report.first_report,))
-    yield _composition_json(report.composition)
+    yield from _report_lines((first,))
+    yield _composition_json(check)
 
 
 def _write_machine(path: Optional[str],
@@ -249,6 +252,17 @@ def _report_rows(reports: Iterable[DiscrepancyReport],
     return rows
 
 
+def _verdict(reports: Sequence[DiscrepancyReport]) -> str:
+    """The verdict of reports: ``bad-stratum-found`` if a determinate one
+    has e*b <= 0, else ``indeterminate`` if a degree is undetermined, else
+    ``terminal-certified``."""
+    if any(r.determinate and r.worst_weighted() <= 0 for r in reports):
+        return "bad-stratum-found"
+    if any(not r.determinate for r in reports):
+        return "indeterminate"
+    return "terminal-certified"
+
+
 def _load(args: argparse.Namespace) -> Model:
     result = load_model(args.model)
     for warning in result.warnings:
@@ -283,11 +297,7 @@ def cmd_discrepancy(args: argparse.Namespace) -> int:
     _write_machine(args.out, _report_lines(reports))
     _print_table(("center", "divisor", "a", "e", "b", "e*b"), _report_rows(
         reports, lambda r: (",".join(r.witness[0].center), r.divisor_id)))
-    if any(r.determinate and r.worst_weighted() <= 0 for r in reports):
-        return _EXIT_BAD_STRATUM
-    if any(not r.determinate for r in reports):
-        return _EXIT_INDETERMINATE
-    return _EXIT_OK
+    return _VERDICT_EXIT[_verdict(reports)]
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
@@ -342,31 +352,41 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_remark(args: argparse.Namespace) -> int:
-    report = run_remark()
-    _write_machine(args.out, _remark_json(report))
+    check = run_remark()
+    first, final = check.reports[0], check.reports[-1]
+    boundary = boundary_divisor(remark_model())
+    b_e, a_on_y = first.entries[0].b, check.side_conditions[-1].value
+    # per candidate degree e of F: its entry, b(F,Y), whether
+    # b(F,X) = b(F,Y) + b(E,X), and the obstruction if e*b <= 0
+    rows = []
+    for entry in final.entries:
+        b_on_y = None if a_on_y is None else b_from_a(a_on_y, entry.e)
+        rows.append((entry, b_on_y,
+                     b_on_y is not None and entry.b == b_on_y + b_e,
+                     None if entry.weighted > 0 else
+                     f"degree {entry.e} gives weighted discrepancy "
+                     f"{entry.weighted}, terminality fails"))
+    verdict = _verdict((final,))
+    _write_machine(args.out, _remark_json(check, boundary, rows, verdict))
     print("boundary: " + "  ".join(
-        f"{divisor}={coeff}" for divisor, coeff in report.boundary
+        f"{divisor}={coeff}" for divisor, coeff in boundary
     ))
-    first = report.first_report
     print(f"first blow-up: {first.divisor_id} with e={first.entries[0].e}, "
-          f"b={report.b_e}")
-    print(f"second blow-up: monomial order {report.monomial_e_f}, "
-          f"degree candidates {list(report.e_f.candidates)}")
-    print(f"a on base: {report.a_f_on_x}; one-step a: {report.a_f_on_y}")
-    rows = [
-        (str(c.e_f), str(c.b_f_on_y), str(c.b_f_on_x), str(c.weighted),
-         "yes" if c.additivity_ok else "no",
-         c.obstruction or "-")
-        for c in report.candidates
-    ]
-    _print_table(("e", "b on Y", "b on X", "e*b", "additive", "obstruction"),
-                 rows)
-    for condition in report.composition.side_conditions:
+          f"b={b_e}")
+    print(f"second blow-up: monomial order {final.degree.monomial_order}, "
+          f"degree candidates {list(final.degree.candidates)}")
+    print(f"a on base: {final.a}; one-step a: {a_on_y}")
+    _print_table(("e", "b on Y", "b on X", "e*b", "additive", "obstruction"), [
+        (str(entry.e), str(b_on_y), str(entry.b), str(entry.weighted),
+         "yes" if additive else "no", obstruction or "-")
+        for entry, b_on_y, additive, obstruction in rows
+    ])
+    for condition in check.side_conditions:
         if condition.ok is False:
             print(f"side condition failed: {condition.name} "
                   f"= {condition.value}")
-    print(f"verdict: {report.verdict}")
-    return _VERDICT_EXIT[report.verdict]
+    print(f"verdict: {verdict}")
+    return _VERDICT_EXIT[verdict]
 
 
 def _positive_int(text: str) -> int:

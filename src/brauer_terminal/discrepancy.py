@@ -74,9 +74,10 @@ class DiscrepancyReport:
     """Discrepancy data of one extracted divisor against a base pair.
 
     ``a`` is the classical discrepancy, which never depends on cover
-    degrees. ``entries`` holds one row per candidate degree, each with
-    b = a + 1 - 1/e: the constructor checks that, and ``from_degree``
-    takes rows the memo checked.
+    degrees; the constructor stores it as a ``Fraction`` and raises
+    ``TypeError`` for a float. ``entries`` holds one row per candidate
+    degree, each with b = a + 1 - 1/e: the constructor checks that, and
+    ``from_degree`` takes rows the memo checked.
     """
 
     divisor_id: str
@@ -87,8 +88,10 @@ class DiscrepancyReport:
     entries: Tuple[ReportEntry, ...]
 
     def __post_init__(self) -> None:
-        _check_entries(self.a.numerator, self.a.denominator,
-                       self.degree.candidates, self.entries)
+        a = _fraction(self.a)
+        object.__setattr__(self, "a", a)
+        _check_entries(a.numerator, a.denominator, self.degree.candidates,
+                       self.entries)
 
     @classmethod
     def from_degree(cls, divisor_id: str, level: int,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
@@ -246,6 +246,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
             incomplete instead of raising.
 
     Raises:
+        TypeError: if ``depth`` or ``max_probes`` is no integer.
         IndeterminateDegreeError: if a base boundary degree is undetermined.
     """
     bases = [as_chart(b) for b in
@@ -255,6 +256,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     model = bases[0].model
     if any(chart.model is not model for chart in bases):
         raise ValueError("base charts must descend from one root chart")
+    depth, max_probes = index(depth), index(max_probes)
     if depth < 0:
         raise ValueError("depth cannot be negative")
     walk = model.walk

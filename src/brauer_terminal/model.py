@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from operator import add, itemgetter, mul
+from operator import add, index, itemgetter, mul
 from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple, TypeAlias, Union)
 
@@ -174,8 +174,10 @@ PairLike: TypeAlias = "Union[Model, Chart]"
 @dataclass(frozen=True, eq=False)
 class Model:
     """A Brauer pair on the root chart: labels, the torsion r, the class
-    as its matrix's rows over Z/r, and extra covers. Construction reduces
-    the entries into [0, r) and checks that the matrix is alternating."""
+    as its matrix's rows over Z/r, and extra covers. Construction reads
+    the torsion and the entries as integers (``operator.index``: a float
+    raises ``TypeError``), reduces the entries into [0, r) and checks that
+    the matrix is alternating."""
 
     labels: Tuple[str, ...]
     torsion: int
@@ -183,7 +185,8 @@ class Model:
     extras: Tuple[ExtraComponent, ...] = ()
 
     def __post_init__(self) -> None:
-        r = self.torsion
+        r = index(self.torsion)
+        object.__setattr__(self, "torsion", r)
         if r < 2:
             raise ValueError("torsion must be at least 2")
         labels = tuple(self.labels)
@@ -196,7 +199,7 @@ class Model:
         if len(set(labels)) != len(labels):
             raise ValueError("divisor labels must be distinct")
         n = len(labels)
-        rows = tuple(tuple(int(v) % r for v in row) for row in self.matrix)
+        rows = tuple(tuple(index(v) % r for v in row) for row in self.matrix)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"symbol matrix must be {n}x{n}, one row and "
                              "column per label")
@@ -231,12 +234,15 @@ class Model:
                 covers; degree 1 entries are ignored.
 
         Raises:
+            TypeError: if the torsion, a symbol entry or a degree is no
+                integer.
             ValueError: on a bad torsion, label, slot, degree or extra key.
         """
         labels = tuple(labels)
         n = len(labels)
         rows = [[0] * n for _ in range(n)]
-        for i, j, m in symbols:
+        for symbol in symbols:
+            i, j, m = map(index, symbol)
             if i == j:
                 raise ValueError("a symbol needs two distinct slots")
             if not (0 <= i < n and 0 <= j < n):
@@ -249,7 +255,7 @@ class Model:
                 raise ValueError(f"extra cover on unknown divisor {label!r}")
         components = []
         for label in labels:
-            degree = int(extra_degrees.get(label, 1))
+            degree = index(extra_degrees.get(label, 1))
             if degree < 1:
                 raise ValueError(f"extra cover degree on {label!r} must be >= 1")
             if degree > 1:
@@ -304,10 +310,11 @@ class Chart(NamedTuple):
         """The slots as a blow-up center of this chart: sorted.
 
         Raises:
+            TypeError: if a slot is no integer.
             ValueError: for no slots, repeated slots, slots out of range,
                 or a codimension below 2.
         """
-        center = tuple(sorted(int(i) for i in slots))
+        center = tuple(sorted(map(index, slots)))
         if not center:
             raise ValueError("a stratum needs at least one coordinate")
         if len(set(center)) != len(center):
@@ -360,13 +367,13 @@ class _Plan(NamedTuple):
 @cache
 def _plan(n: int) -> _Plan:
     centers = _centers(n)
-    index = {center: k for k, center in enumerate(centers)}
+    rank = {center: k for k, center in enumerate(centers)}
     return _Plan(
-        tuple((center, itemgetter(*center), index.get(center[:-1], -1),
+        tuple((center, itemgetter(*center), rank.get(center[:-1], -1),
                center[-1]) for center in centers),
         tuple(tuple(k for k, center in enumerate(centers) if p in center)
               for p in range(n)),
-        {center: tuple(index[center[:end]]
+        {center: tuple(rank[center[:end]]
                        for end in range(2, len(center) + 1))
          for center in centers},
         {center: "-".join(str(i + 1) for i in center) for center in centers})

@@ -22,14 +22,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 from typing import List, Optional, Sequence, Tuple
 
-from .discrepancy import (DiscrepancyReport, ReportEntry, WitnessStep,
-                          _new_step, _report, b_from_a, boundary_divisor)
+from .discrepancy import (DiscrepancyReport, WitnessStep, _fraction,
+                          _new_step, _report)
 from .enumeration import (DEFAULT_MAX_PROBES, _valuation_walk,
                           enumerate_divisors)
-from .model import (Chart, CoverDegree, IndeterminateDegreeError, Model,
-                    PairLike, _put, as_chart)
+from .model import (Chart, IndeterminateDegreeError, Model, PairLike, _put,
+                    as_chart)
 
 
 DEFAULT_DEPTH = 3  # default depth of ``certify``
@@ -186,20 +187,18 @@ class Condition:
 class CompositionCheck:
     """Outcome of pushing a discrepancy bound through a blow-up sequence.
 
-    ``candidates`` are the entries of the final divisor's report, one per
-    candidate degree e with its b against the base. ``passed`` reflects the
-    conclusion alone: every candidate satisfies b >= lam. Premises and side
-    conditions are reported as named findings and do not gate ``passed``;
-    the last side condition is the one-step discrepancy of the final center.
     ``reports`` holds the report of each divisor the route extracts, in
-    route order.
+    route order; the last is the final divisor's, whose entries give one
+    candidate degree e each with its b against the base. ``passed``
+    reflects the conclusion alone: every candidate satisfies b >= lam.
+    Premises and side conditions are reported as named findings and do not
+    gate ``passed``; the last side condition is the one-step discrepancy of
+    the final center.
     """
 
-    divisor_id: str
     lam: Fraction
     premises: Tuple[Condition, ...]
     side_conditions: Tuple[Condition, ...]
-    candidates: Tuple[ReportEntry, ...]
     passed: bool
     reports: Tuple[DiscrepancyReport, ...]
 
@@ -213,7 +212,7 @@ def check_composition(pair: PairLike,
         pair: base chart X (a model: its root chart).
         sequence: (center slots, child index) per blow-up; the last step
             extracts the divisor under scrutiny.
-        lam: the bound to verify.
+        lam: the bound to verify, an ``int`` or a ``Fraction``.
 
     The composition argument needs b >= lam on the exceptional divisors
     appearing in the final center (premises), nonnegative b against the base
@@ -225,7 +224,7 @@ def check_composition(pair: PairLike,
     steps = list(sequence)
     if not steps:
         raise ValueError("a composition needs at least one blow-up")
-    lam = Fraction(lam)
+    lam = _fraction(lam)
     chart = as_chart(pair)
     walk = chart.model.walk
     witness: Tuple[WitnessStep, ...] = ()
@@ -244,7 +243,6 @@ def check_composition(pair: PairLike,
     # Valuations grow strictly along a route, so the ids are distinct.
     created = {report.divisor_id: report for report in reports}
     final_report = reports[-1]
-    final_id = final_report.divisor_id
     premises = []
     for divisor_id in witness[-1].center:
         if divisor_id not in created:
@@ -264,17 +262,15 @@ def check_composition(pair: PairLike,
     one_step = walk.one_step(walk.boundary(parent), center)
     side.append(
         Condition(
-            name=f"a({final_id},Y,Delta_Y) >= 0",
+            name=f"a({final_report.divisor_id},Y,Delta_Y) >= 0",
             value=walk.fraction(one_step),
             ok=None if one_step is None else one_step >= 0,
         )
     )
     return CompositionCheck(
-        divisor_id=final_id,
         lam=lam,
         premises=tuple(premises),
         side_conditions=tuple(side),
-        candidates=final_report.entries,
         passed=all(entry.b >= lam for entry in final_report.entries),
         reports=tuple(reports),
     )
@@ -358,6 +354,7 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
     give from one value text per boundary row, without building a
     ``SideCheck``.
     """
+    depth, max_probes = index(depth), index(max_probes)
     if depth < 1:
         raise ValueError("certification depth must be at least 1")
     bad_strata: Tuple[Tuple[str, ...], ...] = ()
@@ -434,41 +431,6 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
     )
 
 
-@dataclass(frozen=True)
-class RemarkCandidate:
-    e_f: int
-    b_f_on_y: Optional[Fraction]
-    b_f_on_x: Fraction
-    weighted: Fraction
-    additivity_ok: bool
-    obstruction: Optional[str]
-
-
-@dataclass(frozen=True)
-class RemarkReport:
-    """The two-blow-up family where the second cover degree stays open.
-
-    On torsion 3 with one symbol pairing the first two coordinates and an
-    extra degree-3 cover on the third, the first blow-up extracts E with
-    b(E, X) = 1/3 and an exact degree-3 cover. Blowing the strict transform
-    of the first coordinate against E extracts F whose cover pulls the extra
-    component through E: the degree e_F is only known to lie in {1, 3}, and
-    b(F, X) = 1 - 1/e_F. With e_F = 1 the weighted discrepancy drops to 0,
-    so terminality of the family cannot be decided from this data.
-    """
-
-    boundary: Tuple[Tuple[str, Fraction], ...]
-    first_report: DiscrepancyReport
-    b_e: Fraction
-    a_f_on_y: Optional[Fraction]
-    e_f: CoverDegree
-    monomial_e_f: int
-    a_f_on_x: Fraction
-    candidates: Tuple[RemarkCandidate, ...]
-    composition: CompositionCheck
-    verdict: str
-
-
 def remark_model() -> Model:
     """Base model of the undetermined-degree family."""
     return Model.affine(
@@ -484,46 +446,18 @@ def remark_model() -> Model:
 _REMARK_ROUTE = (((0, 2), 1), ((0, 2), 0))
 
 
-def run_remark() -> RemarkReport:
-    """Reproduce the undetermined-degree family end to end."""
-    model = remark_model()
-    composition = check_composition(model, _REMARK_ROUTE, lam=Fraction(0))
-    first_report, f_report = composition.reports
-    b_e = first_report.entries[0].b
-    a_f_on_x = f_report.a
-    a_f_on_y = composition.side_conditions[-1].value
-    degree_f = f_report.degree
+def run_remark() -> CompositionCheck:
+    """The two-blow-up family where the second cover degree stays open.
 
-    candidates = []
-    for entry in f_report.entries:
-        e, b_on_x, weighted = entry.e, entry.b, entry.weighted
-        b_on_y = None if a_f_on_y is None else b_from_a(a_f_on_y, e)
-        additive = b_on_y is not None and b_on_x == b_on_y + b_e
-        obstruction = None
-        if weighted <= 0:
-            obstruction = (
-                f"degree {e} gives weighted discrepancy {weighted}, "
-                "terminality fails"
-            )
-        candidates.append(
-            RemarkCandidate(e_f=e, b_f_on_y=b_on_y, b_f_on_x=b_on_x,
-                            weighted=weighted, additivity_ok=additive,
-                            obstruction=obstruction)
-        )
+    On torsion 3 with one symbol pairing the first two coordinates and an
+    extra degree-3 cover on the third, the first blow-up extracts E with
+    b(E, X) = 1/3 and an exact degree-3 cover. Blowing the strict transform
+    of the first coordinate against E extracts F whose cover pulls the extra
+    component through E: the degree e_F is only known to lie in {1, 3}, and
+    b(F, X) = 1 - 1/e_F. With e_F = 1 the weighted discrepancy drops to 0,
+    so terminality of the family cannot be decided from this data.
 
-    verdict = "indeterminate" if not degree_f.determinate else (
-        "terminal-certified" if all(c.weighted > 0 for c in candidates)
-        else "bad-stratum-found"
-    )
-    return RemarkReport(
-        boundary=boundary_divisor(model),
-        first_report=first_report,
-        b_e=b_e,
-        a_f_on_y=a_f_on_y,
-        e_f=degree_f,
-        monomial_e_f=degree_f.monomial_order,
-        a_f_on_x=a_f_on_x,
-        candidates=tuple(candidates),
-        composition=composition,
-        verdict=verdict,
-    )
+    The check's ``reports`` are E's and F's; its last side condition holds
+    a(F, Y), from which b(F, Y) = ``b_from_a(a, e_F)`` for each candidate.
+    """
+    return check_composition(remark_model(), _REMARK_ROUTE, lam=Fraction(0))

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from brauer_terminal.cli import main
-from brauer_terminal.discrepancy import boundary_divisor, brauer_discrepancy
+from brauer_terminal.discrepancy import (b_from_a, boundary_divisor,
+                                         brauer_discrepancy)
 from brauer_terminal.model import Model
 from brauer_terminal.resolution import (certify, check_composition,
                                         find_bad_strata, level_one_fixup,
@@ -115,15 +116,17 @@ def test_criterion_4_bad_case_lifecycle():
 def test_criterion_5_undetermined_degree_family():
     with criterion(5, "torsion-3 family: b(E) = 1/3, b(F) = 1 - 1/e per "
                       "candidate, additivity exact, weighted floor 0"):
-        report = run_remark()
-        assert report.b_e == Fraction(1, 3)
-        assert tuple(c.e_f for c in report.candidates) == (1, 3)
-        for cand in report.candidates:
-            assert cand.b_f_on_x == 1 - Fraction(1, cand.e_f)
-            assert cand.b_f_on_y is not None
-            assert cand.b_f_on_x == cand.b_f_on_y + report.b_e
-            assert cand.additivity_ok
-        floor = min(c.weighted for c in report.candidates)
+        check = run_remark()
+        b_e = check.reports[0].entries[0].b
+        a_on_y = check.side_conditions[-1].value
+        candidates = check.reports[-1].entries
+        assert b_e == Fraction(1, 3)
+        assert tuple(c.e for c in candidates) == (1, 3)
+        assert a_on_y is not None
+        for cand in candidates:
+            assert cand.b == 1 - Fraction(1, cand.e)
+            assert cand.b == b_from_a(a_on_y, cand.e) + b_e
+        floor = min(c.weighted for c in candidates)
         assert floor == 0
 
 
@@ -146,8 +149,8 @@ def test_criterion_6_toric_oracle_equivalence(corpus):
                 chart = chart.children(center)[pick]
             valuation = chart.rows[center[pick]]
             check = check_composition(base, sequence)
-            assert len(check.candidates) == 1
-            cand = check.candidates[0]
+            assert len(check.reports[-1].entries) == 1
+            cand = check.reports[-1].entries[0]
             a_engine = cand.b - 1 + Fraction(1, cand.e)
             assert a_engine == toric_discrepancy(valuation, coeffs)
 

@@ -20,7 +20,7 @@ PUBLIC = [
     "Chart", "CompositionCheck", "CoverDegree", "DiscrepancyReport",
     "EnumerationResult", "ExtraComponent", "IndeterminateDegreeError",
     "LoadResult", "Model", "ModelFormatError", "NonterminationError",
-    "RemarkReport", "ReportEntry", "ResolutionTree", "TerminalityCertificate",
+    "ReportEntry", "ResolutionTree", "TerminalityCertificate",
     "UnsupportedTorsionError", "WitnessStep",
     "b_from_a", "boundary_divisor", "brauer_discrepancy",
     "certify", "check_composition", "enumerate_divisors",

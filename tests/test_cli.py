@@ -237,6 +237,11 @@ class TestRemark:
         assert summary["a_f_on_y"] == [-1, 3]
         assert [c["e"] for c in summary["candidates"]] == [1, 3]
         assert summary["candidates"][1]["weighted"] == [2, 1]
+        # e*b <= 0 only at e = 1; b(F,X) = b(F,Y) + b(E,X) at both
+        assert [c["obstruction"] is not None
+                for c in summary["candidates"]] == [True, False]
+        assert [c["additive"] for c in summary["candidates"]] == [True, True]
+        assert summary["verdict"] == "indeterminate"
         composition = lines[-1]
         assert composition["type"] == "composition"
         assert composition["passed"] is True

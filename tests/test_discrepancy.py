@@ -274,6 +274,21 @@ class TestReportArithmetic:
         with pytest.raises(TypeError):
             self.report(a, (1, 3))
 
+    @pytest.mark.parametrize("a,value", [(True, 1), (0, 0), (-2, -2)])
+    def test_constructor_stores_a_fraction(self, a, value):
+        built = self.report(value, (1, 3))
+        for report in (self.report(a, (1, 3), built.entries),
+                       dataclasses.replace(built, a=a)):
+            assert type(report.a) is Fraction and report == built
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, "1/2"])
+    def test_constructor_only_rationals(self, a):
+        built = self.report(Fraction(1, 2), (1, 3))
+        with pytest.raises(TypeError):
+            self.report(a, (1, 3), built.entries)
+        with pytest.raises(TypeError):
+            dataclasses.replace(built, a=a)
+
     def test_one_unit_changes_rejected(self):
         for q in range(1, 25, 5):
             for p in range(-40, 41, 7):

@@ -107,13 +107,14 @@ def composition_dump(chart, route, lam):
         check = check_composition(chart, route, lam)
     except IndeterminateDegreeError as exc:
         return {"undetermined": list(exc.divisor_ids)}
+    final = check.reports[-1]
     return {
-        "divisor_id": check.divisor_id,
+        "divisor_id": final.divisor_id,
         "lam": _fraction(check.lam),
         "premises": condition_dump(check.premises),
         "side_conditions": condition_dump(check.side_conditions),
         "candidates": [[c.e, _fraction(c.b), _fraction(c.weighted),
-                        c.b >= check.lam] for c in check.candidates],
+                        c.b >= check.lam] for c in final.entries],
         "passed": check.passed,
         "reports": report_dumps(check.reports),
     }

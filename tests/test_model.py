@@ -52,6 +52,22 @@ class TestAffineValidation:
                   (ExtraComponent("x1", 2), ExtraComponent("x1", 3)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Model.affine(2.5, ("x1", "x2"), [(0, 1, 1)]),
+    lambda: Model(("x1", "x2"), 3, ((0, 1.0), (2, 0))),
+    lambda: Model.affine(3, ("x1", "x2", "x3"), [(0, 1, 1.5)]),
+    lambda: Model.affine(3, ("x1", "x2", "x3"), [(0.0, 1, 1)]),
+    lambda: Model.affine(2, ("x1", "x2"), extra_degrees={"x1": 2.5}),
+    lambda: Model.affine(2, ("x1", "x2"), extra_degrees={"x1": "3"}),
+    lambda: Model.affine(2, ("x1", "x2", "x3")).chart.center((0.7, 1.2)),
+], ids=["torsion", "matrix-entry", "symbol-exponent", "symbol-slot",
+        "extra-float", "extra-string", "center-slots"])
+def test_integers_only(build):
+    # each was truncated or kept as a float before
+    with pytest.raises(TypeError):
+        build()
+
+
 class TestCoverDegrees:
     def test_pure_monomial(self):
         model = Model.affine(2, ("x1", "x2", "x3"), [(0, 2, 1), (1, 2, 1)])

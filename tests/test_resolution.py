@@ -10,6 +10,7 @@ Frozen expectations:
       b(F,X) = 1 - 1/e_F, exact additivity, and a(F,Y) = -1/3
 """
 
+import dataclasses
 import gc
 import time
 from fractions import Fraction
@@ -17,13 +18,15 @@ from fractions import Fraction
 import pytest
 
 from brauer_terminal import resolution
-from brauer_terminal.discrepancy import (DiscrepancyReport, boundary_divisor,
-                                         brauer_discrepancy,
+from brauer_terminal.cli import _verdict
+from brauer_terminal.discrepancy import (DiscrepancyReport, b_from_a,
+                                         boundary_divisor, brauer_discrepancy,
                                          stratum_discrepancies)
 from brauer_terminal.enumeration import _valuation_walk
 import brauer_terminal.model as model_module
 from brauer_terminal.model import IndeterminateDegreeError, Model, _RowWalk
-from brauer_terminal.resolution import (NonterminationError, ResolutionTree,
+from brauer_terminal.resolution import (CompositionCheck, NonterminationError,
+                                        ResolutionTree,
                                         TerminalityCertificate,
                                         SideConditionSummary,
                                         UnsupportedTorsionError, certify,
@@ -306,6 +309,11 @@ class TestEnumerateDivisors:
         assert flagged.degree.candidates == (1, 3)
         assert flagged.a == 0
 
+    @pytest.mark.parametrize("depth,max_probes", [(2, 10.5), (2.0, 10)])
+    def test_integer_arguments_only(self, depth, max_probes):
+        with pytest.raises(TypeError):
+            enumerate_divisors(remark_model(), depth, max_probes=max_probes)
+
 
 class TestCheckComposition:
     def _remark_route(self, lam):
@@ -314,7 +322,7 @@ class TestCheckComposition:
 
     def test_remark_at_zero_passes_with_named_failure(self):
         check = self._remark_route(Fraction(0))
-        assert check.divisor_id == "E(2,0,1)"
+        assert check.reports[-1].divisor_id == "E(2,0,1)"
         assert [r.divisor_id for r in check.reports] == ["E(1,0,1)", "E(2,0,1)"]
         assert check.passed
         names = {c.name: c for c in check.side_conditions}
@@ -328,22 +336,35 @@ class TestCheckComposition:
     def test_remark_at_third_fails_on_open_candidate(self):
         check = self._remark_route(Fraction(1, 3))
         assert not check.passed
-        by_e = {c.e: c.b >= check.lam for c in check.candidates}
+        by_e = {c.e: c.b >= check.lam for c in check.reports[-1].entries}
         assert by_e == {1: False, 3: True}
         premise = check.premises[0]
         assert premise.value == Fraction(1, 3)
         assert premise.ok is True
 
-    def test_candidates_are_the_final_entries(self):
-        check = self._remark_route(Fraction(0))
-        assert check.candidates is check.reports[-1].entries
+    def test_fields_hold_no_copy_of_the_last_report(self):
+        assert [f.name for f in dataclasses.fields(CompositionCheck)] == [
+            "lam", "premises", "side_conditions", "passed", "reports"]
 
     def test_passed_is_every_b_at_least_lam(self):
-        least = min(c.b for c in self._remark_route(Fraction(0)).candidates)
+        final = self._remark_route(Fraction(0)).reports[-1]
+        least = min(c.b for c in final.entries)
         for lam, passed in ((least, True), (least + Fraction(1, 10**6), False)):
             check = self._remark_route(lam)
             assert check.passed is passed
-            assert passed == all(c.b >= lam for c in check.candidates)
+            assert passed == all(c.b >= lam
+                                 for c in check.reports[-1].entries)
+
+    @pytest.mark.parametrize("lam", [0.1, "0"])
+    def test_lam_is_rational(self, lam):
+        # 0.1 would be kept as 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            self._remark_route(lam)
+
+    def test_integer_lam_becomes_a_fraction(self):
+        check = self._remark_route(0)
+        assert type(check.lam) is Fraction
+        assert check == self._remark_route(Fraction(0))
 
     def test_exceptional_premises_only(self):
         check = self._remark_route(Fraction(0))
@@ -489,48 +510,63 @@ class TestCertify:
         assert len(reports) > len(keys)
         assert len({id(r.entries) for r in reports}) == len(keys)
 
+    @pytest.mark.parametrize("model,depth,max_probes", [
+        (lambda: Model.affine(2, ("x1", "x2"), [(0, 1, 1)]), 3, 2.5),
+        (remark_model, 2, 10.5),
+        (remark_model, 2.0, 10),
+    ], ids=["valuation-walk-probes", "row-walk-probes", "depth"])
+    def test_integer_arguments_only(self, model, depth, max_probes):
+        # both walks refuse a float budget alike
+        with pytest.raises(TypeError):
+            certify(model(), depth, max_probes=max_probes)
+
 
 class TestRunRemark:
+    def test_is_the_composition_audit(self):
+        check = run_remark()
+        assert type(check) is CompositionCheck
+        assert [r.divisor_id for r in check.reports] == ["E(1,0,1)", "E(2,0,1)"]
+        assert check.passed
+
     def test_boundary(self):
-        report = run_remark()
-        assert report.boundary == (
+        assert boundary_divisor(remark_model()) == (
             ("x1", Fraction(2, 3)),
             ("x2", Fraction(2, 3)),
             ("x3", Fraction(2, 3)),
         )
 
     def test_first_blow_up(self):
-        report = run_remark()
-        assert report.first_report.divisor_id == "E(1,0,1)"
-        assert report.b_e == Fraction(1, 3)
-        assert report.first_report.degree.value == 3
+        first = run_remark().reports[0]
+        assert first.divisor_id == "E(1,0,1)"
+        assert first.entries[0].b == Fraction(1, 3)
+        assert first.degree.value == 3
 
     def test_second_blow_up_candidates(self):
-        report = run_remark()
-        assert report.e_f.candidates == (1, 3)
-        assert report.monomial_e_f == 3
-        assert report.a_f_on_x == 0
-        assert report.a_f_on_y == Fraction(-1, 3)
+        check = run_remark()
+        final = check.reports[-1]
+        assert final.degree.candidates == (1, 3)
+        assert final.degree.monomial_order == 3
+        assert final.a == 0
+        assert check.side_conditions[-1].value == Fraction(-1, 3)
 
     def test_candidate_rows(self):
-        report = run_remark()
-        by_e = {c.e_f: c for c in report.candidates}
-        assert by_e[1].b_f_on_x == 0
+        by_e = {c.e: c for c in run_remark().reports[-1].entries}
+        assert by_e[1].b == 0
         assert by_e[1].weighted == 0
-        assert by_e[1].obstruction is not None
-        assert by_e[3].b_f_on_x == Fraction(2, 3)
+        assert by_e[3].b == Fraction(2, 3)
         assert by_e[3].weighted == 2
-        assert by_e[3].obstruction is None
 
     def test_additivity_exact_per_candidate(self):
-        report = run_remark()
-        for candidate in report.candidates:
-            assert candidate.additivity_ok, (
-                f"b(F,X) != b(F,Y) + b(E,X) at e={candidate.e_f}"
+        check = run_remark()
+        b_e = check.reports[0].entries[0].b
+        a_on_y = check.side_conditions[-1].value
+        for candidate in check.reports[-1].entries:
+            b_on_y = b_from_a(a_on_y, candidate.e)
+            assert candidate.b == b_on_y + b_e, (
+                f"b(F,X) != b(F,Y) + b(E,X) at e={candidate.e}"
             )
-            assert candidate.b_f_on_x == candidate.b_f_on_y + report.b_e
 
     def test_verdict_indeterminate(self):
-        report = run_remark()
-        assert report.verdict == "indeterminate"
-        assert report.composition.passed
+        check = run_remark()
+        assert _verdict(check.reports[-1:]) == "indeterminate"
+        assert check.passed
