@@ -14,7 +14,10 @@ the telescoped discrepancies stay exact, so indeterminacy surfaces purely
 as candidate lists on the affected divisors. A side check's one-step value
 depends only on its chart's boundary row, so the walk keeps one table per
 boundary row of every center's value and of each failing center's failure
-text tail, and ``certify`` takes its failure texts finished.
+text tail. The result holds the side checks as plain data, one block per
+chart state; ``side_checks`` builds the tuple of ``SideCheck``s on its
+first read, and ``certify`` takes the failure texts finished from
+``_failing``.
 
 For torsion 2 without extra covers every number of a report is a function
 of the divisor's valuation, so ``_valuation_walk`` reads them off the
@@ -25,12 +28,12 @@ and its witness-order rank, so a report's bookkeeping is O(1) at any depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import index, mul
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .discrepancy import DiscrepancyReport, WitnessStep, _new_step, _report
 from .model import (Chart, CoverDegree, Model, PairLike, _centers, _plan,
@@ -65,77 +68,42 @@ class _Block(NamedTuple):
     failing: Tuple[Tuple[int, str], ...]
 
 
-class _SideChecks(Sequence):
-    """A walk's side checks, kept as one block per chart state.
-
-    Each chart, in walk order, has its chart id, its state's block and the
-    number of its probes; its checks are its block's first entries under
-    its chart id, and ``getters`` read each center's divisor ids off the
-    block's slots. The ``SideCheck``s are built on the first read of an
-    item, and then kept. Length, items, slices and equality are those of
-    the tuple of them.
-    """
-
-    def __init__(self, charts: Sequence[Tuple[str, _Block, int]] = (),
-                 getters: Sequence[Callable] = ()):
-        self.charts = charts
-        self.getters = getters
-        self._checks: Optional[Tuple[SideCheck, ...]] = None
-
-    def _all(self) -> Tuple[SideCheck, ...]:
-        if self._checks is None:
-            self._checks = tuple(
-                SideCheck(divisor_id, chart_id, get(block.slots), value)
-                for chart_id, block, take in self.charts
-                for get, divisor_id, value in zip(
-                    self.getters[:take], block.ids, block.values))
-        return self._checks
-
-    def failing(self) -> Iterator[str]:
-        """The failure text ``a(<divisor id>,<chart id>,Delta) = <value>``
-        of each failing check, in order, read off the blocks."""
-        for chart_id, block, take in self.charts:
-            ids = block.ids
-            for n, tail in block.failing:
-                if n >= take:
-                    break
-                yield f"a({ids[n]},{chart_id}{tail}"
-
-    def __len__(self) -> int:
-        return sum(take for _, _, take in self.charts)
-
-    def __getitem__(self, k):
-        return self._all()[k]
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, _SideChecks)):
-            return NotImplemented
-        return self._all() == tuple(other)
-
-    def __hash__(self):
-        return hash(self._all())
-
-    def __repr__(self):
-        return repr(self._all())
-
-
 @dataclass(frozen=True)
 class EnumerationResult:
     """All divisors extracted by coordinate blow-up routes up to a depth.
 
-    ``side_checks`` is a sequence of ``SideCheck``s, one per probe in walk
-    order; the row walk's keeps one block per chart state and builds the
-    checks only when a caller reads them.
+    ``_blocks`` holds the walk's side checks: per chart in walk order, its
+    chart id, its state's block and its number of probes, whose checks are
+    the block's first entries. ``side_checks`` is the tuple of them, one
+    ``SideCheck`` per probe in walk order, built on its first read and then
+    kept; ``_failing`` reads the failure texts off the blocks.
     """
 
     reports: Tuple[DiscrepancyReport, ...]
-    side_checks: Sequence[SideCheck]
     indeterminate_divisors: Tuple[str, ...]
     complete: bool
     probes: int
+    _blocks: Tuple[Tuple[str, _Block, int], ...] = field(default=(),
+                                                          repr=False)
+
+    @cached_property
+    def side_checks(self) -> Tuple[SideCheck, ...]:
+        return tuple(
+            SideCheck(divisor_id, chart_id, get(block.slots), value)
+            for chart_id, block, take in self._blocks
+            for (_, get, _, _), divisor_id, value in zip(
+                _plan(len(block.slots)).entries[:take], block.ids,
+                block.values))
+
+
+def _failing(blocks: Sequence[Tuple[str, _Block, int]]) -> Iterator[str]:
+    """The failure text ``a(<divisor id>,<chart id>,Delta) = <value>`` of
+    each failing side check of ``blocks``, in walk order."""
+    for chart_id, block, take in blocks:
+        for n, tail in block.failing:
+            if n >= take:
+                break
+            yield f"a({block.ids[n]},{chart_id}{tail}"
 
 
 _Valuation = Tuple[int, ...]
@@ -220,9 +188,10 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     failing centers with the value part of their failure texts, so the
     texts of ``certify`` format no ``Fraction`` per chart; a block takes
     its state's table with its steps' divisor ids. Every chart of the
-    state adds only its chart id, the block and its number of probes, and
-    ``SideCheck``s are built only when a caller reads ``side_checks``
-    (``certify`` reads the blocks).
+    state adds only its chart id, the block and its number of probes to
+    the result's ``_blocks``; ``side_checks`` builds the tuple of
+    ``SideCheck``s on its first read, and ``certify`` reads the blocks
+    through ``_failing``.
     A child takes its parent's step for every center without its pivot p:
     the two charts differ only in slot p, and no slot of such a center is p
     or an origin gone with it, so the row, the center ids, ``a``, the exact
@@ -268,7 +237,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     frontier = [(chart, walk.base_row(chart), (), b, None, -1)
                 for b, chart in enumerate(bases)]
     reports: Dict[str, Tuple[int, DiscrepancyReport]] = {}
-    side_checks: List[Tuple[str, _Block, int]] = []  # chart id, block, take
+    blocks: List[Tuple[str, _Block, int]] = []  # chart id, block, take
     # boundary row -> each center's one-step value, the failing centers
     # with their failure text tails
     tables: Dict[tuple, tuple] = {}
@@ -325,7 +294,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                 states[key] = block, steps if grow else None
             else:
                 block, steps = known
-            side_checks.append((chart.chart_id, block, take))
+            blocks.append((chart.chart_id, block, take))
             if not grow:
                 continue
             for center, step in zip(centers[:take], steps):
@@ -346,11 +315,10 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     ))
     return EnumerationResult(
         reports=tuple(ordered),
-        side_checks=_SideChecks(side_checks,
-                                [get for _, get, _, _ in plan.entries]),
         indeterminate_divisors=offenders,
         complete=complete,
         probes=probes,
+        _blocks=tuple(blocks),
     )
 
 
@@ -509,6 +477,5 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
     return EnumerationResult(
         reports=tuple([reports[k] for k in
                        sorted(range(len(order)), key=order.__getitem__)]),
-        side_checks=_SideChecks(),
         indeterminate_divisors=(), complete=complete,
         probes=total if complete else max(max_probes, 0))

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .discrepancy import (DiscrepancyReport, WitnessStep, _fraction,
                           _new_step, _report)
-from .enumeration import (DEFAULT_MAX_PROBES, _valuation_walk,
+from .enumeration import (DEFAULT_MAX_PROBES, _failing, _valuation_walk,
                           enumerate_divisors)
 from .model import (Chart, IndeterminateDegreeError, Model, PairLike, _put,
                     as_chart)
@@ -131,9 +131,11 @@ def level_one_fixup(pair: PairLike,
     inside the default budget for any supported dimension.
 
     Raises:
+        TypeError: if ``max_rounds`` is no integer.
         UnsupportedTorsionError: unless the class has torsion 2.
         NonterminationError: if the round budget is exhausted.
     """
+    max_rounds = index(max_rounds)
     root = as_chart(pair)
     return _fixup(root, find_bad_strata(root), max_rounds)
 
@@ -350,11 +352,11 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
     = route length), b >= 0 on every divisor, and whether a determinate
     degree gives e * b <= 0. ``failures`` lists ``level-1 b < 0``, then
     each divisor's negative worst b in report order, then the failed side
-    checks in walk order, whose texts the walk's blocks of side checks
-    give from one value text per boundary row, without building a
-    ``SideCheck``.
+    checks in walk order, whose texts ``_failing`` reads off the result's
+    blocks of side checks, from one value text per boundary row, without
+    building a ``SideCheck`` or reading ``side_checks``.
     """
-    depth, max_probes = index(depth), index(max_probes)
+    depth, max_probes, max_rounds = map(index, (depth, max_probes, max_rounds))
     if depth < 1:
         raise ValueError("certification depth must be at least 1")
     bad_strata: Tuple[Tuple[str, ...], ...] = ()
@@ -400,7 +402,7 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
             negative.append(f"b({report.divisor_id},X) = {worst}")
     failures = ([] if level1_b else ["level-1 b < 0"]) + negative
     listed = len(failures)
-    failures.extend(enumeration.side_checks.failing())
+    failures.extend(_failing(enumeration._blocks))
     one_step_ok = len(failures) == listed
     summary = SideConditionSummary(
         level1_b_nonnegative=level1_b,

@@ -12,6 +12,7 @@ Frozen expectations:
 
 import dataclasses
 import gc
+import pickle
 import time
 from fractions import Fraction
 
@@ -122,6 +123,13 @@ class TestLevelOneFixup:
             level_one_fixup(bad_case(), max_rounds=0)
         assert err.value.tree.rounds == 0
 
+    @pytest.mark.parametrize("max_rounds", [0.5, 1.5])
+    @pytest.mark.parametrize("entry", [level_one_fixup, certify])
+    def test_integer_rounds_only(self, entry, max_rounds):
+        # 0.5 would run one round and 1.5 act as 1
+        with pytest.raises(TypeError):
+            entry(bad_case(), max_rounds=max_rounds)
+
     def test_returns_the_tree_with_its_leaf_charts(self):
         tree = level_one_fixup(bad_case())
         assert isinstance(tree, ResolutionTree)
@@ -211,6 +219,16 @@ class TestEnumerateDivisors:
         model = remark_model()
         full = enumerate_divisors(model, 3)
         assert (full.probes, full.complete) == (364, True)
+        # the checks are a tuple, built once
+        assert type(full.side_checks) is tuple
+        assert full.side_checks is full.side_checks
+        # a cut result pickles, compares and hashes on its fields
+        cut = enumerate_divisors(model, 3, max_probes=100)
+        for other in (enumerate_divisors(model, 3, max_probes=100),
+                      pickle.loads(pickle.dumps(cut))):
+            assert other == cut and hash(other) == hash(cut)
+            assert other.side_checks == cut.side_checks
+        assert cut != full
         for k in range(366):
             cut = enumerate_divisors(model, 3, max_probes=k)
             assert cut.side_checks == full.side_checks[:k], k

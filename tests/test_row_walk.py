@@ -18,14 +18,14 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
 from brauer_terminal.discrepancy import DiscrepancyReport, WitnessStep
 from brauer_terminal.model import (CoverDegree, IndeterminateDegreeError,
                                    Model, _centers, _flags)
-from brauer_terminal.enumeration import (EnumerationResult, SideCheck,
-                                         enumerate_divisors)
+from brauer_terminal.enumeration import SideCheck, enumerate_divisors
 from brauer_terminal.resolution import level_one_fixup
 
 from .oracles import blow_up, cover_on, root_chart
@@ -71,7 +71,8 @@ def boundary(chart):
 
 def chart_walk(bases, depth, max_probes, narrowed=None):
     """Breadth-first over reference charts, one blow-up per probe; counts
-    the merges that narrow a candidate list in ``narrowed``."""
+    the merges that narrow a candidate list in ``narrowed``. The result has
+    the attributes of an ``EnumerationResult``."""
     queue = deque()
     for base in bases if depth > 0 else ():
         reference = reference_chart(base)
@@ -119,7 +120,7 @@ def chart_walk(bases, depth, max_probes, narrowed=None):
                                   route))
     ordered = sorted(reports.values(), key=lambda r: (
         r.level, [(s.chart_id, s.indices) for s in r.witness], r.divisor_id))
-    return EnumerationResult(
+    return SimpleNamespace(
         reports=tuple(ordered), side_checks=tuple(checks),
         indeterminate_divisors=tuple(sorted(
             r.divisor_id for r in ordered if not r.degree.determinate)),

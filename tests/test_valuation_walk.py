@@ -45,6 +45,7 @@ def assert_walks_agree(bases, depth, max_probes=200000):
     assert (walked.complete, walked.probes) == (reference.complete,
                                                 reference.probes)
     assert walked.indeterminate_divisors == reference.indeterminate_divisors
+    assert walked.side_checks == ()
     assert not any(check.value is not None and check.value < 0
                    for check in reference.side_checks)
     return reference
