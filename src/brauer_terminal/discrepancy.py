@@ -235,7 +235,7 @@ def _one_step_reports(chart: Chart, centers: Sequence[Tuple[int, ...]]
     need, with their prefixes, once each."""
     walk = chart.model.walk
     chains = _plan(chart.dim).chains
-    known = walk.steps(chart, walk.exposure(chart), walk.base_row(chart), {},
+    known = walk.steps(chart, walk.base_row(chart), {},
                        sorted({n for center in centers
                                for n in chains[center]}))
     reports = []

@@ -75,8 +75,8 @@ class EnumerationResult:
     ``_blocks`` holds the walk's side checks: per chart in walk order, its
     chart id, its state's block and its number of probes, whose checks are
     the block's first entries. ``side_checks`` is the tuple of them, one
-    ``SideCheck`` per probe in walk order, built on its first read and then
-    kept; ``_failing`` reads the failure texts off the blocks.
+    ``SideCheck`` per probe in walk order, built on its first read and kept,
+    though not pickled; ``_failing`` reads the failure texts off the blocks.
     """
 
     reports: Tuple[DiscrepancyReport, ...]
@@ -94,6 +94,9 @@ class EnumerationResult:
             for (_, get, _, _), divisor_id, value in zip(
                 _plan(len(block.slots)).entries[:take], block.ids,
                 block.values))
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "side_checks"}
 
 
 def _failing(blocks: Sequence[Tuple[str, _Block, int]]) -> Iterator[str]:
@@ -268,7 +271,7 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                     order = plan.through[pivot]
                     if take < width:
                         order = [n for n in order if n < take]
-                walk.steps(chart, walk.exposure(chart), abar, steps, order)
+                walk.steps(chart, abar, steps, order)
                 for n in order:
                     step = steps[n]
                     seen = reports.get(step.divisor_id)
@@ -459,7 +462,7 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
                 parent, witness = charts[node // fan]
                 child = node % fan
                 s = moves[child]
-                step = walk.step(parent, walk.exposure(parent), s)
+                step = walk.step(parent, s)
                 witness += (_new_step(parent.chart_id, s, step.center),)
                 start = node - pivot[child]  # the blow-up's first chart
                 for k, chart in enumerate(walk.children(parent, s, step)):

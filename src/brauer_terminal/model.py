@@ -26,9 +26,9 @@ root matrix M, an extra cover on the root divisor in slot s has exposure
 v[s], and slots i and j pair by rows[i] M rows[j] mod r. The new divisor's
 row is the sum of the center's rows, in the pivot slot of each child. The
 exact flags of a chart's centers depend only on its exposure, each extra's
-origin slot and other exposed slots, so a step reads them from one bounded
-table per exposure (``_flags``). The fixup, the audits and both walks run
-this one step.
+origin slot and other exposed slots, so a step reads its chart's exposure
+(``_RowWalk.exposure``) and its flags from one bounded table per exposure
+(``_flags``). The fixup, the audits and both walks run this one step.
 
 Cover degrees along divisors are where indeterminacy enters. An extra cover
 restricts exactly to the divisor it was declared on and, by direct exposure,
@@ -67,28 +67,21 @@ def residue_order(r: int, exponents: Iterable[int]) -> int:
     return r // gcd(r, *exponents)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+def _divisors(n: int) -> List[int]:
+    """The divisors of n >= 1, ascending, by trial division up to sqrt(n)."""
+    return sorted({d for k in range(1, isqrt(n) + 1) if n % k == 0
+                   for d in (k, n // k)})
 
 
 def candidate_orders(monomial_order: int, loose_order: int) -> Tuple[int, ...]:
     """Possible cover degrees when contributions of total order g float freely.
 
     A candidate e must divide lcm(m, g) and must still explain the monomial
-    part: m | lcm(e, g). The divisors are found by trial division up to the
-    square root of lcm(m, g).
+    part: m | lcm(e, g). The divisors of lcm(m, g) come from ``_divisors``,
+    whose trial division runs up to its square root.
     """
-    top = lcm(monomial_order, loose_order)
-    divisors = sorted({d for k in range(1, isqrt(top) + 1) if top % k == 0
-                       for d in (k, top // k)})
-    return tuple(e for e in divisors if lcm(e, loose_order) % monomial_order == 0)
+    return tuple(e for e in _divisors(lcm(monomial_order, loose_order))
+                 if lcm(e, loose_order) % monomial_order == 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,16 +140,19 @@ def _combined_degree(torsion: int, monomial: int,
     The monomial residue contributes its exact order m. Each extra component
     live on the divisor contributes its effective order, given here as
     (origin id, effective order > 1, exact on the divisor); a single exact
-    contribution combines to lcm when the combination is forced (prime
-    torsion, trivial monomial part, or coprime orders). Anything else leaves
-    a candidate list.
+    contribution combines to lcm when the combination is forced, tested in
+    this order: trivial monomial part, coprime orders, or prime torsion.
+    Past the first two, m > 1 divides r and shares a factor with eff, so a
+    prime r is m and divides eff: primality is tested only if r <= eff,
+    where trial division is cheap. Anything else leaves a candidate list.
     """
     if not contributions:
         return CoverDegree(monomial, (monomial,))
     exact = [eff for _, eff, is_exact in contributions if is_exact]
     if len(contributions) == 1 and exact:
         eff = exact[0]
-        if _is_prime(torsion) or monomial == 1 or gcd(monomial, eff) == 1:
+        if (monomial == 1 or gcd(monomial, eff) == 1
+                or torsion <= eff and len(_divisors(torsion)) == 2):
             return CoverDegree(monomial, (lcm(monomial, eff),))
     loose = lcm(*[eff for _, eff, _ in contributions])
     return CoverDegree(
@@ -334,8 +330,7 @@ class Chart(NamedTuple):
         the one with pivot p holds the new divisor in slot p."""
         center = self.center(center)
         walk = self.model.walk
-        return walk.children(self, center,
-                             walk.step(self, walk.exposure(self), center))
+        return walk.children(self, center, walk.step(self, center))
 
 
 def _centers(n: int) -> List[Tuple[int, ...]]:
@@ -502,8 +497,8 @@ class _RowWalk:
                 and i != origin])))
         return tuple(exposed)
 
-    def steps(self, chart: Chart, exposure: tuple,
-              abar: Optional[Sequence[int]], known, order: Iterable[int]):
+    def steps(self, chart: Chart, abar: Optional[Sequence[int]], known,
+              order: Iterable[int]):
         """The divisors that blow-ups of the chart's centers extract.
 
         ``known`` maps the engine index of a center (``_plan``) to its
@@ -517,12 +512,13 @@ class _RowWalk:
         extra when its exposure, the sum of the center's, is nonzero mod
         the degree and only the origin feeds it. The origin's exposure is
         1, so that is: the origin is in the center and no other exposed
-        slot is, and ``_flags`` holds them per exposure. ``a`` is c - 1
-        minus the center's coefficients in ``abar``, the chart's slots
-        telescoped against a base; without ``abar`` it is None.
+        slot is, and ``_flags`` holds them per exposure, read here off the
+        chart (``exposure``). ``a`` is c - 1 minus the center's
+        coefficients in ``abar``, the chart's slots telescoped against a
+        base; without ``abar`` it is None.
         """
         entries = _plan(len(chart.rows)).entries
-        flags = _flags(len(chart.rows), exposure)
+        flags = _flags(len(chart.rows), self.exposure(chart))
         rows, ids, scale = chart.rows, chart.divisor_ids, self.scale
         degrees = self.degrees
         a = None
@@ -544,11 +540,11 @@ class _RowWalk:
                                 degree[0])
         return known
 
-    def step(self, chart: Chart, exposure: tuple, center: Tuple[int, ...],
+    def step(self, chart: Chart, center: Tuple[int, ...],
              abar: Optional[Sequence[int]] = None) -> _RowStep:
         """``steps`` of one center (sorted slots)."""
         chain = _plan(len(chart.rows)).chains[center]
-        return self.steps(chart, exposure, abar, {}, chain)[chain[-1]]
+        return self.steps(chart, abar, {}, chain)[chain[-1]]
 
     def children(self, chart: Chart, center: Tuple[int, ...],
                  step: _RowStep) -> List[Chart]:

@@ -129,7 +129,8 @@ def parse_model(text: str) -> LoadResult:
             j = _label_slot(tokens[1], labels, line_no)
             m = _int_token(tokens[2], line_no)
             if torsion is None:
-                torsion = _parse_torsion(fields, field_lines)
+                torsion = _int_key(fields, field_lines, "torsion",
+                                   MAX_TORSION, 2)
             if i == j:
                 warnings.append(
                     f"line {line_no}: symbol pairs {tokens[0].group()} with "
@@ -164,8 +165,8 @@ def parse_model(text: str) -> LoadResult:
             extra_degrees[label] = degree
 
     if torsion is None:
-        torsion = _parse_torsion(fields, field_lines)
-    dimension = _parse_dimension(fields, field_lines)
+        torsion = _int_key(fields, field_lines, "torsion", MAX_TORSION, 2)
+    dimension = _int_key(fields, field_lines, "dimension", MAX_DIMENSION)
     if not labels:
         labels = _parse_labels(fields, field_lines)
     if dimension != len(labels):
@@ -188,21 +189,23 @@ def parse_model(text: str) -> LoadResult:
     return LoadResult(model, tuple(warnings))
 
 
-def _parse_torsion(fields: Dict[str, str], field_lines: Dict[str, int]) -> int:
-    if "torsion" not in fields:
-        raise ModelFormatError("missing torsion in [model]")
+def _int_key(fields: Dict[str, str], field_lines: Dict[str, int], key: str,
+             most: int, least: Optional[int] = None) -> int:
+    """The integer value of ``key`` in [model], within [least, most]."""
+    if key not in fields:
+        raise ModelFormatError(f"missing {key} in [model]")
     try:
-        torsion = int(fields["torsion"])
+        value = int(fields[key])
     except ValueError:
-        raise ModelFormatError("torsion must be an integer",
-                               field_lines["torsion"]) from None
-    if torsion < 2:
-        raise ModelFormatError("torsion must be at least 2",
-                               field_lines["torsion"])
-    if torsion > MAX_TORSION:
-        raise ModelFormatError(f"torsion must be at most {MAX_TORSION}",
-                               field_lines["torsion"])
-    return torsion
+        raise ModelFormatError(f"{key} must be an integer",
+                               field_lines[key]) from None
+    if least is not None and value < least:
+        raise ModelFormatError(f"{key} must be at least {least}",
+                               field_lines[key])
+    if value > most:
+        raise ModelFormatError(f"{key} must be at most {most}",
+                               field_lines[key])
+    return value
 
 
 def _parse_labels(fields: Dict[str, str],
@@ -222,21 +225,6 @@ def _parse_labels(fields: Dict[str, str],
     if len(set(labels)) != len(labels):
         raise ModelFormatError("duplicate divisor labels", line_no)
     return labels
-
-
-def _parse_dimension(fields: Dict[str, str],
-                     field_lines: Dict[str, int]) -> int:
-    if "dimension" not in fields:
-        raise ModelFormatError("missing dimension in [model]")
-    try:
-        dimension = int(fields["dimension"])
-    except ValueError:
-        raise ModelFormatError("dimension must be an integer",
-                               field_lines["dimension"]) from None
-    if dimension > MAX_DIMENSION:
-        raise ModelFormatError(f"dimension must be at most {MAX_DIMENSION}",
-                               field_lines["dimension"])
-    return dimension
 
 
 def _label_slot(token: "re.Match[str]", labels: Tuple[str, ...],

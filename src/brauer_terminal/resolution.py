@@ -93,7 +93,6 @@ def find_bad_strata(pair: PairLike) -> Tuple[Tuple[int, int], ...]:
             "bad-stratum detection is specific to torsion 2, got "
             f"{chart.model.torsion}")
     walk = chart.model.walk
-    exposure = walk.exposure(chart)
     ids = chart.divisor_ids
     bad = []
     for i, j in combinations(range(chart.dim), 2):
@@ -109,7 +108,7 @@ def find_bad_strata(pair: PairLike) -> Tuple[Tuple[int, int], ...]:
                 )
         if degrees[0].value != 2 or degrees[1].value != 2:
             continue
-        step = walk.step(chart, exposure, (i, j))
+        step = walk.step(chart, (i, j))
         if not step.degree.determinate:
             raise IndeterminateDegreeError(
                 (step.divisor_id,),
@@ -161,7 +160,7 @@ def _fixup(root: Chart, bad: Tuple[Tuple[int, int], ...],
             raise NonterminationError(
                 f"fixup did not finish within {max_rounds} rounds", partial
             )
-        step = walk.step(current, walk.exposure(current), bad[0])
+        step = walk.step(current, bad[0])
         rounds += 1
         for child in walk.children(current, bad[0], step):
             edges.append(
@@ -234,7 +233,7 @@ def check_composition(pair: PairLike,
     reports: List[DiscrepancyReport] = []
     for step_no, (indices, pick) in enumerate(steps):
         center = chart.center(indices)
-        step = walk.step(chart, walk.exposure(chart), center, abar)
+        step = walk.step(chart, center, abar)
         witness += (_new_step(chart.chart_id, center, step.center),)
         reports.append(_report(walk, step, witness))
         if not 0 <= pick < len(center):
@@ -354,7 +353,9 @@ def certify(model: Model, depth: int = DEFAULT_DEPTH, *, fixup: bool = True,
     each divisor's negative worst b in report order, then the failed side
     checks in walk order, whose texts ``_failing`` reads off the result's
     blocks of side checks, from one value text per boundary row, without
-    building a ``SideCheck`` or reading ``side_checks``.
+    building a ``SideCheck`` or reading ``side_checks``. A side check that
+    an undetermined degree blocks (value None) is not a failure and does
+    not make ``one_step_a_nonnegative`` false.
     """
     depth, max_probes, max_rounds = map(index, (depth, max_probes, max_rounds))
     if depth < 1:

@@ -278,6 +278,21 @@ class TestErrors:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             golden_digest("bad-case", ("certify",))
 
+    @pytest.mark.parametrize("command", ["certify", "resolve"])
+    def test_undetermined_degree_exits_three(self, command, tmp_path,
+                                             capsys):
+        # blowing up V(x1, x2) meets both extras' exposures at once
+        path = tmp_path / "open.model"
+        path.write_text("[model]\ntorsion = 2\ndimension = 2\n"
+                        "labels = x1,x2\n[extra]\nx1 2\nx2 2\n")
+        out = tmp_path / "out.jsonl"
+        assert main([command, "--model", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("indeterminate: degree on E(1,1) is "
+                                "undetermined, candidates [1, 2]\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_usage_error(self, capsys):
         assert main(["certify"]) == 1
 

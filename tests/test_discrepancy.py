@@ -214,6 +214,10 @@ class TestReportInvariants:
         with pytest.raises(ValueError):
             ReportEntry(2, Fraction(1, 2), Fraction(2))
 
+    def test_degree_checked(self):
+        with pytest.raises(ValueError, match="cover degrees are positive"):
+            ReportEntry(0, Fraction(0), Fraction(0))
+
 
 def lowest_terms(x):
     return type(x) is Fraction and x.denominator > 0 \

@@ -35,19 +35,17 @@ def compare_children(chart, abar, levels):
     """Steps checked and those whose pivot held an extra's origin, over the
     children of ``chart`` and, ``levels`` deep, their children."""
     walk = chart.model.walk
-    exposure = walk.exposure(chart)
     origins = origin_slots(chart)
     checked = origin_pivots = 0
-    steps = [walk.step(chart, exposure, center, abar)
+    steps = [walk.step(chart, center, abar)
              for center in _centers(chart.dim)]
     for center, step in zip(_centers(chart.dim), steps):
         for p, child in zip(center, walk.children(chart, center, step)):
             below = _put(abar, p, -step.a)
-            child_exposure = walk.exposure(child)
             for n, other in enumerate(_centers(chart.dim)):
                 if p in other:
                     continue
-                fresh = walk.step(child, child_exposure, other, below)
+                fresh = walk.step(child, other, below)
                 assert fresh == steps[n], (child.chart_id, other)
                 assert fresh.degree is steps[n].degree
                 checked += 1
@@ -79,19 +77,18 @@ def test_pivot_on_an_extra_origin():
     # extra's origin; (x1, x2) avoids the pivot
     chart = remark_model().chart
     walk = chart.model.walk
-    exposure = walk.exposure(chart)
     assert origin_slots(chart) == [2]
     abar = walk.base_row(chart)
-    step = walk.step(chart, exposure, (0, 2), abar)
+    step = walk.step(chart, (0, 2), abar)
     child = walk.children(chart, (0, 2), step)[1]
     assert child.chart_id == "r.1-3p3"
     assert origin_slots(child) == [-1]
     below = _put(abar, 2, -step.a)
-    fresh = walk.step(child, walk.exposure(child), (0, 1), below)
-    assert fresh == walk.step(chart, exposure, (0, 1), abar)
+    fresh = walk.step(child, (0, 1), below)
+    assert fresh == walk.step(chart, (0, 1), abar)
     # the same one level down, on the child's own pivot x1
-    step = walk.step(child, walk.exposure(child), (0, 2), below)
+    step = walk.step(child, (0, 2), below)
     grandchild = walk.children(child, (0, 2), step)[0]
     deeper = _put(below, 0, -step.a)
-    assert (walk.step(grandchild, walk.exposure(grandchild), (1, 2), deeper)
-            == walk.step(child, walk.exposure(child), (1, 2), below))
+    assert (walk.step(grandchild, (1, 2), deeper)
+            == walk.step(child, (1, 2), below))

@@ -44,6 +44,17 @@ class TestAffineValidation:
         model = Model.affine(2, ("x1", "x2"), extra_degrees={"x1": 1})
         assert model.extras == ()
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ExtraComponent("x1", 1), "degree < 2"),
+        (lambda: Model((), 2, ()), "dimension must be at least 1"),
+        (lambda: Model(("x1", "x2"), 2, ((0, 0), (0, 0)),
+                       (ExtraComponent("x9", 2),)),
+         "unknown divisor 'x9'"),
+    ], ids=["degree-one-component", "no-labels", "unknown-origin"])
+    def test_constructors_validate(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_two_extras_on_one_divisor_rejected(self):
         # the file format rejects this too ("declared twice"); let through,
         # the root divisor x1 would read candidates (1, 2, 3, 6)

@@ -72,15 +72,16 @@ class TestParse:
     def test_torsion_read_once(self, monkeypatch, text):
         # at the first symbol line, not once per symbol line
         seen = []
-        read = modelfile._parse_torsion
+        read = modelfile._int_key
 
         def counted(*args):
             seen.append(args)
             return read(*args)
 
-        monkeypatch.setattr(modelfile, "_parse_torsion", counted)
+        monkeypatch.setattr(modelfile, "_int_key", counted)
         model, _ = parse_model(text)
-        assert model.torsion == 2 and len(seen) == 1
+        assert model.torsion == 2
+        assert [args[2] for args in seen].count("torsion") == 1
 
     def test_self_symbol_warned_and_dropped(self):
         model, warnings = parse_model(GOOD + "x1 x1 1\n")
@@ -113,6 +114,7 @@ class TestParseErrors:
         ("[model]\ntorsion = 2\nlabels = a,b\n", "missing dimension"),
         ("[model]\ndimension = 2\nlabels = a,b\n[symbols]\na b 1\n",
          "missing torsion"),
+        ("[model]\ntorsion = 2\ndimension = 2\n", "missing labels in [model]"),
     ])
     def test_messages(self, text, fragment):
         with pytest.raises(ModelFormatError) as err:

@@ -232,7 +232,7 @@ class TestDiscrepancySweeps:
             assert degrees == {cover_on(r, r.pivot) for r in references}
             # the step reads it from the parent and builds no child
             walk = parent.model.walk
-            step = walk.step(parent, walk.exposure(parent), center)
+            step = walk.step(parent, center)
             assert (step.divisor_id, step.degree) == (
                 children[0].divisor_ids[center[0]], degrees.pop())
 
@@ -319,8 +319,7 @@ class TestResolutionSweeps:
 
 def step_outcomes(walk, chart, abar):
     """Uncached step of every center of a chart."""
-    exposure = walk.exposure(chart)
-    return [walk.step(chart, exposure, center, abar)
+    return [walk.step(chart, center, abar)
             for center in _centers(chart.dim)]
 
 

@@ -12,9 +12,13 @@ Frozen expectations:
 
 import dataclasses
 import gc
+import os
 import pickle
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -218,10 +222,17 @@ class TestEnumerateDivisors:
         # every eleventh cut also equals the reference chart walk's
         model = remark_model()
         full = enumerate_divisors(model, 3)
+        unread = len(pickle.dumps(full))
         assert (full.probes, full.complete) == (364, True)
         # the checks are a tuple, built once
         assert type(full.side_checks) is tuple
         assert full.side_checks is full.side_checks
+        # and kept out of a pickle: a round trip rebuilds them
+        assert len(pickle.dumps(full)) == unread
+        again = pickle.loads(pickle.dumps(full))
+        assert again == full and hash(again) == hash(full)
+        assert "side_checks" not in vars(again)
+        assert again.side_checks == full.side_checks
         # a cut result pickles, compares and hashes on its fields
         cut = enumerate_divisors(model, 3, max_probes=100)
         for other in (enumerate_divisors(model, 3, max_probes=100),
@@ -332,6 +343,14 @@ class TestEnumerateDivisors:
         with pytest.raises(TypeError):
             enumerate_divisors(remark_model(), depth, max_probes=max_probes)
 
+    @pytest.mark.parametrize("base,depth,message", [
+        (list, 1, "at least one base model"),
+        (remark_model, -1, "depth cannot be negative"),
+    ], ids=["no-bases", "negative-depth"])
+    def test_bad_arguments_rejected(self, base, depth, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_divisors(base(), depth)
+
 
 class TestCheckComposition:
     def _remark_route(self, lam):
@@ -427,6 +446,21 @@ class TestCallerErrors:
 
 
 class TestCertify:
+    def test_large_torsion_certifies_at_once(self):
+        # the torsion's primality decides nothing here, so it is not tested;
+        # trial division up to its square root would not return
+        code = ("from brauer_terminal import Model, certify\n"
+                "cert = certify(Model.affine(10**18 + 9, ('x1', 'x2', 'x3'),"
+                " [(0, 1, 1)], extra_degrees={'x3': 2}), 1)\n"
+                "print(cert.verdict, len(cert.reports))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"),
+            env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=5)
+        assert result.stdout == "terminal-certified 4\n", result.stderr
+
     def test_bad_case_lifecycle(self):
         cert = certify(bad_case(), depth=3)
         assert cert.verdict == "terminal-certified"
@@ -472,6 +506,21 @@ class TestCertify:
                 level1_terminal=False, side_conditions=summary,
                 bad_strata=(), indeterminate_divisors=(), reports=(),
                 complete=True, fixup_rounds=0,
+            )
+
+    @pytest.mark.parametrize("verdict,complete,message", [
+        ("certified", True, "unknown verdict 'certified'"),
+        ("terminal-certified", False, "incomplete enumeration"),
+    ], ids=["unknown-verdict", "incomplete"])
+    def test_certificate_verdict_checked(self, verdict, complete, message):
+        summary = SideConditionSummary(True, True, True, ())
+        with pytest.raises(ValueError, match=message):
+            TerminalityCertificate(
+                level_checked=1, verdict=verdict,
+                min_weighted=Fraction(1), min_witness="E",
+                level1_terminal=True, side_conditions=summary,
+                bad_strata=(), indeterminate_divisors=(), reports=(),
+                complete=complete, fixup_rounds=0,
             )
 
     def test_depth_validated(self):
