@@ -157,6 +157,24 @@ def _witness_key(report: DiscrepancyReport):
     )
 
 
+def _levels(charts: int, width: int, fan: int, depth: int, max_probes: int
+            ) -> Tuple[List[int], bool, int]:
+    """The budget rule of both walks, for ``depth`` levels from ``charts``
+    bases, each chart with ``width`` centers and ``fan`` children: the first
+    probe of each level the budget reaches, ``complete`` and ``probes``.
+    Probes are numbered by level, chart, then center. Depth 0 is complete
+    with 0 probes; a budget of 0 cuts any other walk, even one without
+    centers."""
+    starts: List[int] = []
+    total, size = 0, charts * width
+    while size and len(starts) < depth and total < max_probes:
+        starts.append(total)
+        total, size = total + size, size * fan
+    complete = not depth or max_probes > 0 and (
+        not size or len(starts) == depth and total <= max_probes)
+    return starts, complete, total if complete else max(max_probes, 0)
+
+
 def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
                        max_probes: int = DEFAULT_MAX_PROBES
                        ) -> EnumerationResult:
@@ -204,12 +222,9 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     report is built only for a new divisor or when a merge narrows its
     candidates.
 
-    Every chart has the root's 2^n - n - 1 centers, so the probe count at
-    which each child's first probe falls is known when the child would be
-    built. A child beyond the budget is not built, and a chart the budget
-    cuts takes only its first centers; the result is then incomplete, with
-    ``probes`` and side checks those of the full walk cut at
-    ``max_probes``. A budget of 0 cuts even a walk without centers.
+    ``_levels`` sets the budget, ``complete`` and ``probes``. A chart the
+    budget cuts takes its first centers, and no blow-up is made whose first
+    chart it would never reach: the side checks are the full walk's, cut.
 
     Args:
         base: one model or chart, or several charts of one model.
@@ -235,6 +250,8 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     plan = _plan(model.dim)
     centers = _centers(model.dim)
     width = len(centers)
+    starts, complete, probes = _levels(
+        len(bases), width, sum(map(len, centers)), depth, max_probes)
     # (chart, coefficient row, route, base number, parent's steps, pivot)
     # per chart of the level
     frontier = [(chart, walk.base_row(chart), (), b, None, -1)
@@ -244,23 +261,14 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
     # boundary row -> each center's one-step value, the failing centers
     # with their failure text tails
     tables: Dict[tuple, tuple] = {}
-    probes = 0
-    complete = True
-    for level in range(depth):
-        if not frontier:
-            break
-        grow = level < depth - 1
-        level_end = probes + len(frontier) * width
+    for level, start in enumerate(starts):
+        grow = level + 1 < len(starts)
         next_frontier: list = []
         states: Dict[tuple, tuple] = {}  # state -> block, steps
-        for chart, abar, witness, b, inherited, pivot in frontier:
-            if probes >= max_probes:
-                complete = False
-                break
-            take = min(width, max_probes - probes)
-            if take < width:
-                complete = False
-            probes += take
+        # chart k's first probe is start + k width: stop at the budget
+        for first, (chart, abar, witness, b, inherited, pivot) in zip(
+                range(start, max_probes, width), frontier):
+            take = min(width, max_probes - first)
             key = b, chart.divisor_ids, chart.exact
             known = states.get(key)
             if known is None:
@@ -301,8 +309,8 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
             if not grow:
                 continue
             for center, step in zip(centers[:take], steps):
-                if level_end + len(next_frontier) * width >= max_probes:
-                    complete = False  # the budget ends before this child
+                if starts[level + 1] + len(next_frontier) * width >= \
+                        max_probes:  # before this blow-up's first chart
                     break
                 route = witness + (_new_step(chart.chart_id, center,
                                              step.center),)
@@ -313,9 +321,8 @@ def enumerate_divisors(base: Union[PairLike, Sequence[PairLike]], depth: int,
         frontier = next_frontier
     ordered = sorted((report for _, report in reports.values()),
                      key=_witness_key)
-    offenders = tuple(sorted(
-        r.divisor_id for r in ordered if not r.degree.determinate
-    ))
+    offenders = tuple(sorted(r.divisor_id for r in ordered
+                             if not r.degree.determinate))
     return EnumerationResult(
         reports=tuple(ordered),
         indeterminate_divisors=offenders,
@@ -399,9 +406,9 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
     breadth-first order.
 
     Every chart has the same C centers and K children, so the probe number
-    of a route is a mixed-radix number and the budget needs no walk: a
-    divisor of level l from base b is reported iff the probe
-    b K^(l-1) C + ``route`` of its level is below ``max_probes``. The
+    of a route is a mixed-radix number and the budget needs no walk
+    (``_levels``): a divisor of level l from base b is reported iff the
+    probe b K^(l-1) C + ``route`` of its level is below ``max_probes``. The
     charts on a route are built by the charts' one step, a blow-up's
     together and once, when a report first needs the last one. One number
     per report, of its level, base chart id and ``rank``, sorts the
@@ -415,14 +422,8 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
     moves = [s for s in centers for _ in s]  # the center of each child
     width, fan = len(centers), len(moves)
     pivot = [k for s in centers for k in range(len(s))]  # its index in s
-    starts: List[int] = []  # first probe of each level the budget reaches
-    total, size = 0, len(bases) * width
-    while size and len(starts) < depth and total < max_probes:
-        starts.append(total)
-        total, size = total + size, size * fan
-    # as in the row walk, a budget of 0 cuts even a walk with no centers
-    complete = max_probes > 0 and (
-        not size or (len(starts) == depth and total <= max_probes))
+    starts, complete, probes = _levels(len(bases), width, fan, depth,
+                                       max_probes)
     reach = _reach(bases[0].dim, len(starts))
     spans = [fan ** steps for steps in range(len(starts))]  # charts per base
     # the first entry of a v has the least level, then the lowest base, so
@@ -480,5 +481,4 @@ def _valuation_walk(bases: Sequence[Chart], depth: int,
     return EnumerationResult(
         reports=tuple([reports[k] for k in
                        sorted(range(len(order)), key=order.__getitem__)]),
-        indeterminate_divisors=(), complete=complete,
-        probes=total if complete else max(max_probes, 0))
+        indeterminate_divisors=(), complete=complete, probes=probes)

@@ -40,7 +40,7 @@ degrees can be listed, not the degree itself.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import combinations
@@ -77,11 +77,14 @@ def candidate_orders(monomial_order: int, loose_order: int) -> Tuple[int, ...]:
     """Possible cover degrees when contributions of total order g float freely.
 
     A candidate e must divide lcm(m, g) and must still explain the monomial
-    part: m | lcm(e, g). The divisors of lcm(m, g) come from ``_divisors``,
-    whose trial division runs up to its square root.
+    part: m | lcm(e, g). So e is m's part on the primes of m / gcd(m, g)
+    times a divisor of g's rest, and only that rest is trial-divided.
     """
-    return tuple(e for e in _divisors(lcm(monomial_order, loose_order))
-                 if lcm(e, loose_order) % monomial_order == 0)
+    m = monomial_order
+    free, h = loose_order, m // gcd(m, loose_order)
+    while (t := gcd(free, h)) > 1:
+        free //= t
+    return tuple(m // gcd(m, free) * d for d in _divisors(free))
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,6 +265,10 @@ class Model:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    def __getstate__(self) -> dict:
+        # the fields alone: a copy rebuilds ``chart`` and ``walk`` on use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
     def chart(self) -> "Chart":

@@ -12,11 +12,11 @@ torsion, self-pairings, and accumulations that cancel are dropped with a
 warning instead of an error.
 
 Torsion, extra cover degrees and dimension are capped (``MAX_TORSION``,
-``MAX_EXTRA_DEGREE``, ``MAX_DIMENSION``): candidate cover degrees are
-the divisors of lcm(torsion, extra degrees), found by trial division up
-to its square root, and a chart of dimension n has 2^n - n - 1 blow-up
-centers, so unbounded values would stall the commands instead of failing
-them.
+``MAX_EXTRA_DEGREE``, ``MAX_DIMENSION``). A chart of dimension n has
+2^n - n - 1 blow-up centers, and candidate cover degrees trial-divide a
+divisor of the extra degrees' lcm (``model.candidate_orders``), so those
+unbounded would stall the commands. No torsion is trial-divided there; its
+cap stays because lifting it would change which files load.
 """
 
 from __future__ import annotations

@@ -217,6 +217,26 @@ class TestCertify:
         assert main(["certify", "--model", BAD, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_discrepancy_and_certify_verdict_rules_differ(self, tmp_path,
+                                                          capsys):
+        # The two commands read the same level-1 reports by two rules:
+        # ``discrepancy`` (cli._verdict) exits 3 when any degree is
+        # undetermined, ``certify`` certifies when every candidate has
+        # e*b > 0. E(0,1,1) has candidates 4 and 12, with e*b = 1/3 and 3.
+        # This is model 219 of the cli-corpus pool, whose discrepancy exit
+        # perfbench/pinned.json pins as 3 (3:e81fc073...); one rule for
+        # both moves that pin, so it waits for a benchmark change.
+        path = tmp_path / "open.model"
+        path.write_text("[model]\ntorsion = 4\ndimension = 3\n"
+                        "labels = x1,x2,x3\n[symbols]\nx1 x2 2\nx1 x3 1\n"
+                        "x2 x3 3\n[extra]\nx2 3\nx3 2\n")
+        assert main(["discrepancy", "--model", str(path)]) == 3
+        assert "E(0,1,1)  -2/3   4   1/12  1/3" in capsys.readouterr().out
+        assert main(["certify", "--model", str(path), "--depth", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: terminal-certified\n" in out
+        assert "indeterminate degrees on: E(0,1,1) E(1,1,1)\n" in out
+
 
 class TestRemark:
     def test_exit_and_narrative(self, capsys):

@@ -151,6 +151,20 @@ class TestCandidateOrders:
                 )
                 assert candidate_orders(m, g) == expected, (m, g)
 
+    def test_matches_the_divisors_of_the_lcm(self):
+        # the candidates come from the extras' part alone; the reference is
+        # the definition they replace: the divisors e of lcm(m, g), each
+        # with m | lcm(e, g)
+        from math import isqrt, lcm
+        for m in range(1, 400):
+            for g in range(1, 200):
+                top = lcm(m, g)
+                divisors = {d for k in range(1, isqrt(top) + 1)
+                            if top % k == 0 for d in (k, top // k)}
+                expected = tuple(sorted(e for e in divisors
+                                        if lcm(e, g) % m == 0))
+                assert candidate_orders(m, g) == expected, (m, g)
+
     def test_monomial_explained(self):
         # every candidate e keeps m | lcm(e, g)
         from math import lcm

@@ -10,6 +10,7 @@ Frozen expectations:
       b(F,X) = 1 - 1/e_F, exact additivity, and a(F,Y) = -1/3
 """
 
+import copy
 import dataclasses
 import gc
 import os
@@ -447,19 +448,24 @@ class TestCallerErrors:
 
 class TestCertify:
     def test_large_torsion_certifies_at_once(self):
-        # the torsion's primality decides nothing here, so it is not tested;
-        # trial division up to its square root would not return
+        # the torsion's primality decides nothing here, so it is not tested,
+        # and from depth 2 on candidate degrees trial-divide only the
+        # extra's part; trial division of the torsion up to its square root
+        # would not return
         code = ("from brauer_terminal import Model, certify\n"
-                "cert = certify(Model.affine(10**18 + 9, ('x1', 'x2', 'x3'),"
-                " [(0, 1, 1)], extra_degrees={'x3': 2}), 1)\n"
-                "print(cert.verdict, len(cert.reports))\n")
+                "model = Model.affine(10**18 + 9, ('x1', 'x2', 'x3'),"
+                " [(0, 1, 1)], extra_degrees={'x3': 2})\n"
+                "for depth in (1, 2, 3):\n"
+                "    cert = certify(model, depth)\n"
+                "    print(cert.verdict, len(cert.reports))\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [
             str(Path(__file__).resolve().parents[1] / "src"),
             env.get("PYTHONPATH")]))
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, timeout=5)
-        assert result.stdout == "terminal-certified 4\n", result.stderr
+        assert result.stdout == "".join(
+            f"terminal-certified {n}\n" for n in (4, 16, 58)), result.stderr
 
     def test_bad_case_lifecycle(self):
         cert = certify(bad_case(), depth=3)
@@ -470,6 +476,36 @@ class TestCertify:
         assert cert.level1_terminal
         assert cert.complete
         assert cert.tree is not None
+
+    def test_used_model_and_its_results_pickle(self):
+        # a model's root chart and walk are memos: a pickle or a copy holds
+        # the fields alone and rebuilds them on first use, so a used model,
+        # its charts, a fixup tree and a certificate round trip
+        model = bad_case()
+        cert = certify(model, depth=3)
+        chart = model.chart.children((0, 1))[1]
+        assert "walk" in vars(model)
+        again = pickle.loads(pickle.dumps(model))
+        assert vars(again) == {"labels": model.labels, "torsion": 2,
+                               "matrix": model.matrix, "extras": ()}
+        assert again.chart.model is again
+        assert certify(again, depth=3) == cert
+        child = pickle.loads(pickle.dumps(chart))
+        assert child[1:] == chart[1:] and child.model is not model
+        assert child.model.matrix == model.matrix
+        copied = pickle.loads(pickle.dumps(cert))
+        assert copied == cert
+        tree = copied.tree
+        assert (tree.root, tree.edges, tree.leaves, tree.rounds) == (
+            cert.tree.root, cert.tree.edges, cert.tree.leaves,
+            cert.tree.rounds)
+        assert [c[1:] for c in tree.charts] == [
+            c[1:] for c in cert.tree.charts]
+        # one model behind every chart of the copy, as behind the original's
+        assert len({id(c.model) for c in tree.charts}) == 1
+        assert tree.charts[0].model is not model
+        shallow = copy.copy(model)
+        assert shallow.chart.model is shallow
 
     def test_no_fixup_reports_bad_stratum(self):
         cert = certify(bad_case(), depth=1, fixup=False)

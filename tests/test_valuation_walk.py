@@ -87,6 +87,42 @@ def test_matches_the_chart_walk_under_budget_cuts(bases, depth, width,
     assert completed == [c for c in cuts if c >= level_ends[-1]]
 
 
+BUDGET_BASES = {
+    "1-slot": lambda: (Model.affine(2, ("x1",)).chart,),
+    "2-slot": lambda: (Model.affine(2, ("x1", "x2"), [(0, 1, 1)]).chart,),
+    "bad-case": lambda: (Model.affine(2, ("x1", "x2", "x3"),
+                                      [(0, 2, 1), (1, 2, 1)]).chart,),
+    "bad-case-fixed": lambda: tuple(bad_case_bases()),
+    "x1x3+x2x4": lambda: (dim4_plain().chart,),
+}
+
+
+@pytest.mark.parametrize("name", BUDGET_BASES)
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_walks_agree_on_every_budget(name, depth):
+    # both walks read their budget off one rule; probes are numbered by
+    # level, chart and center, so the full walk makes B C (1 + K + ... +
+    # K^(depth-1)) of them, which starts[l] adds up to level l
+    bases = BUDGET_BASES[name]()
+    n = bases[0].dim
+    width, fan = 2 ** n - n - 1, n * 2 ** (n - 1) - n
+    starts = [len(bases) * width * sum(fan ** k for k in range(level))
+              for level in range(depth + 1)]
+    full = starts[-1]
+    if full <= 400:  # every budget, so every cut inside a chart
+        budgets = range(full + 2)
+    else:  # around each level start, and inside a chart of every level
+        budgets = sorted({0, 1, width - 1, width + 1, *(
+            start + step for start in starts
+            for step in (-1, 0, 1, width // 2, width + 1))})
+    for max_probes in budgets:
+        result = assert_walks_agree(bases, depth, max_probes)
+        # depth 0 is complete whatever the budget, a budget of 0 cuts any
+        # other walk, even one without centers
+        assert result.complete == (depth == 0 or max_probes >= max(full, 1))
+        assert result.probes == max(min(max_probes, full), 0)
+
+
 def test_certify_walks_charts_only_for_extras(monkeypatch):
     walked = []
     enumerate_charts = resolution.enumerate_divisors
